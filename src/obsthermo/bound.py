@@ -14,7 +14,7 @@ from . import chain as chainmod
 from . import info
 from .errors import ValidationError
 from .joint import JointDistribution
-from .strategy import MEMORY_VAR
+from .strategy import MEMORY_VAR, apply_strategy
 
 BOLTZMANN_J_PER_K = 1.380649e-23
 CAP_TOL = 1e-10
@@ -110,8 +110,6 @@ def predictive_cap_check(
     window: JointDistribution, strategies, iid: bool = True
 ) -> CapCheckResult:
     """Evaluate i_pred for each strategy against the answer-entropy cap."""
-    from .strategy import apply_strategy
-
     q_next, a_next = chainmod.FUTURE_PAIR
     cap = info.entropy(window, [q_next, a_next]) - info.entropy(window, [q_next])
     per = []

@@ -11,16 +11,16 @@ s = 2 * question_index + (0 if a == +1 else 1).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import process as procmod
 from .errors import SizeCapError, ValidationError
-from .joint import JointDistribution
+from .joint import JointDistribution, write_joint_csv
 from .qubit import ANSWERS, BlochVector, Question, answer_to_bit, born_probability, collapse
 
 KERNEL_TOL = 1e-12
 LONG_RUN_TOL = 1e-10
 WINDOW_ENTRY_CAP = 10**7
+_UNIT_TOL = 1e-9  # eigenvalues this close to a unit-modulus value count as on it
 
 #: Variable names of the one-step-ahead pair in every window joint.
 FUTURE_PAIR = ("q+1", "a+1")
@@ -169,20 +169,29 @@ class LongRunResult:
         object.__setattr__(self, "distribution", mu)
 
 
+def _is_periodic(matrix: np.ndarray) -> bool:
+    """True when the kernel has an eigenvalue of modulus 1 other than 1."""
+    vals = np.linalg.eigvals(matrix)
+    on_circle = np.abs(np.abs(vals) - 1.0) < _UNIT_TOL
+    return bool(np.any(on_circle & (np.abs(vals - 1.0) >= _UNIT_TOL)))
+
+
 def _cesaro_limit(matrix: np.ndarray, mu0: np.ndarray) -> np.ndarray:
     """Exact Cesaro limit of mu0 P^t via the spectral projector at eigenvalue 1.
 
     Peripheral eigenvalues (|lam| = 1, lam != 1) average to zero, interior ones
     decay, so the projector onto the eigenvalue-1 subspace is the limit.  For
     stochastic matrices that eigenvalue is semisimple, so left/right eigenvector
-    bases are enough.
+    bases are enough: right ones from P, left ones from P^T.
     """
-    vals, left, right = scipy.linalg.eig(matrix, left=True, right=True)
-    sel = np.abs(vals - 1.0) < 1e-9
-    if not np.any(sel):
+    vals, right = np.linalg.eig(matrix)
+    vals_t, left = np.linalg.eig(matrix.T)
+    sel = np.abs(vals - 1.0) < _UNIT_TOL
+    sel_t = np.abs(vals_t - 1.0) < _UNIT_TOL
+    if not np.any(sel) or sel.sum() != sel_t.sum():
         raise ValidationError("stochastic matrix lost its unit eigenvalue; numerical failure")
     r = right[:, sel]
-    l = left[:, sel].conj().T
+    l = left[:, sel_t].T
     proj = r @ np.linalg.solve(l @ r, l)
     mu = np.real(mu0 @ proj)
     return mu
@@ -194,8 +203,9 @@ def long_run_distribution(
     """Limit of the chain distribution started from the induced initial law.
 
     Reducible chains (e.g. a single question) get the initial-condition-induced
-    limit, not an arbitrary stationary vector.  Genuinely periodic chains get
-    the Cesaro average, flagged on the result.
+    limit, not an arbitrary stationary vector.  When the power iteration does
+    not settle, the result is the Cesaro average; it is flagged only if the
+    chain is genuinely periodic, not merely slow to mix.
     """
     if first_question_dist is None:
         first_question_dist = procmod.first_question_distribution(kernel.process)
@@ -207,7 +217,7 @@ def long_run_distribution(
             return LongRunResult(distribution=nxt, cesaro=False)
         mu = nxt
     mu0 = initial_state_distribution(kernel.questions, initial, first_question_dist)
-    return LongRunResult(distribution=_cesaro_limit(mat, mu0), cesaro=True)
+    return LongRunResult(distribution=_cesaro_limit(mat, mu0), cesaro=_is_periodic(mat))
 
 
 def window_alphabets(questions, window: int) -> tuple:
@@ -335,6 +345,4 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
 def write_window_joint_csv(window: JointDistribution, path) -> None:
     """Window joint as CSV, answers serialized as 1/0."""
     serializers = {n: answer_to_bit for n in window.names if n.startswith("a")}
-    from .joint import write_joint_csv
-
     write_joint_csv(window, path, serializers=serializers)

@@ -3,16 +3,22 @@
 Log base 2 throughout; conversion to physical units happens only in the
 dissipation bound.  Tiny negatives from floating-point cancellation (>= -1e-10)
 are clamped to 0; anything more negative indicates a broken table and raises.
+This is the package's only place that evaluates p ln p.
 """
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import joint as jointmod
 from .errors import ValidationError
 
 CLAMP_TOL = 1e-10
 _LN2 = np.log(2.0)
+_TINY = np.finfo(float).tiny
+
+
+def xlogx(p):
+    """Elementwise p ln p in nats, with 0 ln 0 = 0."""
+    return p * np.log(np.maximum(p, _TINY))
 
 
 def _clamp(value: float, what: str) -> float:
@@ -35,7 +41,15 @@ def _check_subsets(joint, *groups):
 
 
 def _entropy_of_table(table: np.ndarray) -> float:
-    return float(-xlogy(table, table).sum() / _LN2)
+    return float(-xlogx(table).sum() / _LN2)
+
+
+def mutual_information_table(table2d: np.ndarray) -> float:
+    """I(row; column) in bits of a 2-D joint table, clamped at 0."""
+    px = table2d.sum(axis=1)
+    py = table2d.sum(axis=0)
+    mi = (xlogx(table2d).sum() - xlogx(px).sum() - xlogx(py).sum()) / _LN2
+    return max(0.0, float(mi))
 
 
 def entropy(joint: jointmod.JointDistribution, names) -> float:

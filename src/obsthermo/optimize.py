@@ -11,10 +11,10 @@ predictive maps (no nostalgia) both attain it.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import chain as chainmod
 from .errors import SizeCapError, ValidationError
+from .info import mutual_information_table, xlogx
 from .joint import JointDistribution
 from .strategy import (
     ENUMERATION_CAP,
@@ -22,6 +22,7 @@ from .strategy import (
     assignment_from_map,
     deterministic_count,
     enumerate_deterministic,
+    history_window,
     view_alphabet,
     view_variables,
 )
@@ -98,8 +99,6 @@ def history_future_joint(
     The history view is the last k pairs (default: the full window), labels
     kept or dropped; its symbols come out in the canonical kernel row order.
     """
-    from .strategy import history_window
-
     w = history_window(window)
     if k is None:
         k = w
@@ -134,21 +133,14 @@ class FrontierPoint:
     strategy: KernelStrategy
 
 
-def _mi_bits(table2d: np.ndarray) -> float:
-    px = table2d.sum(axis=1)
-    py = table2d.sum(axis=0)
-    mi = (xlogy(table2d, table2d).sum() - xlogy(px, px).sum() - xlogy(py, py).sum()) / _LN2
-    return max(0.0, float(mi))
-
-
 def _point_from_encoder(
     hf: HistoryFutureJoint, enc: np.ndarray, beta: float | None, converged: bool, iterations: int
 ) -> FrontierPoint:
     p_h = hf.history_marginal()
     p_hm = p_h[:, None] * enc
-    i_mem = _mi_bits(p_hm)
+    i_mem = mutual_information_table(p_hm)
     p_mx = enc.T @ hf.table
-    i_pred = _mi_bits(p_mx)
+    i_pred = mutual_information_table(p_mx)
     nostalgia = max(0.0, i_mem - i_pred)
     objective = i_mem - (beta if beta is not None else 1.0) * i_pred
     return FrontierPoint(
@@ -186,11 +178,17 @@ def _run_fixed_point(
     """
     p_h = hf.history_marginal()
     cond = hf.future_conditionals()
-    cond_self = xlogy(cond, cond).sum(axis=1)  # sum_x p(x|h) ln p(x|h), in nats
+    cond_self = xlogx(cond).sum(axis=1)  # sum_x p(x|h) ln p(x|h), in nats
     enc = np.asarray(enc, dtype=float).copy()
+    # the H and X' marginals do not depend on the encoder
+    h_sum = xlogx(p_h).sum()
+    x_sum = xlogx(hf.table.sum(axis=0)).sum()
 
     def objective_of(e: np.ndarray) -> float:
-        return _mi_bits(p_h[:, None] * e) - beta * _mi_bits(e.T @ hf.table)
+        m_sum = xlogx(p_h @ e).sum()
+        i_mem = max(0.0, float((xlogx(p_h[:, None] * e).sum() - h_sum - m_sum) / _LN2))
+        i_pred = max(0.0, float((xlogx(e.T @ hf.table).sum() - m_sum - x_sum) / _LN2))
+        return i_mem - beta * i_pred
 
     prev = objective_of(enc)
     converged = False
@@ -266,10 +264,9 @@ def _evaluate_maps(hf: HistoryFutureJoint, maps: np.ndarray, m: int):
     rows = np.repeat(np.arange(c), h)
     np.add.at(p_mx, (rows, maps.ravel()), np.tile(hf.table, (c, 1)))
     p_m = p_mx.sum(axis=2)
-    i_mem = np.maximum(0.0, -xlogy(p_m, p_m).sum(axis=1) / _LN2)  # H(M): maps are deterministic
-    p_x = hf.table.sum(axis=0)
-    h_x = -xlogy(p_x, p_x).sum() / _LN2
-    h_mx = -xlogy(p_mx, p_mx).sum(axis=(1, 2)) / _LN2
+    i_mem = np.maximum(0.0, -xlogx(p_m).sum(axis=1) / _LN2)  # H(M): maps are deterministic
+    h_x = -xlogx(hf.table.sum(axis=0)).sum() / _LN2
+    h_mx = -xlogx(p_mx).sum(axis=(1, 2)) / _LN2
     i_pred = np.maximum(0.0, i_mem + h_x - h_mx)
     return i_mem, i_pred
 

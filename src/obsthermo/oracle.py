@@ -82,6 +82,25 @@ def _expand_leaves(questions, process, probs, states, time_index):
     return new_probs, new_states
 
 
+def _grow_tree(questions, process, initial: BlochVector, horizon: int):
+    """Leaf masses and post-measurement states of the depth-`horizon` tree."""
+    probs, states = _first_leaves(questions, process, initial)
+    for t in range(1, horizon):
+        probs, states = _expand_leaves(questions, process, probs, states, t)
+    return probs, states
+
+
+def _enumeration(questions, probs: np.ndarray, horizon: int) -> EnumerationResult:
+    """The trajectory joint over (Q_1, A_1, ..., Q_T, A_T) held by the leaf masses."""
+    labels = tuple(q.label for q in questions)
+    joint = JointDistribution(
+        names=tuple(n for t in range(1, horizon + 1) for n in (f"q{t}", f"a{t}")),
+        alphabets=(labels, ANSWERS) * horizon,
+        table=probs.reshape((len(questions), 2) * horizon),
+    )
+    return EnumerationResult(horizon=horizon, joint=joint, leaf_count=probs.size)
+
+
 def brute_force_joint(
     questions, process, initial: BlochVector, horizon: int, leaf_cap: int = LEAF_CAP
 ) -> EnumerationResult:
@@ -89,24 +108,13 @@ def brute_force_joint(
     questions = tuple(questions)
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    k = len(questions)
-    leaves = (2 * k) ** horizon
+    leaves = (2 * len(questions)) ** horizon
     if leaves > leaf_cap:
         raise SizeCapError(
             f"enumeration needs {leaves} leaves; raise leaf_cap to at least {leaves}"
         )
-    probs, states = _first_leaves(questions, process, initial)
-    for t in range(1, horizon):
-        probs, states = _expand_leaves(questions, process, probs, states, t)
-    labels = tuple(q.label for q in questions)
-    names, alphabets = [], []
-    for t in range(1, horizon + 1):
-        names += [f"q{t}", f"a{t}"]
-        alphabets += [labels, ANSWERS]
-    joint = JointDistribution(
-        names=tuple(names), alphabets=tuple(alphabets), table=probs.reshape((k, 2) * horizon)
-    )
-    return EnumerationResult(horizon=horizon, joint=joint, leaf_count=leaves)
+    probs, _ = _grow_tree(questions, process, initial, horizon)
+    return _enumeration(questions, probs, horizon)
 
 
 def tail_window_joint(result: EnumerationResult, window: int) -> JointDistribution:
@@ -146,27 +154,8 @@ def converged_tail(
         raise SizeCapError(
             f"cannot even compare horizons {horizon} and {horizon + 1} under leaf cap {leaf_cap}"
         )
-    probs, states = _first_leaves(questions, process, initial)
-    for t in range(1, horizon):
-        probs, states = _expand_leaves(questions, process, probs, states, t)
-
-    def tail_of(p, hor):
-        res = EnumerationResult(
-            horizon=hor,
-            joint=JointDistribution(
-                names=tuple(n for t in range(1, hor + 1) for n in (f"q{t}", f"a{t}")),
-                alphabets=tuple(
-                    a
-                    for _ in range(hor)
-                    for a in (tuple(q.label for q in questions), ANSWERS)
-                ),
-                table=p.reshape((k, 2) * hor),
-            ),
-            leaf_count=p.size,
-        )
-        return tail_window_joint(res, window)
-
-    prev_tail = tail_of(probs, horizon)
+    probs, states = _grow_tree(questions, process, initial, horizon)
+    prev_tail = tail_window_joint(_enumeration(questions, probs, horizon), window)
     while True:
         if probs.size * 2 * k > leaf_cap:
             raise SizeCapError(
@@ -175,7 +164,7 @@ def converged_tail(
             )
         probs, states = _expand_leaves(questions, process, probs, states, horizon)
         horizon += 1
-        tail = tail_of(probs, horizon)
+        tail = tail_window_joint(_enumeration(questions, probs, horizon), window)
         if jointmod.max_abs_deviation(tail, prev_tail) < tol:
             return tail, horizon
         prev_tail = tail

@@ -18,6 +18,7 @@ STATE_NORM_SLACK = 1e-12
 UNIT_TOL = 1e-9
 PURE_TOL = 1e-9
 AXIS_CONFIG_TOL = 1e-6
+_EIGEN_ROUNDING = 4 * np.finfo(float).eps  # |r.n| of n against itself stays within 2 eps of 1
 
 #: Measurement outcomes, canonical order.  Serialized externally as 1 / 0.
 ANSWERS = (+1, -1)
@@ -119,11 +120,14 @@ class Question:
 def born_probability(state: BlochVector, axis) -> float:
     """Probability of outcome +1 when measuring `state` along `axis`.
 
-    p(+1) = (1 + r.n) / 2, clamped to [0, 1]; p(-1) is its complement.
+    p(+1) = (1 + r.n) / 2; p(-1) is its complement.  An overlap within a few
+    ulps of +-1 is rounding on an eigenstate and counts as exactly +-1, so a
+    repeated measurement repeats its answer with probability exactly 1.
     """
-    n = _unit_axis(axis)
-    p = 0.5 * (1.0 + float(state.as_array() @ n))
-    return min(1.0, max(0.0, p))
+    overlap = float(state.as_array() @ _unit_axis(axis))
+    if abs(overlap) > 1.0 - _EIGEN_ROUNDING:
+        overlap = float(np.sign(overlap))
+    return 0.5 * (1.0 + overlap)
 
 
 def outcome_probability(state: BlochVector, axis, outcome: int) -> float:

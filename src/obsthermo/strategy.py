@@ -3,8 +3,9 @@ gets written into a finite memory.
 
 Three variants: windowed records (the last k pairs, with or without question
 labels), general stochastic kernels over a history view, and the do-nothing
-strategy (a one-symbol memory).  A strategy applied to a window joint yields
-the joint over (memory, history, next pair) from which all information
+strategy (a one-symbol memory).  Each one is an encoder p(m | view) on a view
+of the last k pairs (see view_encoder).  A strategy applied to a window joint
+yields the joint over (memory, history, next pair) from which all information
 quantities follow; the memory depends on the past only, so M and the next pair
 are conditionally independent given the history by construction.
 """
@@ -17,7 +18,7 @@ import numpy as np
 from . import chain as chainmod
 from .errors import SizeCapError, ValidationError
 from .joint import JointDistribution
-from .qubit import ANSWERS, answer_to_bit, bit_to_answer
+from .qubit import ANSWERS, answer_to_bit
 
 ROW_TOL = 1e-12
 ENUMERATION_CAP = 10**6
@@ -155,41 +156,41 @@ def _view_index_grid(joint: JointDistribution, k: int, labeled: bool) -> np.ndar
     return idx
 
 
+def view_encoder(strategy: Strategy, labels, w: int) -> tuple:
+    """(k, labeled, p(m | view), memory alphabet) of a strategy on a w-pair history.
+
+    The encoder has one row per canonical view symbol.  A window record is the
+    identity on its view; the do-nothing strategy is one column on the last
+    answer; a kernel is its own assignment, on the full history when k is None.
+    """
+    m_alpha = memory_alphabet(strategy, labels)
+    if isinstance(strategy, NothingStrategy):
+        return 1, False, np.ones((2, 1)), m_alpha
+    k = strategy.k if strategy.k is not None else w
+    if k > w:
+        raise ValidationError(f"strategy view k={k} exceeds the joint's history window w={w}")
+    if isinstance(strategy, WindowStrategy):
+        return k, strategy.labeled, np.eye(len(m_alpha)), m_alpha
+    expected = (2 * len(labels) if strategy.labeled else 2) ** k
+    if strategy.assignment.shape[0] != expected:
+        raise ValidationError(
+            f"kernel assignment has {strategy.assignment.shape[0]} rows but the "
+            f"(k={k}, labeled={strategy.labeled}) view of this joint has {expected} configurations"
+        )
+    return k, strategy.labeled, strategy.assignment, m_alpha
+
+
 def apply_strategy(strategy: Strategy, joint: JointDistribution) -> JointDistribution:
-    """P(m, history, q', a') = p(m | history) * P(history, q', a').
+    """P(m, history, q', a') = p(m | view of history) * P(history, q', a').
 
     The joint must follow the window naming convention (q-w+1 ... a0, q+1, a+1)
     and is reordered canonically first.
     """
     w = history_window(joint)
     joint = joint.reorder(chainmod.window_names(w))
-    k_questions = len(joint.alphabet(chainmod.FUTURE_PAIR[0]))
-    hist_shape = joint.table.shape[: 2 * w]
-
-    if isinstance(strategy, NothingStrategy):
-        rows = np.ones(hist_shape + (1,))
-        m_alpha = (0,)
-    elif isinstance(strategy, WindowStrategy):
-        if strategy.k > w:
-            raise ValidationError(
-                f"window strategy k={strategy.k} exceeds the joint's history window w={w}"
-            )
-        idx = _view_index_grid(joint, strategy.k, strategy.labeled)
-        labels = joint.alphabet(chainmod.FUTURE_PAIR[0])
-        m_alpha = view_alphabet(labels, strategy.k, strategy.labeled)
-        rows = np.zeros(hist_shape + (len(m_alpha),))
-        np.put_along_axis(rows, idx[..., None], 1.0, axis=-1)
-    else:
-        k = strategy.k if strategy.k is not None else w
-        idx = _view_index_grid(joint, k, strategy.labeled)
-        expected = (2 * k_questions if strategy.labeled else 2) ** k
-        if strategy.assignment.shape[0] != expected:
-            raise ValidationError(
-                f"kernel assignment has {strategy.assignment.shape[0]} rows but the "
-                f"(k={k}, labeled={strategy.labeled}) view of this joint has {expected} configurations"
-            )
-        rows = strategy.assignment[idx]
-        m_alpha = tuple(range(strategy.memory_size))
+    labels = joint.alphabet(chainmod.FUTURE_PAIR[0])
+    k, labeled, encoder, m_alpha = view_encoder(strategy, labels, w)
+    rows = encoder[_view_index_grid(joint, k, labeled)]
 
     # result[m, hist..., q', a'] = rows[hist..., m] * table[hist..., q', a']
     rows_m = np.moveaxis(rows, -1, 0)[..., None, None]
@@ -297,17 +298,6 @@ def _serialize_history_symbol(sym, labeled: bool) -> str:
     if labeled:
         return "|".join(f"{lab}:{answer_to_bit(a)}" for lab, a in sym)
     return "|".join(str(answer_to_bit(a)) for a in sym)
-
-
-def _parse_history_symbol(text: str, labeled: bool):
-    parts = text.split("|")
-    if labeled:
-        out = []
-        for p in parts:
-            lab, bit = p.rsplit(":", 1)
-            out.append((lab, bit_to_answer(int(bit))))
-        return tuple(out)
-    return tuple(bit_to_answer(int(p)) for p in parts)
 
 
 def write_kernel_csv(strategy: KernelStrategy, labels, path) -> None:

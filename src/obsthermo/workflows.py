@@ -22,7 +22,7 @@ from .optimize import (
     history_future_joint,
     sweep_beta,
 )
-from .strategy import MEMORY_VAR, apply_strategy, deterministic_count, memory_capacity_bits
+from .strategy import MEMORY_VAR, apply_strategy, deterministic_count, view_encoder
 
 WINDOW_ORACLE_TOL = 1e-10
 CONSISTENCY_TOL = 1e-10
@@ -44,6 +44,8 @@ def scenario_window(scenario: Scenario):
 
 @dataclass(frozen=True, eq=False)
 class AnalysisResult:
+    """`applied` spans only the strategy's k-pair window: I(M; window) = I(M; view)."""
+
     report: boundmod.InfoReport
     window: JointDistribution
     applied: JointDistribution
@@ -55,7 +57,8 @@ def analyze(scenario: Scenario) -> AnalysisResult:
     if scenario.strategy is None:
         raise ValidationError("scenario.strategy: required for analyze")
     _, long_run, window = scenario_window(scenario)
-    applied = apply_strategy(scenario.strategy, window)
+    k = view_encoder(scenario.strategy, scenario.labels, scenario.window)[0]
+    applied = apply_strategy(scenario.strategy, window.marginal(chainmod.window_names(k)))
     report = boundmod.evaluate(applied, temperature_kelvin=scenario.temperature_kelvin)
     return AnalysisResult(report=report, window=window, applied=applied, long_run=long_run)
 
@@ -161,10 +164,3 @@ def verify(
         dev = abs(mc.i_pred - report.i_pred)
         verdicts.append(oraclemod.verdict("monte_carlo_i_pred", name, dev, 3.0 * mc.se_i_pred))
     return verdicts
-
-
-def capacity_report(scenario: Scenario) -> float:
-    """log2 of the strategy's memory capacity (number of distinct states)."""
-    if scenario.strategy is None:
-        raise ValidationError("scenario.strategy: required")
-    return memory_capacity_bits(scenario.strategy, scenario.labels)

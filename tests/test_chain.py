@@ -104,6 +104,17 @@ def test_long_run_periodic_chain_gets_cesaro_flag():
     assert lr.distribution[:2].sum() == pytest.approx(0.5, abs=1e-9)
 
 
+def test_long_run_slow_aperiodic_chain_not_flagged_periodic():
+    # |lambda_2| = 0.99938: 10^4 power steps do not settle, yet no eigenvalue
+    # other than 1 has modulus 1, so the chain is not periodic
+    questions, proc = two_questions_at_angle(0.05)
+    kernel = build_chain(questions, proc)
+    assert np.sort(np.abs(np.linalg.eigvals(kernel.matrix)))[-2] == pytest.approx(0.99938, abs=1e-5)
+    lr = long_run_distribution(kernel, BlochVector(0, 0, 1))
+    assert not lr.cesaro
+    assert np.allclose(lr.distribution, 0.25, atol=1e-9)
+
+
 def test_window_case_a_fully_predictive():
     questions, proc = single_question()
     kernel = build_chain(questions, proc)

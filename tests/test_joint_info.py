@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from obsthermo import (
     mutual_information,
     plugin_from_samples,
 )
+from obsthermo.info import mutual_information_table, xlogx
 from obsthermo.joint import from_counts
 
 # entropy of {3/8, 3/8, 1/8, 1/8}: 3 - (3/4) log2 3
@@ -174,3 +179,34 @@ def test_max_abs_deviation_requires_matching_variables():
     # same variables permuted line up fine
     c = b.rename({"z": "y"}).reorder(("y", "x"))
     assert max_abs_deviation(a, c) == 0.0
+
+
+def test_xlogx_zero_and_positive():
+    p = np.array([0.0, 0.25, 1.0])
+    out = xlogx(p)
+    assert out[0] == 0.0 and out[2] == 0.0
+    assert out[1] == 0.25 * math.log(0.25)
+
+
+@given(random_tables(num_vars=2, sizes=(2, 2)))
+def test_mutual_information_table_matches_named_joint(joint):
+    assert mutual_information_table(joint.table) == pytest.approx(
+        mutual_information(joint, ["a"], ["b"]), abs=1e-12
+    )
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy is a test-time dependency
+    import obsthermo
+
+    code = "import sys, obsthermo; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(obsthermo.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,14 @@ from obsthermo import (
     SizeCapError,
     ValidationError,
     WindowStrategy,
+    analyze,
     apply_strategy,
     build_chain,
+    bundled_scenario,
     conditional_mutual_information,
     entropy,
     enumerate_deterministic,
+    evaluate,
     long_run_distribution,
     memory_capacity_bits,
     mutual_information,
@@ -118,6 +122,38 @@ def test_lookback_beyond_k_is_irrelevant(case_b_window2, case_b_window3):
         assert mutual_information(a2, ["m"], ["q+1", "a+1"]) == pytest.approx(
             mutual_information(a3, ["m"], ["q+1", "a+1"]), abs=1e-10
         )
+
+
+WIDE_W = 4
+WIDE_STRATEGIES = [
+    *(WindowStrategy(k=k, labeled=labeled) for k in (1, 2) for labeled in (True, False)),
+    NothingStrategy(),
+    KernelStrategy(
+        assignment=np.random.default_rng(3).dirichlet(np.ones(3), size=4**WIDE_W), k=None
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "strategy", WIDE_STRATEGIES, ids=lambda s: repr(s).split("(assignment")[0]
+)
+def test_analyze_on_its_view_matches_full_window(strategy):
+    scenario = dataclasses.replace(
+        bundled_scenario("case_b_labeled"), window=WIDE_W, strategy=strategy
+    )
+    result = analyze(scenario)
+    full = apply_strategy(strategy, result.window)
+    expected = evaluate(full)
+    assert result.report.i_mem == pytest.approx(expected.i_mem, abs=1e-12)
+    assert result.report.i_pred == pytest.approx(expected.i_pred, abs=1e-12)
+
+    memory_size = len(full.alphabet("m"))
+    k = WIDE_W if isinstance(strategy, KernelStrategy) else getattr(strategy, "k", 1)
+    assert result.applied.table.size == memory_size * 4 ** (k + 1)
+    pinned = ["m", "q+1", "a+1"]
+    assert np.max(
+        np.abs(result.applied.marginal(pinned).table - full.marginal(pinned).table)
+    ) <= 1e-12
 
 
 def test_window_k_exceeding_joint_window_rejected(case_b_window2):
