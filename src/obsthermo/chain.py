@@ -176,6 +176,17 @@ def _is_periodic(matrix: np.ndarray) -> bool:
     return bool(np.any(on_circle & (np.abs(vals - 1.0) >= _UNIT_TOL)))
 
 
+def slowest_mode_modulus(kernel: ChainKernel) -> float:
+    """Largest eigenvalue modulus of the kernel below 1 (0.0 when there is none).
+
+    Stationary and periodic modes, within the unit tolerance of modulus 1, are
+    left out: what remains sets how fast the chain forgets its start.
+    """
+    moduli = np.abs(np.linalg.eigvals(kernel.matrix))
+    inner = moduli[moduli < 1.0 - _UNIT_TOL]
+    return float(inner.max()) if inner.size else 0.0
+
+
 def _cesaro_limit(matrix: np.ndarray, mu0: np.ndarray) -> np.ndarray:
     """Exact Cesaro limit of mu0 P^t via the spectral projector at eigenvalue 1.
 

@@ -21,7 +21,6 @@ from .strategy import (
     KernelStrategy,
     assignment_from_map,
     deterministic_count,
-    enumerate_deterministic,
     history_window,
     view_alphabet,
     view_variables,
@@ -30,6 +29,7 @@ from .strategy import (
 _LN2 = np.log(2.0)
 _DESCENT_SLACK = 1e-12
 _LOG_FLOOR = 1e-300  # decoder entries floored inside logs; rows renormalized each iteration
+_MAP_BLOCK = 4096  # most maps evaluated at once: bounds the (maps, M, X') block in memory
 
 
 @dataclass(frozen=True)
@@ -256,30 +256,54 @@ def sweep_beta(hf: HistoryFutureJoint, settings: OptimizerSettings) -> list:
     return points
 
 
-def _evaluate_maps(hf: HistoryFutureJoint, maps: np.ndarray, m: int):
-    """Vectorized (i_mem, i_pred) for a (C, H) block of deterministic maps."""
-    c, h = maps.shape
-    x = hf.table.shape[1]
-    p_mx = np.zeros((c, m, x))
-    rows = np.repeat(np.arange(c), h)
-    np.add.at(p_mx, (rows, maps.ravel()), np.tile(hf.table, (c, 1)))
-    p_m = p_mx.sum(axis=2)
-    i_mem = np.maximum(0.0, -xlogx(p_m).sum(axis=1) / _LN2)  # H(M): maps are deterministic
+def _scan_maps(hf: HistoryFutureJoint, m: int, cap: int):
+    """(first map index, i_mem, i_pred) for blocks of every deterministic map h -> m.
+
+    Maps are numbered mixed-radix with the last history fastest, the order of
+    `strategy.enumerate_deterministic`.  A block holds the m**r maps that share
+    their leading n_hist - r histories, with m**r <= _MAP_BLOCK.  p(m, x') grows one
+    history at a time: terms[h, d] is history row h placed on memory row d, and
+    each step broadcasts it against every map so far.  So each cell adds its
+    histories' rows in history order, plus exact +0.0 terms.
+    """
+    n_hist, x = hf.table.shape
+    if n_hist < 1 or m < 1:
+        raise ValidationError("history and memory sizes must be >= 1")
+    total = deterministic_count(n_hist, m)
+    if total > cap:
+        raise SizeCapError(
+            f"{total} deterministic maps exceed the cap {cap}; "
+            "use the soft optimizer or raise the cap"
+        )
+    terms = np.zeros((n_hist, m, m, x))
+    for d in range(m):
+        terms[:, d, d] = hf.table
+    r = 0
+    while r < n_hist and m ** (r + 1) <= _MAP_BLOCK:
+        r += 1
+
+    def grow(p, histories):
+        for h in histories:
+            p = (p[:, None] + terms[h][None]).reshape(-1, m, x)
+        return p
+
     h_x = -xlogx(hf.table.sum(axis=0)).sum() / _LN2
-    h_mx = -xlogx(p_mx).sum(axis=(1, 2)) / _LN2
-    i_pred = np.maximum(0.0, i_mem + h_x - h_mx)
-    return i_mem, i_pred
+    prefixes = grow(np.zeros((1, m, x)), range(n_hist - r))
+    for i in range(prefixes.shape[0]):
+        p_mx = grow(prefixes[i : i + 1], range(n_hist - r, n_hist))
+        p_m = p_mx.sum(axis=2)
+        i_mem = np.maximum(0.0, -xlogx(p_m).sum(axis=1) / _LN2)  # H(M): maps are deterministic
+        h_mx = -xlogx(p_mx).sum(axis=(1, 2)) / _LN2
+        i_pred = np.maximum(0.0, i_mem + h_x - h_mx)
+        yield i * m**r, i_mem, i_pred
 
 
-def _iter_map_blocks(n_hist: int, m: int, cap: int, block: int = 4096):
-    gen = enumerate_deterministic(n_hist, m, cap=cap)
-    while True:
-        chunk = list(zip(range(block), gen))
-        if not chunk:
-            return
-        yield np.array([arr for _, arr in chunk], dtype=int)
-        if len(chunk) < block:
-            return
+def _map_at(index: int, n_hist: int, m: int) -> np.ndarray:
+    """The deterministic map numbered `index` in `_scan_maps` order."""
+    digits = np.empty(n_hist, dtype=int)
+    for h in range(n_hist - 1, -1, -1):
+        index, digits[h] = divmod(index, m)
+    return digits
 
 
 def exhaustive_best(
@@ -296,7 +320,8 @@ def exhaustive_best(
     objective: "beta" minimizes i_mem - beta * i_pred (beta required);
     "max_i_pred" maximizes i_pred; "min_nostalgia_at_i_pred" minimizes
     nostalgia among maps with i_pred >= i_pred_target - target_tol.
-    Ties go to the earliest map in enumeration order.
+    Ties go to the earliest map in enumeration order.  Raises SizeCapError
+    when the maps number more than `cap`.
     """
     if objective == "beta":
         if beta is None:
@@ -311,11 +336,9 @@ def exhaustive_best(
 
     n_hist = hf.num_histories
     best_score = None
-    best_map = None
+    best_index = None
     best_info = None
-    offset = 0
-    for block in _iter_map_blocks(n_hist, memory_size, cap):
-        i_mem, i_pred = _evaluate_maps(hf, block, memory_size)
+    for first, i_mem, i_pred in _scan_maps(hf, memory_size, cap):
         if objective == "beta":
             scores = i_mem - beta * i_pred
         elif objective == "max_i_pred":
@@ -327,14 +350,15 @@ def exhaustive_best(
         j = int(np.argmin(scores))
         if best_score is None or scores[j] < best_score - 1e-15:
             best_score = float(scores[j])
-            best_map = block[j].copy()
+            best_index = first + j
             best_info = (float(i_mem[j]), float(i_pred[j]))
-        offset += block.shape[0]
-    if best_map is None or not np.isfinite(best_score):
+    if best_index is None or not np.isfinite(best_score):
         raise ValidationError("no deterministic map satisfies the requested objective")
     i_mem, i_pred = best_info
     strat = KernelStrategy(
-        assignment=assignment_from_map(best_map, memory_size), k=hf.k, labeled=hf.labeled
+        assignment=assignment_from_map(_map_at(best_index, n_hist, memory_size), memory_size),
+        k=hf.k,
+        labeled=hf.labeled,
     )
     return FrontierPoint(
         beta=beta,
@@ -362,18 +386,16 @@ class DegenerateStrategy:
 def degeneracy_report(
     hf: HistoryFutureJoint, memory_size: int, tol: float = 1e-9, cap: int = ENUMERATION_CAP
 ) -> list:
-    """Every deterministic map with nostalgia <= tol, annotated with its i_pred."""
-    count = deterministic_count(hf.num_histories, memory_size)
-    if count > cap:
-        raise SizeCapError(f"{count} maps exceed the cap {cap}")
+    """Every deterministic map with nostalgia <= tol, annotated with its i_pred,
+    in enumeration order."""
+    n_hist = hf.num_histories
     out = []
-    for block in _iter_map_blocks(hf.num_histories, memory_size, cap):
-        i_mem, i_pred = _evaluate_maps(hf, block, memory_size)
+    for first, i_mem, i_pred in _scan_maps(hf, memory_size, cap):
         nostalgia = i_mem - i_pred
         for j in np.flatnonzero(nostalgia <= tol):
             out.append(
                 DegenerateStrategy(
-                    map_indices=tuple(int(v) for v in block[j]),
+                    map_indices=tuple(_map_at(first + int(j), n_hist, memory_size).tolist()),
                     i_mem=float(i_mem[j]),
                     i_pred=float(i_pred[j]),
                     nostalgia=max(0.0, float(nostalgia[j])),

@@ -8,6 +8,7 @@ module, none of its kernel or stationary-distribution algebra, so agreement
 between the two certifies both.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ from .strategy import Strategy, apply_strategy
 
 LEAF_CAP = 10**7
 TAIL_TOL = 1e-12
+MIN_BURN_IN = 64
+BURN_IN_TOL = 1e-6  # slowest mode's share left when a Monte Carlo window starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +189,23 @@ def verdict(check: str, scenario: str, deviation: float, tolerance: float) -> di
     }
 
 
+def mixing_burn_in(questions, process) -> int:
+    """Steps a Monte Carlo trajectory discards before its window.
+
+    max(MIN_BURN_IN, ceil(ln BURN_IN_TOL / ln lam)), where lam is the chain
+    kernel's `slowest_mode_modulus`: after that many steps the slowest decaying
+    mode has shrunk by BURN_IN_TOL.  Periodic schedules have no
+    time-homogeneous kernel and keep MIN_BURN_IN.  Only this length comes
+    from the kernel; the windows are still simulated from the Born rule.
+    """
+    if isinstance(process, procmod.PeriodicProcess):
+        return MIN_BURN_IN
+    lam = chainmod.slowest_mode_modulus(chainmod.build_chain(questions, process))
+    if lam == 0.0:
+        return MIN_BURN_IN
+    return max(MIN_BURN_IN, math.ceil(math.log(BURN_IN_TOL) / math.log(lam)))
+
+
 def sample_windows(
     questions,
     process,
@@ -193,15 +213,18 @@ def sample_windows(
     window: int,
     n: int,
     seed: int,
-    burn_in: int = 64,
+    burn_in: int | None = None,
 ) -> np.ndarray:
     """Draw n independent (window+1)-pair windows by direct simulation.
 
-    Each window comes from its own trajectory (burn_in steps discarded), so
-    samples are i.i.d. and plain bootstrap errors are valid.  Returns an
-    (n, 2*(window+1)) index array aligned with chain.window_names(window).
+    Each window comes from its own trajectory (burn_in steps discarded; None
+    means `mixing_burn_in`), so samples are i.i.d. and plain bootstrap errors
+    are valid.  Returns an (n, 2*(window+1)) index array aligned with
+    chain.window_names(window).
     """
     questions = tuple(questions)
+    if burn_in is None:
+        burn_in = mixing_burn_in(questions, process)
     k = len(questions)
     rng = np.random.Generator(np.random.Philox(key=seed))
     born = chainmod.born_plus_matrix(questions)  # (2k, k) one-step physics lookup
@@ -210,35 +233,29 @@ def sample_windows(
     first = procmod.first_question_distribution(process)
     p0 = np.array([born_probability(initial, q.axis) for q in questions])
 
-    steps = burn_in + window + 1
-    q_cols = np.empty((n, steps), dtype=int)
-    a_cols = np.empty((n, steps), dtype=int)
-    for t in range(steps):
+    out = np.empty((n, 2 * (window + 1)), dtype=int)
+    for t in range(burn_in + window + 1):
         if t == 0:
             q = rng.choice(k, size=n, p=first) if k > 1 else np.zeros(n, dtype=int)
             if isinstance(process, procmod.PeriodicProcess):
                 q = np.full(n, process.labels.index(process.sequence[0]))
             p_plus = p0[q]
         else:
+            q_prev, a_prev = q, a
             if isinstance(process, procmod.IIDProcess):
                 q = rng.choice(k, size=n, p=process.weights) if k > 1 else np.zeros(n, dtype=int)
             elif isinstance(process, procmod.MarkovProcess):
                 u = rng.random(n)
-                q = (u[:, None] > cum_rows[q_cols[:, t - 1]]).sum(axis=1)
+                q = (u[:, None] > cum_rows[q_prev]).sum(axis=1)
             else:
                 label = process.sequence[t % len(process.sequence)]
                 q = np.full(n, process.labels.index(label))
-            state = 2 * q_cols[:, t - 1] + a_cols[:, t - 1]
-            p_plus = born[state, q]
+            p_plus = born[2 * q_prev + a_prev, q]
         a = (rng.random(n) >= p_plus).astype(int)  # 0 is +1, 1 is -1
-        q_cols[:, t] = q
-        a_cols[:, t] = a
-    cols = []
-    for j in range(window + 1):
-        t = burn_in + j
-        cols.append(q_cols[:, t])
-        cols.append(a_cols[:, t])
-    return np.stack(cols, axis=1)
+        if t >= burn_in:
+            out[:, 2 * (t - burn_in)] = q
+            out[:, 2 * (t - burn_in) + 1] = a
+    return out
 
 
 @dataclass(frozen=True)
@@ -263,7 +280,7 @@ def monte_carlo_check(
     n: int,
     seed: int,
     n_bootstrap: int = 200,
-    burn_in: int = 64,
+    burn_in: int | None = None,
 ) -> MonteCarloReport:
     """Monte Carlo estimate of an InfoReport, with seeded bootstrap errors."""
     if n < 10**3:

@@ -4,6 +4,7 @@ import pytest
 from obsthermo import (
     MIXED_STATE,
     OptimizerSettings,
+    SizeCapError,
     ValidationError,
     build_chain,
     degeneracy_report,
@@ -14,8 +15,8 @@ from obsthermo import (
     sweep_beta,
     window_joint,
 )
-from obsthermo.optimize import write_frontier_csv
-from obsthermo.strategy import harden
+from obsthermo.optimize import HistoryFutureJoint, _point_from_encoder, write_frontier_csv
+from obsthermo.strategy import assignment_from_map, enumerate_deterministic, harden
 from obsthermo.workflows import scenario_window
 
 from conftest import case_b_questions
@@ -230,3 +231,87 @@ def test_descent_holds_on_random_joints():
         for beta in (1.0, 2.0, 8.0):
             point = optimize_soft(hf, beta, settings(2, seed=trial))
             assert point.i_pred <= point.i_mem + 1e-10
+
+
+# (histories H, memory M): M = 1, 3 and 5 give blocks of other than 4096 maps,
+# and (13, 2) gives two blocks that share the leading history
+SCAN_SHAPES = ((2, 1), (1, 3), (3, 2), (5, 3), (4, 5), (13, 2))
+
+
+def random_hf(n_hist, seed, n_future=4):
+    table = np.random.default_rng(seed).dirichlet(np.ones(n_hist * n_future))
+    return HistoryFutureJoint(
+        table=table.reshape(n_hist, n_future),
+        history_symbols=tuple((h,) for h in range(n_hist)),
+        future_symbols=tuple(range(n_future)),
+        k=1,
+        labeled=False,
+    )
+
+
+def brute_force_points(hf, m):
+    """(map, i_mem, i_pred) of every deterministic map, in enumeration order."""
+    out = []
+    for map_indices in enumerate_deterministic(hf.num_histories, m):
+        point = _point_from_encoder(hf, assignment_from_map(map_indices, m), None, True, 0)
+        out.append((tuple(map_indices.tolist()), point.i_mem, point.i_pred))
+    return out
+
+
+@pytest.mark.parametrize("n_hist,m", SCAN_SHAPES)
+def test_exhaustive_best_matches_brute_force(n_hist, m):
+    hf = random_hf(n_hist, seed=n_hist * 10 + m)
+    brute = brute_force_points(hf, m)
+    values = {mp: (i_mem, i_pred) for mp, i_mem, i_pred in brute}
+    max_pred = max(i_pred for _, _, i_pred in brute)
+    target = 0.5 * max_pred
+    cases = [
+        ({"objective": "beta", "beta": 1.0}, lambda i_mem, i_pred: i_mem - i_pred),
+        ({"objective": "beta", "beta": 3.7}, lambda i_mem, i_pred: i_mem - 3.7 * i_pred),
+        ({"objective": "max_i_pred"}, lambda i_mem, i_pred: -i_pred),
+        (
+            {"objective": "min_nostalgia_at_i_pred", "i_pred_target": target},
+            lambda i_mem, i_pred: i_mem - i_pred if i_pred >= target - 1e-9 else np.inf,
+        ),
+    ]
+    for kwargs, score in cases:
+        best = exhaustive_best(hf, m, **kwargs)
+        reference = min(score(i_mem, i_pred) for _, i_mem, i_pred in brute)
+        chosen = tuple(harden(best.strategy.assignment).tolist())
+        assert np.array_equal(best.strategy.assignment, assignment_from_map(chosen, m))
+        i_mem, i_pred = values[chosen]
+        assert best.i_mem == pytest.approx(i_mem, abs=1e-12)
+        assert best.i_pred == pytest.approx(i_pred, abs=1e-12)
+        assert score(best.i_mem, best.i_pred) == pytest.approx(reference, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_hist,m", SCAN_SHAPES)
+def test_degeneracy_report_matches_brute_force_in_enumeration_order(n_hist, m):
+    hf = random_hf(n_hist, seed=n_hist * 10 + m + 1)
+    brute = brute_force_points(hf, m)
+    nostalgia = sorted(i_mem - i_pred for _, i_mem, i_pred in brute)
+    # a tolerance in the middle of a clear gap, so rounding decides no membership
+    j = len(nostalgia) // 3
+    while j + 1 < len(nostalgia) and nostalgia[j + 1] - nostalgia[j] < 1e-6:
+        j += 1
+    tol = nostalgia[j] + 0.5 * (nostalgia[j + 1] - nostalgia[j]) if j + 1 < len(nostalgia) else 1e-9
+    expected = [(mp, i_mem, i_pred) for mp, i_mem, i_pred in brute if i_mem - i_pred <= tol]
+    report = degeneracy_report(hf, m, tol=tol)
+    assert [d.map_indices for d in report] == [mp for mp, _, _ in expected]
+    for d, (_, i_mem, i_pred) in zip(report, expected):
+        assert d.i_mem == pytest.approx(i_mem, abs=1e-12)
+        assert d.i_pred == pytest.approx(i_pred, abs=1e-12)
+        assert d.nostalgia == pytest.approx(max(0.0, i_mem - i_pred), abs=1e-12)
+        assert d.observer_like == (d.i_pred > 1e-9)
+    constants = [d.map_indices for d in degeneracy_report(hf, m) if len(set(d.map_indices)) == 1]
+    assert constants == [(c,) * n_hist for c in range(m)]
+
+
+@pytest.mark.parametrize("n_hist,m", SCAN_SHAPES)
+def test_map_scan_over_cap_points_to_soft_optimizer(n_hist, m):
+    hf = random_hf(n_hist, seed=0)
+    cap = m**n_hist - 1
+    with pytest.raises(SizeCapError, match="soft optimizer"):
+        exhaustive_best(hf, m, objective="max_i_pred", cap=cap)
+    with pytest.raises(SizeCapError, match="soft optimizer"):
+        degeneracy_report(hf, m, cap=cap)

@@ -20,10 +20,12 @@ from obsthermo import (
     tail_window_joint,
     window_joint,
 )
+from obsthermo.config import parse_scenario
 from obsthermo.joint import JointDistribution
-from obsthermo.oracle import verdict
+from obsthermo.oracle import mixing_burn_in, sample_windows, verdict
+from obsthermo.workflows import analyze
 
-from conftest import case_b_questions, markov_identity_questions
+from conftest import case_b_questions, markov_identity_questions, two_questions_at_angle
 
 
 def single_question():
@@ -163,6 +165,47 @@ def test_monte_carlo_case_b_labeled_i_pred():
         n=5 * 10**4, seed=3,
     )
     assert abs(report.i_pred - 0.5) <= 3.0 * report.se_i_pred
+
+
+def test_monte_carlo_slow_mixing_chain_within_three_sigma():
+    # |lambda*| = 0.9777: a fixed 64-step burn-in started the windows short of
+    # the long run and missed the exact i_pred by 15 sigma
+    theta = 0.3
+    questions, proc = two_questions_at_angle(theta)
+    scenario = parse_scenario(
+        {
+            "name": "slow_mixing",
+            "questions": [{"label": q.label, "axis": q.axis.tolist()} for q in questions],
+            "process": {"type": "iid", "weights": [0.5, 0.5]},
+            "initial_state": [0.0, 0.0, 1.0],
+            "window": 2,
+            "strategy": {"type": "window", "k": 2, "labeled": False},
+        }
+    )
+    assert mixing_burn_in(questions, proc) == 612
+    exact = analyze(scenario).report
+    report = monte_carlo_check(
+        questions, proc, scenario.initial_state, window=2, strategy=scenario.strategy,
+        n=10**5, seed=0,
+    )
+    assert abs(report.i_pred - exact.i_pred) <= 3.0 * report.se_i_pred
+
+
+def test_burn_in_is_the_floor_on_fast_and_periodic_chains():
+    questions, proc = case_b_questions()
+    assert mixing_burn_in(questions, proc) == 64  # |lambda*| = 0.5
+    assert mixing_burn_in(*single_question()) == 64  # reducible: no mode below 1
+    periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx"))
+    assert mixing_burn_in(questions, periodic) == 64
+
+
+def test_sample_windows_default_burn_in_is_the_derived_one():
+    questions, proc = two_questions_at_angle(0.3)
+    start = BlochVector(0, 0, 1)
+    derived = sample_windows(questions, proc, start, window=1, n=2000, seed=5)
+    explicit = sample_windows(questions, proc, start, window=1, n=2000, seed=5, burn_in=612)
+    assert derived.shape == (2000, 4)
+    assert np.array_equal(derived, explicit)
 
 
 def test_monte_carlo_error_scales_with_sample_size():
