@@ -30,7 +30,7 @@ from .config import (
     scenario_to_json,
     serialize_scenario,
 )
-from .errors import SizeCapError, ValidationError
+from .errors import OptimizerError, SizeCapError, ValidationError
 from .info import (
     conditional_mutual_information,
     entropy,
@@ -108,6 +108,7 @@ __all__ = [
     "MonteCarloReport",
     "NothingStrategy",
     "OptimizeResult",
+    "OptimizerError",
     "OptimizerSettings",
     "PeriodicProcess",
     "Question",

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: analyze, optimize, sample, verify.  Exit codes: 0 success,
-1 validation or size-cap error, 2 optimizer non-convergence, 3 verification
-failure.  All outputs are deterministic for a fixed config and seed.
+1 validation or size-cap error, 2 optimizer non-convergence or failure,
+3 verification failure.  All outputs are deterministic for a fixed config and seed.
 """
 
 import argparse
@@ -15,7 +15,7 @@ from . import workflows
 from .bound import _sig9
 from .chain import write_trajectory_csv, write_window_joint_csv
 from .config import load_scenario
-from .errors import SizeCapError, ValidationError
+from .errors import OptimizerError, SizeCapError, ValidationError
 from .joint import write_joint_csv
 from .optimize import write_frontier_csv
 from .qubit import answer_to_bit
@@ -164,6 +164,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OptimizerError as exc:
+        print(f"optimizer failed: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

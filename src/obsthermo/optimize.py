@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain as chainmod
-from .errors import SizeCapError, ValidationError
+from .errors import OptimizerError, SizeCapError, ValidationError
 from .info import mutual_information_table, xlogx
 from .joint import JointDistribution
 from .strategy import (
@@ -155,70 +155,87 @@ def _point_from_encoder(
     )
 
 
-def _initial_encoders(n_hist: int, m: int, restarts: int, rng: np.random.Generator) -> list:
-    """Restart 0 is near-uniform (anchors the beta=1 degeneracy at objective 0);
-    the rest are Dirichlet perturbations of random hard assignments, since pure
-    random rows frequently fall into the trivial fixed point."""
-    encs = []
-    jitter = rng.dirichlet(np.full(m, 50.0), size=n_hist)
-    encs.append(jitter)
+def _initial_encoders(n_hist: int, m: int, restarts: int, rng: np.random.Generator) -> np.ndarray:
+    """(restarts, H, M) stack of starts.  Restart 0 is near-uniform (anchors the
+    beta=1 degeneracy at objective 0); the rest are Dirichlet perturbations of
+    random hard assignments, since pure random rows frequently fall into the
+    trivial fixed point."""
+    encs = [rng.dirichlet(np.full(m, 50.0), size=n_hist)]
     for _ in range(restarts - 1):
         encs.append(rng.dirichlet(np.full(m, 0.1), size=n_hist))
-    return encs
+    return np.stack(encs)
 
 
-def _run_fixed_point(
-    hf: HistoryFutureJoint, enc: np.ndarray, beta: float, settings: OptimizerSettings
+def _run_fixed_points(
+    hf: HistoryFutureJoint, encs: np.ndarray, beta: float, settings: OptimizerSettings
 ) -> tuple:
-    """Alternating minimization from one start; returns (enc, objective, converged, iters).
+    """Alternating minimization from an (R, H, M) stack of starts, all in one loop.
 
+    Returns per-restart arrays (encoders, objectives, converged, iterations).
     Updates per iteration: p(m) <- sum_h p(h) p(m|h); p(x'|m) <- induced decoder;
-    p(m|h) propto p(m) exp(-beta KL(p(x'|h) || p(x'|m))).  The objective
-    I(M;H) - beta I(M;X') is checked to be non-increasing each iteration.
+    p(m|h) propto p(m) exp(-beta KL(p(x'|h) || p(x'|m))).  A restart leaves the
+    loop once its own |delta objective| <= tolerance.  The objective
+    I(M;H) - beta I(M;X') of every running restart is checked to be
+    non-increasing each iteration.  Each restart gets the same operations as a
+    loop run on it alone, so its numbers do not depend on the others in the stack.
     """
     p_h = hf.history_marginal()
     cond = hf.future_conditionals()
-    cond_self = xlogx(cond).sum(axis=1)  # sum_x p(x|h) ln p(x|h), in nats
-    enc = np.asarray(enc, dtype=float).copy()
+    cond_self = xlogx(cond).sum(axis=1)[:, None]  # sum_x p(x|h) ln p(x|h), in nats
+    uniform = 1.0 / hf.table.shape[1]
     # the H and X' marginals do not depend on the encoder
     h_sum = xlogx(p_h).sum()
     x_sum = xlogx(hf.table.sum(axis=0)).sum()
 
-    def objective_of(e: np.ndarray) -> float:
-        m_sum = xlogx(p_h @ e).sum()
-        i_mem = max(0.0, float((xlogx(p_h[:, None] * e).sum() - h_sum - m_sum) / _LN2))
-        i_pred = max(0.0, float((xlogx(e.T @ hf.table).sum() - m_sum - x_sum) / _LN2))
-        return i_mem - beta * i_pred
+    def marginals_and_objectives(e: np.ndarray) -> tuple:
+        """p(m), p(m, x') and the objective of each encoder in the stack."""
+        p_m = p_h @ e
+        p_mx = e.transpose(0, 2, 1) @ hf.table
+        m_sum = xlogx(p_m).sum(axis=1)
+        i_mem = (xlogx(p_h[:, None] * e).reshape(len(e), -1).sum(axis=1) - h_sum - m_sum) / _LN2
+        i_pred = (xlogx(p_mx).reshape(len(e), -1).sum(axis=1) - m_sum - x_sum) / _LN2
+        # max(0, .) as `x if x > 0 else 0.0`, so -0.0 and nan clamp to +0.0
+        i_mem = np.where(i_mem > 0.0, i_mem, 0.0)
+        i_pred = np.where(i_pred > 0.0, i_pred, 0.0)
+        return p_m, p_mx, i_mem - beta * i_pred
 
-    prev = objective_of(enc)
-    converged = False
-    iterations = 0
+    encs = np.array(encs, dtype=float)
+    n = len(encs)
+    p_m, p_mx, objectives = marginals_and_objectives(encs)
+    converged = np.zeros(n, dtype=bool)
+    iterations = np.zeros(n, dtype=int)
+    active = np.arange(n)
     for it in range(1, settings.max_iterations + 1):
-        p_m = p_h @ enc
-        p_mx = enc.T @ hf.table
         safe_pm = np.where(p_m > 0, p_m, 1.0)
-        dec = p_mx / safe_pm[:, None]
-        dec[p_m == 0] = 1.0 / hf.table.shape[1]
+        dec = p_mx / safe_pm[:, :, None]
+        dec[p_m == 0] = uniform
         # KL(p(x'|h) || p(x'|m)) in nats, decoder floored inside the log
-        cross = cond @ np.log(np.maximum(dec, _LOG_FLOOR)).T  # (H, M)
-        kl = cond_self[:, None] - cross
-        logits = np.log(np.maximum(p_m, _LOG_FLOOR))[None, :] - beta * kl
-        logits -= logits.max(axis=1, keepdims=True)
+        cross = cond @ np.log(np.maximum(dec, _LOG_FLOOR)).transpose(0, 2, 1)  # (R, H, M)
+        logits = np.log(np.maximum(p_m, _LOG_FLOOR))[:, None, :] - beta * (cond_self - cross)
+        logits -= logits.max(axis=2, keepdims=True)
         enc = np.exp(logits)
-        enc /= enc.sum(axis=1, keepdims=True)
-        obj = objective_of(enc)
-        if obj > prev + _DESCENT_SLACK:
-            raise RuntimeError(
-                f"objective increased from {prev!r} to {obj!r} at iteration {it}; "
-                "monotone descent violated"
+        enc /= enc.sum(axis=2, keepdims=True)
+        p_m, p_mx, obj = marginals_and_objectives(enc)
+        prev = objectives[active]
+        rising = np.flatnonzero(obj > prev + _DESCENT_SLACK)
+        if rising.size:
+            j = rising[0]
+            raise OptimizerError(
+                f"restart {active[j]}: objective increased from {float(prev[j])!r} "
+                f"to {float(obj[j])!r} at iteration {it}; monotone descent violated"
             )
-        iterations = it
-        if abs(prev - obj) <= settings.tolerance:
-            prev = obj
-            converged = True
-            break
-        prev = obj
-    return enc, prev, converged, iterations
+        encs[active] = enc
+        objectives[active] = obj
+        iterations[active] = it
+        done = np.abs(prev - obj) <= settings.tolerance
+        if done.any():
+            converged[active[done]] = True
+            keep = ~done
+            active = active[keep]
+            if not active.size:
+                break
+            p_m, p_mx = p_m[keep], p_mx[keep]
+    return encs, objectives, converged, iterations
 
 
 def optimize_soft(
@@ -227,22 +244,24 @@ def optimize_soft(
     settings: OptimizerSettings,
     warm_starts: tuple = (),
 ) -> FrontierPoint:
-    """Best-of-restarts soft minimization of I(M;H) - beta I(M;X') at one beta."""
+    """Best-of-restarts soft minimization of I(M;H) - beta I(M;X') at one beta.
+
+    The seeded restarts and the warm starts run as one stack; ties go to the
+    earliest restart."""
     if beta < 1.0:
         raise ValidationError(f"beta must be >= 1, got {beta}")
     m = settings.memory_size
     n_hist = hf.num_histories
     rng = np.random.Generator(np.random.Philox(key=settings.seed))
     encs = _initial_encoders(n_hist, m, settings.restarts, rng)
-    encs.extend(np.asarray(w, dtype=float) for w in warm_starts)
-    best = None
-    for enc0 in encs:
-        enc, obj, converged, iters = _run_fixed_point(hf, enc0, beta, settings)
-        if best is None or obj < best[1] - 1e-15:
-            best = (enc, obj, converged, iters)
-    enc, obj, converged, iters = best
-    point = _point_from_encoder(hf, enc, beta, converged, iters)
-    return point
+    if warm_starts:
+        encs = np.concatenate([encs, np.asarray(warm_starts, dtype=float)])
+    encs, objectives, converged, iterations = _run_fixed_points(hf, encs, beta, settings)
+    best = 0
+    for r in range(1, len(encs)):
+        if objectives[r] < objectives[best] - 1e-15:
+            best = r
+    return _point_from_encoder(hf, encs[best], beta, bool(converged[best]), int(iterations[best]))
 
 
 def sweep_beta(hf: HistoryFutureJoint, settings: OptimizerSettings) -> list:

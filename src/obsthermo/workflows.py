@@ -22,7 +22,13 @@ from .optimize import (
     history_future_joint,
     sweep_beta,
 )
-from .strategy import MEMORY_VAR, apply_strategy, deterministic_count, view_encoder
+from .strategy import (
+    ENUMERATION_CAP,
+    MEMORY_VAR,
+    apply_strategy,
+    deterministic_count,
+    view_encoder,
+)
 
 WINDOW_ORACLE_TOL = 1e-10
 CONSISTENCY_TOL = 1e-10
@@ -86,7 +92,7 @@ def optimize(scenario: Scenario) -> OptimizeResult:
     best = min(points, key=lambda p: p.objective)
     degeneracy = None
     reference = None
-    if deterministic_count(hf.num_histories, settings.memory_size) <= 10**6:
+    if deterministic_count(hf.num_histories, settings.memory_size) <= ENUMERATION_CAP:
         degeneracy = tuple(degeneracy_report(hf, settings.memory_size))
         reference = exhaustive_best(
             hf, settings.memory_size, objective="beta", beta=float(settings.betas()[-1])

@@ -1,12 +1,17 @@
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from obsthermo import (
     MIXED_STATE,
+    OptimizerError,
     OptimizerSettings,
     SizeCapError,
     ValidationError,
     build_chain,
+    bundled_scenario_path,
     degeneracy_report,
     exhaustive_best,
     history_future_joint,
@@ -15,7 +20,14 @@ from obsthermo import (
     sweep_beta,
     window_joint,
 )
-from obsthermo.optimize import HistoryFutureJoint, _point_from_encoder, write_frontier_csv
+from obsthermo.cli import main as cli_main
+from obsthermo.optimize import (
+    HistoryFutureJoint,
+    _initial_encoders,
+    _point_from_encoder,
+    _run_fixed_points,
+    write_frontier_csv,
+)
 from obsthermo.strategy import assignment_from_map, enumerate_deterministic, harden
 from obsthermo.workflows import scenario_window
 
@@ -315,3 +327,60 @@ def test_map_scan_over_cap_points_to_soft_optimizer(n_hist, m):
         exhaustive_best(hf, m, objective="max_i_pred", cap=cap)
     with pytest.raises(SizeCapError, match="soft optimizer"):
         degeneracy_report(hf, m, cap=cap)
+
+
+def starts_with_warm(hf, m, seed, warm):
+    """The stack optimize_soft runs: 8 seeded restarts, then one warm start."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return np.concatenate([_initial_encoders(hf.num_histories, m, 8, rng), warm[None]])
+
+
+def batch_cases(case_b_unlabeled):
+    _, _, window = scenario_window(case_b_unlabeled)
+    opt = case_b_unlabeled.optimizer
+    hf = history_future_joint(window, k=opt.history_k, labeled=opt.history_labeled)
+    # beta = 4 is the critical beta of case_b_unlabeled: restarts stop after
+    # very different iteration counts there
+    warm = exhaustive_best(hf, opt.memory_size, objective="beta", beta=4.0).strategy.assignment
+    cases = [(hf, 4.0, starts_with_warm(hf, opt.memory_size, opt.seed, warm), opt)]
+    for seed, (n_hist, m, beta) in enumerate(((3, 2, 2.0), (6, 3, 4.0), (9, 4, 8.0))):
+        hf = random_hf(n_hist, seed=100 + seed)
+        warm = np.random.default_rng(seed).dirichlet(np.ones(m), size=n_hist)
+        cases.append((hf, beta, starts_with_warm(hf, m, seed, warm), settings(m, seed=seed)))
+    return cases
+
+
+def test_batched_restarts_equal_each_restart_alone(case_b_unlabeled):
+    for hf, beta, starts, opt in batch_cases(case_b_unlabeled):
+        encs, objectives, converged, iterations = _run_fixed_points(hf, starts, beta, opt)
+        assert encs.shape == starts.shape
+        assert len(set(iterations.tolist())) > 1  # restarts leave the loop at different times
+        for r in range(len(starts)):
+            enc1, obj1, conv1, its1 = _run_fixed_points(hf, starts[r : r + 1], beta, opt)
+            assert enc1[0].tobytes() == encs[r].tobytes()
+            assert obj1[0].tobytes() == objectives[r].tobytes()
+            assert conv1[0] == converged[r]
+            assert its1[0] == iterations[r]
+
+
+def test_iteration_cap_reports_unfinished_restarts(case_b_unlabeled):
+    for index, (hf, beta, starts, opt) in enumerate(batch_cases(case_b_unlabeled)):
+        capped = replace(opt, max_iterations=3)
+        _, _, converged, iterations = _run_fixed_points(hf, starts, beta, capped)
+        assert np.all(iterations[~converged] == 3)
+        assert np.all((iterations[converged] >= 1) & (iterations[converged] <= 3))
+        if index == 0:
+            # at the critical beta some restarts are still far from settled
+            assert not converged.all()
+            point = optimize_soft(hf, beta, capped)
+            assert not point.converged and point.iterations == 3
+
+
+def test_descent_violation_is_a_typed_error(tmp_path, monkeypatch, capsys, case_a_hf):
+    # a negative slack makes every step count as a rise in the objective
+    monkeypatch.setattr(importlib.import_module("obsthermo.optimize"), "_DESCENT_SLACK", -1.0)
+    with pytest.raises(OptimizerError, match="restart 0: .* monotone descent violated"):
+        optimize_soft(case_a_hf, 4.0, settings(2))
+    rc = cli_main(["optimize", "--config", bundled_scenario_path("case_a"), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "optimizer failed: " in capsys.readouterr().err
