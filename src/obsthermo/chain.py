@@ -176,6 +176,16 @@ def _is_periodic(matrix: np.ndarray) -> bool:
     return bool(np.any(on_circle & (np.abs(vals - 1.0) >= _UNIT_TOL)))
 
 
+def mixes(kernel: ChainKernel) -> bool:
+    """True when 1 is the kernel's only eigenvalue of modulus 1.
+
+    Then the chain has one recurrent class and it is aperiodic: every start
+    converges to the same long run, and one trajectory forgets where it began.
+    """
+    moduli = np.abs(np.linalg.eigvals(kernel.matrix))
+    return int(np.sum(moduli >= 1.0 - _UNIT_TOL)) == 1
+
+
 def slowest_mode_modulus(kernel: ChainKernel) -> float:
     """Largest eigenvalue modulus of the kernel below 1 (0.0 when there is none).
 

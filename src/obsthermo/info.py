@@ -44,12 +44,20 @@ def _entropy_of_table(table: np.ndarray) -> float:
     return float(-xlogx(table).sum() / _LN2)
 
 
-def mutual_information_table(table2d: np.ndarray) -> float:
-    """I(row; column) in bits of a 2-D joint table, clamped at 0."""
-    px = table2d.sum(axis=1)
-    py = table2d.sum(axis=0)
-    mi = (xlogx(table2d).sum() - xlogx(px).sum() - xlogx(py).sum()) / _LN2
-    return max(0.0, float(mi))
+def mutual_information_table(table: np.ndarray):
+    """I(row; column) in bits of a 2-D joint table, clamped at 0.
+
+    A stack of tables, shaped (..., rows, columns), gives the array of their
+    values, each computed as the 2-D table alone would be.
+    """
+    px = table.sum(axis=-1)
+    py = table.sum(axis=-2)
+    mi = (
+        xlogx(table).sum(axis=(-2, -1)) - xlogx(px).sum(axis=-1) - xlogx(py).sum(axis=-1)
+    ) / _LN2
+    if table.ndim == 2:
+        return max(0.0, float(mi))
+    return np.maximum(mi, 0.0)
 
 
 def entropy(joint: jointmod.JointDistribution, names) -> float:

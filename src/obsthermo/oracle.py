@@ -13,19 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bound as boundmod
 from . import chain as chainmod
+from . import info
 from . import joint as jointmod
 from . import process as procmod
 from .errors import SizeCapError, ValidationError
 from .joint import JointDistribution
 from .qubit import ANSWERS, BlochVector, born_probability
-from .strategy import Strategy, apply_strategy
+from .strategy import Strategy, view_encoder
+from .strategy import apply_strategy  # noqa: F401  unused; perfbench/selftest.py expects this import site
 
 LEAF_CAP = 10**7
 TAIL_TOL = 1e-12
 MIN_BURN_IN = 64
 BURN_IN_TOL = 1e-6  # slowest mode's share left when a Monte Carlo window starts
+MIN_REPLICAS = 100  # fewest independent trajectories a Monte Carlo bootstrap resamples
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +192,7 @@ def verdict(check: str, scenario: str, deviation: float, tolerance: float) -> di
 
 
 def mixing_burn_in(questions, process) -> int:
-    """Steps a Monte Carlo trajectory discards before its window.
+    """Steps a Monte Carlo replica discards before its first window.
 
     max(MIN_BURN_IN, ceil(ln BURN_IN_TOL / ln lam)), where lam is the chain
     kernel's `slowest_mode_modulus`: after that many steps the slowest decaying
@@ -206,6 +208,50 @@ def mixing_burn_in(questions, process) -> int:
     return max(MIN_BURN_IN, math.ceil(math.log(BURN_IN_TOL) / math.log(lam)))
 
 
+def windows_per_replica(questions, process, burn_in: int | None = None) -> int:
+    """Most sliding windows one Monte Carlo replica gives after its burn-in.
+
+    The burn-in (None means `mixing_burn_in`) when the kernel `mixes`: a
+    replica then has forgotten its start and its next windows all follow the
+    long run.  1 otherwise: on a reducible kernel a trajectory never leaves the
+    class it lands in, on a periodic one it keeps its phase, and a periodic
+    schedule has no kernel, so each window needs its own replica.
+    """
+    if isinstance(process, procmod.PeriodicProcess):
+        return 1
+    if not chainmod.mixes(chainmod.build_chain(questions, process)):
+        return 1
+    if burn_in is None:
+        burn_in = mixing_burn_in(questions, process)
+    return max(1, burn_in)
+
+
+def replica_layout(n: int, per_replica: int) -> tuple:
+    """(replicas R, windows L per replica) for n windows, at most per_replica each.
+
+    L is cut to n // MIN_REPLICAS so that at least MIN_REPLICAS replicas carry
+    the bootstrap; R = ceil(n / L), and the last replica may give fewer.
+    """
+    windows = max(1, min(per_replica, n // MIN_REPLICAS))
+    return -(-n // windows), windows
+
+
+def _question_draw(law: np.ndarray):
+    """rng.choice(k, size, p=law) as k - 1 column compares: the same uniforms, the same draws."""
+    cdf = np.cumsum(law)
+    cdf /= cdf[-1]
+
+    def draw(rng, size: int) -> np.ndarray:
+        q = np.zeros(size, dtype=np.intp)
+        if law.size > 1:
+            u = rng.random(size)
+            for c in cdf[:-1]:
+                q += u >= c
+        return q
+
+    return draw
+
+
 def sample_windows(
     questions,
     process,
@@ -215,52 +261,75 @@ def sample_windows(
     seed: int,
     burn_in: int | None = None,
 ) -> np.ndarray:
-    """Draw n independent (window+1)-pair windows by direct simulation.
+    """Draw n (window+1)-pair windows from replica trajectories run in lockstep.
 
-    Each window comes from its own trajectory (burn_in steps discarded; None
-    means `mixing_burn_in`), so samples are i.i.d. and plain bootstrap errors
-    are valid.  Returns an (n, 2*(window+1)) index array aligned with
-    chain.window_names(window).
+    R replicas start from `initial` and advance together, one R-wide Born-rule
+    step per time step.  Each discards burn_in steps (None means
+    `mixing_burn_in`) and then gives L consecutive sliding windows, with
+    (R, L) = `replica_layout(n, windows_per_replica(...))`.  Replicas are
+    i.i.d.; windows inside one are not, so errors must resample whole
+    replicas.  Where L = 1 (reducible or periodic chains) R = n, every window
+    has its own trajectory, the samples are i.i.d. and plain bootstrap errors
+    are valid.
+
+    Returns an (n, 2*(window+1)) index array aligned with
+    chain.window_names(window), in the smallest integer dtype that holds the
+    question count.  Rows r*L to r*L + L - 1 are replica r's windows in time
+    order, so row i+1's first 2*window columns are row i's last 2*window.
     """
     questions = tuple(questions)
     if burn_in is None:
         burn_in = mixing_burn_in(questions, process)
+    replicas, per = replica_layout(n, windows_per_replica(questions, process, burn_in))
     k = len(questions)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    born = chainmod.born_plus_matrix(questions)  # (2k, k) one-step physics lookup
-    if isinstance(process, procmod.MarkovProcess):
-        cum_rows = np.cumsum(process.transition, axis=1)
-    first = procmod.first_question_distribution(process)
+    born = chainmod.born_plus_matrix(questions).ravel()  # one-step physics, (2k, k) flattened
+    first = _question_draw(procmod.first_question_distribution(process))
+    if isinstance(process, procmod.IIDProcess):
+        iid = _question_draw(process.weights)
+    elif isinstance(process, procmod.MarkovProcess):
+        cum_cols = np.cumsum(process.transition, axis=1).T[:-1]
     p0 = np.array([born_probability(initial, q.axis) for q in questions])
 
-    out = np.empty((n, 2 * (window + 1)), dtype=int)
-    for t in range(burn_in + window + 1):
+    steps = window + per  # pairs each replica keeps after its burn-in
+    kept = np.empty((replicas, 2 * steps), dtype=np.min_scalar_type(k))
+    for t in range(burn_in + steps):
         if t == 0:
-            q = rng.choice(k, size=n, p=first) if k > 1 else np.zeros(n, dtype=int)
+            q = first(rng, replicas)  # a periodic schedule draws too, keeping the stream
             if isinstance(process, procmod.PeriodicProcess):
-                q = np.full(n, process.labels.index(process.sequence[0]))
+                q = np.full(replicas, process.labels.index(process.sequence[0]))
             p_plus = p0[q]
         else:
             q_prev, a_prev = q, a
             if isinstance(process, procmod.IIDProcess):
-                q = rng.choice(k, size=n, p=process.weights) if k > 1 else np.zeros(n, dtype=int)
+                q = iid(rng, replicas)
             elif isinstance(process, procmod.MarkovProcess):
-                u = rng.random(n)
-                q = (u[:, None] > cum_rows[q_prev]).sum(axis=1)
+                u = rng.random(replicas)
+                q = np.zeros(replicas, dtype=np.intp)
+                for col in cum_cols:
+                    q += u > col[q_prev]
             else:
                 label = process.sequence[t % len(process.sequence)]
-                q = np.full(n, process.labels.index(label))
-            p_plus = born[2 * q_prev + a_prev, q]
-        a = (rng.random(n) >= p_plus).astype(int)  # 0 is +1, 1 is -1
+                q = np.full(replicas, process.labels.index(label))
+            p_plus = born.take((2 * q_prev + a_prev) * k + q)
+        a = (rng.random(replicas) >= p_plus).astype(np.intp)  # 0 is +1, 1 is -1
         if t >= burn_in:
-            out[:, 2 * (t - burn_in)] = q
-            out[:, 2 * (t - burn_in) + 1] = a
-    return out
+            kept[:, 2 * (t - burn_in)] = q
+            kept[:, 2 * (t - burn_in) + 1] = a
+    width = 2 * (window + 1)
+    out = np.empty((replicas, per, width), dtype=kept.dtype)
+    for c in range(width):  # a replica's window j starts at its kept pair j
+        out[:, :, c] = kept[:, c : c + 2 * per : 2]
+    return out.reshape(-1, width)[:n]
 
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    """Plug-in estimates of the info quantities with bootstrap standard errors."""
+    """Plug-in estimates of the info quantities with replica bootstrap errors.
+
+    `replicas` trajectories each discarded `burn_in` steps and gave
+    `windows_per_replica` windows (the last replica may give fewer).
+    """
 
     n: int
     i_mem: float
@@ -269,6 +338,24 @@ class MonteCarloReport:
     se_i_mem: float
     se_i_pred: float
     se_nostalgia: float
+    burn_in: int
+    replicas: int
+    windows_per_replica: int
+
+
+def _view_next_cells(samples: np.ndarray, num_questions: int, k: int, labeled: bool) -> np.ndarray:
+    """Each window's (view, next pair) cell: view-major, views in canonical order."""
+    w = samples.shape[1] // 2 - 1
+    pair = 2 * num_questions
+    cell = np.zeros(samples.shape[0], dtype=np.intp)
+    for j in range(w - k, w + 1):  # the view's k pairs, then the next pair with its label
+        if labeled or j == w:
+            cell *= pair
+            cell += 2 * samples[:, 2 * j].astype(np.intp)
+        else:
+            cell *= 2
+        cell += samples[:, 2 * j + 1]
+    return cell
 
 
 def monte_carlo_check(
@@ -282,35 +369,60 @@ def monte_carlo_check(
     n_bootstrap: int = 200,
     burn_in: int | None = None,
 ) -> MonteCarloReport:
-    """Monte Carlo estimate of an InfoReport, with seeded bootstrap errors."""
+    """Monte Carlo estimate of an InfoReport's information terms, with bootstrap errors.
+
+    Counts only the (view, next pair) cells of `strategy.view_encoder`: the
+    memory reads the window through its view, so the plug-in I(M; window)
+    equals I(M; view).  The errors come from a replica bootstrap: the
+    replicas of `sample_windows` are resampled whole, n_bootstrap times from
+    a seeded generator.  With one window per replica this is the ordinary
+    bootstrap, drawn over the cells.  All replicates are scored at once.
+    """
     if n < 10**3:
         raise ValidationError(f"need at least 1000 samples, got {n}")
     questions = tuple(questions)
+    if burn_in is None:
+        burn_in = mixing_burn_in(questions, process)
     samples = sample_windows(questions, process, initial, window, n, seed, burn_in=burn_in)
-    names = chainmod.window_names(window)
-    alphabets = chainmod.window_alphabets(questions, window)
-    sizes = tuple(len(a) for a in alphabets)
-    flat = np.ravel_multi_index(tuple(samples.T), sizes)
-    counts = np.bincount(flat, minlength=int(np.prod(sizes))).astype(float)
+    replicas, per = replica_layout(n, windows_per_replica(questions, process, burn_in))
+    labels = tuple(q.label for q in questions)
+    k, labeled, encoder, _ = view_encoder(strategy, labels, window)
+    views, nexts = encoder.shape[0], 2 * len(questions)
+    cells = _view_next_cells(samples, len(questions), k, labeled)
 
-    def metrics(count_vec: np.ndarray):
-        emp = jointmod.from_counts(names, alphabets, count_vec.reshape(sizes))
-        rep = boundmod.evaluate(apply_strategy(strategy, emp))
-        return rep.i_mem, rep.i_pred, rep.nostalgia
-
-    i_mem, i_pred, nostalgia = metrics(counts)
     rng = np.random.Generator(np.random.Philox(key=seed + 0xB00))
-    p_hat = counts / counts.sum()
-    boots = np.empty((n_bootstrap, 3))
-    for b in range(n_bootstrap):
-        boots[b] = metrics(rng.multinomial(n, p_hat).astype(float))
-    se = boots.std(axis=0, ddof=1)
+    if per == 1:
+        counts = np.bincount(cells, minlength=views * nexts)
+        boots = rng.multinomial(n, counts / counts.sum(), size=n_bootstrap)
+    else:
+        # per-replica cell counts; a replicate weighs each replica by how often it was drawn
+        cells += np.arange(n) // per * (views * nexts)
+        by_replica = np.bincount(cells, minlength=replicas * views * nexts).astype(float)
+        by_replica = by_replica.reshape(replicas, views * nexts)
+        counts = by_replica.sum(axis=0)
+        weights = np.empty((n_bootstrap, replicas))
+        for b in range(n_bootstrap):
+            weights[b] = np.bincount(rng.integers(replicas, size=replicas), minlength=replicas)
+        boots = np.einsum("br,rc->bc", weights, by_replica)  # not BLAS: no thread pool
+
+    def scores(table: np.ndarray) -> tuple:
+        p = table.reshape(table.shape[:-1] + (views, nexts))
+        p = p / p.sum(axis=(-2, -1), keepdims=True)
+        i_mem = info.mutual_information_table(p.sum(axis=-1)[..., None] * encoder)
+        i_pred = info.mutual_information_table(np.einsum("vm,...vx->...mx", encoder, p))
+        return i_mem, i_pred, np.maximum(i_mem - i_pred, 0.0)
+
+    i_mem, i_pred, nostalgia = scores(counts)
+    se = np.std(scores(boots), axis=1, ddof=1)
     return MonteCarloReport(
         n=n,
         i_mem=i_mem,
         i_pred=i_pred,
-        nostalgia=nostalgia,
+        nostalgia=float(nostalgia),
         se_i_mem=float(se[0]),
         se_i_pred=float(se[1]),
         se_nostalgia=float(se[2]),
+        burn_in=burn_in,
+        replicas=replicas,
+        windows_per_replica=per,
     )

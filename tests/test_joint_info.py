@@ -195,6 +195,18 @@ def test_mutual_information_table_matches_named_joint(joint):
     )
 
 
+def test_mutual_information_table_of_a_stack_equals_each_table():
+    rng = np.random.default_rng(11)
+    for shape in ((1, 1), (2, 3), (16, 4), (5, 1)):
+        stack = rng.dirichlet(np.ones(shape[0] * shape[1]), size=(3, 4)).reshape((3, 4) + shape)
+        values = mutual_information_table(stack)
+        assert values.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                assert values[i, j] == mutual_information_table(stack[i, j])  # bitwise
+    assert isinstance(mutual_information_table(np.full((2, 2), 0.25)), float)
+
+
 def test_import_loads_no_scipy():
     # the runtime needs numpy only; scipy is a test-time dependency
     import obsthermo

@@ -4,6 +4,7 @@ import pytest
 from obsthermo import (
     IIDProcess,
     MIXED_STATE,
+    MarkovProcess,
     NothingStrategy,
     PeriodicProcess,
     Question,
@@ -11,8 +12,10 @@ from obsthermo import (
     ValidationError,
     WindowStrategy,
     BlochVector,
+    born_probability,
     brute_force_joint,
     build_chain,
+    bundled_scenario,
     converged_tail,
     cross_validate,
     long_run_distribution,
@@ -20,12 +23,36 @@ from obsthermo import (
     tail_window_joint,
     window_joint,
 )
+from obsthermo.chain import born_plus_matrix
 from obsthermo.config import parse_scenario
 from obsthermo.joint import JointDistribution
-from obsthermo.oracle import mixing_burn_in, sample_windows, verdict
+from obsthermo.oracle import (
+    MIN_REPLICAS,
+    mixing_burn_in,
+    replica_layout,
+    sample_windows,
+    verdict,
+    windows_per_replica,
+)
+from obsthermo.process import first_question_distribution
 from obsthermo.workflows import analyze
 
 from conftest import case_b_questions, markov_identity_questions, two_questions_at_angle
+
+
+def at_angle_scenario(theta: float):
+    """Two IID fair questions theta apart, start +z, window 2, last two answers kept."""
+    questions, _ = two_questions_at_angle(theta)
+    return parse_scenario(
+        {
+            "name": f"angle_{theta}",
+            "questions": [{"label": q.label, "axis": q.axis.tolist()} for q in questions],
+            "process": {"type": "iid", "weights": [0.5, 0.5]},
+            "initial_state": [0.0, 0.0, 1.0],
+            "window": 2,
+            "strategy": {"type": "window", "k": 2, "labeled": False},
+        }
+    )
 
 
 def single_question():
@@ -170,18 +197,8 @@ def test_monte_carlo_case_b_labeled_i_pred():
 def test_monte_carlo_slow_mixing_chain_within_three_sigma():
     # |lambda*| = 0.9777: a fixed 64-step burn-in started the windows short of
     # the long run and missed the exact i_pred by 15 sigma
-    theta = 0.3
-    questions, proc = two_questions_at_angle(theta)
-    scenario = parse_scenario(
-        {
-            "name": "slow_mixing",
-            "questions": [{"label": q.label, "axis": q.axis.tolist()} for q in questions],
-            "process": {"type": "iid", "weights": [0.5, 0.5]},
-            "initial_state": [0.0, 0.0, 1.0],
-            "window": 2,
-            "strategy": {"type": "window", "k": 2, "labeled": False},
-        }
-    )
+    scenario = at_angle_scenario(0.3)
+    questions, proc = scenario.questions, scenario.process
     assert mixing_burn_in(questions, proc) == 612
     exact = analyze(scenario).report
     report = monte_carlo_check(
@@ -228,3 +245,126 @@ def test_monte_carlo_minimum_samples():
         monte_carlo_check(
             questions, proc, MIXED_STATE, window=1, strategy=NothingStrategy(), n=10, seed=0
         )
+
+
+def test_monte_carlo_very_slow_chain_within_three_sigma():
+    # |lambda*| = 0.99938 and a 22,103-step burn-in: 100 replicas of 1000 windows each
+    scenario = at_angle_scenario(0.05)
+    exact = analyze(scenario).report
+    report = monte_carlo_check(
+        scenario.questions, scenario.process, scenario.initial_state, window=2,
+        strategy=scenario.strategy, n=10**5, seed=0,
+    )
+    assert (report.burn_in, report.replicas, report.windows_per_replica) == (22103, 100, 1000)
+    assert abs(report.i_pred - exact.i_pred) <= 3.0 * report.se_i_pred
+
+
+def reference_windows(questions, process, initial, window, n, seed, burn_in):
+    """One trajectory per window, burned in on its own, drawn with rng.choice."""
+    k = len(questions)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    born = born_plus_matrix(questions)
+    p0 = np.array([born_probability(initial, q.axis) for q in questions])
+    out = np.empty((n, 2 * (window + 1)), dtype=int)
+    for t in range(burn_in + window + 1):
+        if t == 0 or isinstance(process, IIDProcess):
+            law = first_question_distribution(process) if t == 0 else process.weights
+            q_next = rng.choice(k, size=n, p=law) if k > 1 else np.zeros(n, dtype=int)
+        elif isinstance(process, MarkovProcess):
+            cum = np.cumsum(process.transition, axis=1)[q]
+            q_next = (rng.random(n)[:, None] > cum).sum(axis=1)
+        if isinstance(process, PeriodicProcess):
+            q_next = np.full(n, process.labels.index(process.sequence[t % len(process.sequence)]))
+        p_plus = p0[q_next] if t == 0 else born[2 * q + a, q_next]
+        q, a = q_next, (rng.random(n) >= p_plus).astype(int)
+        if t >= burn_in:
+            out[:, 2 * (t - burn_in)] = q
+            out[:, 2 * (t - burn_in) + 1] = a
+    return out
+
+
+def test_sample_windows_slide_inside_a_replica():
+    questions, proc = case_b_questions()
+    out = sample_windows(questions, proc, MIXED_STATE, window=2, n=10**4, seed=6)
+    replicas, per = replica_layout(10**4, windows_per_replica(questions, proc))
+    assert (replicas, per) == (157, 64)
+    assert out.shape == (10**4, 6) and out.dtype == np.uint8
+    same_replica = np.arange(10**4 - 1) % per != per - 1
+    slides = np.all(out[1:, :4] == out[:-1, 2:], axis=1)
+    assert np.all(slides[same_replica])
+    assert not np.all(slides[~same_replica])  # a new replica starts a fresh trajectory
+
+
+def test_sample_windows_one_trajectory_per_window_on_reducible_and_periodic_chains(
+    case_a, case_b_bestcase
+):
+    questions, _ = case_b_questions()
+    periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx", "Qx"))
+    three = questions + (Question(label="Qy", axis=np.array([0.0, 1.0, 0.0])),)
+    absorbing = MarkovProcess(  # Qz repeats forever once asked
+        labels=("Qz", "Qx", "Qy"),
+        transition=np.array([[1.0, 0.0, 0.0], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]]),
+        initial=np.array([0.2, 0.4, 0.4]),
+    )
+    cases = [
+        (case_a.questions, case_a.process, case_a.initial_state, case_a.window),
+        (case_b_bestcase.questions, case_b_bestcase.process, MIXED_STATE, case_b_bestcase.window),
+        (questions, periodic, BlochVector(0.6, 0.0, 0.8), 2),
+        (three, absorbing, MIXED_STATE, 2),
+    ]
+    for seed, (qs, proc, start, w) in enumerate(cases):
+        assert windows_per_replica(qs, proc) == 1
+        burn_in = mixing_burn_in(qs, proc)
+        got = sample_windows(qs, proc, start, window=w, n=2000, seed=seed)
+        assert np.array_equal(got, reference_windows(qs, proc, start, w, 2000, seed, burn_in))
+
+
+def test_windows_per_replica_only_on_mixing_kernels(case_a, case_b_bestcase):
+    questions, proc = case_b_questions()
+    assert windows_per_replica(questions, proc) == mixing_burn_in(questions, proc) == 64
+    assert windows_per_replica(questions, proc, burn_in=500) == 500
+    assert windows_per_replica(case_a.questions, case_a.process) == 1  # reducible
+    assert windows_per_replica(case_b_bestcase.questions, case_b_bestcase.process) == 1
+    alternating = MarkovProcess(
+        labels=("Qz", "Qx"), transition=np.array([[0.0, 1.0], [1.0, 0.0]]), initial=np.array([0.5, 0.5])
+    )
+    assert windows_per_replica(questions, alternating) == 1  # periodic kernel
+    periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx"))
+    assert windows_per_replica(questions, periodic) == 1  # no kernel
+    assert replica_layout(10**5, 64) == (1563, 64)
+    assert replica_layout(10**4, 22103) == (MIN_REPLICAS, 100)
+    assert replica_layout(1001, 64) == (101, 10)
+    assert replica_layout(2000, 1) == (2000, 1)
+
+
+def test_monte_carlo_report_records_its_replicas(case_a):
+    questions, proc = case_b_questions()
+    report = monte_carlo_check(
+        questions, proc, MIXED_STATE, window=2, strategy=WindowStrategy(k=2), n=10**4, seed=1
+    )
+    assert (report.n, report.burn_in, report.replicas, report.windows_per_replica) == (
+        10**4, 64, 157, 64,
+    )
+    report = monte_carlo_check(
+        case_a.questions, case_a.process, case_a.initial_state, window=1,
+        strategy=case_a.strategy, n=2000, seed=1,
+    )
+    assert (report.burn_in, report.replicas, report.windows_per_replica) == (64, 2000, 1)
+
+
+@pytest.mark.parametrize("name", ["case_b_unlabeled", "angle_0.3"])
+def test_monte_carlo_three_sigma_coverage_and_calibration(name):
+    # seeds 0-59 fixed in advance; 3 sigma misses about 1 run in 370 when the se is right
+    scenario = bundled_scenario(name) if name.startswith("case") else at_angle_scenario(0.3)
+    exact = analyze(scenario).report.i_pred
+    runs = [
+        monte_carlo_check(
+            scenario.questions, scenario.process, scenario.initial_state, scenario.window,
+            scenario.strategy, n=10**4, seed=seed,
+        )
+        for seed in range(60)
+    ]
+    estimates = np.array([r.i_pred for r in runs])
+    errors = np.array([r.se_i_pred for r in runs])
+    assert np.sum(np.abs(estimates - exact) > 3.0 * errors) <= 1
+    assert 0.7 <= np.std(estimates, ddof=1) / np.median(errors) <= 1.4
