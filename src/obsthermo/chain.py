@@ -73,6 +73,31 @@ def born_plus_matrix(questions) -> np.ndarray:
     return out
 
 
+def answer_step(questions, initial: BlochVector):
+    """The sampler's Born answer step: a function (prev, q, u) -> (b, R) answers, 0 for +1.
+
+    `prev` holds the chain state of each of R paths before the block, 2K for
+    a fresh start from `initial`; `q` and `u` are the block's (b, R) questions
+    and uniforms.  An answer is +1 when u < P(+1).  The first is a direct
+    lookup, the later ones {+,-} -> {+,-} maps of the answer before.
+    """
+    k = len(questions)
+    p0 = [born_probability(initial, q.axis) for q in questions]
+    born = np.vstack([born_plus_matrix(questions), p0, p0]).ravel()
+    rows = np.array([[0], [k]])  # born[2 q_prev + a_prev, q] for a_prev = 0, 1
+
+    def step(prev, q, u):
+        at = prev * k
+        at += q[0]
+        first = u[0] >= born.take(at)
+        if len(q) == 1:
+            return first[None]
+        maps = u[1:, None] >= born.take(2 * k * q[:-1, None] + q[1:, None] + rows)
+        return procmod.iterate_maps(first, maps)
+
+    return step
+
+
 @dataclass(frozen=True, eq=False)
 class ChainKernel:
     """Row-stochastic transition matrix over chain states, with its question set."""
@@ -311,28 +336,23 @@ class Trajectory:
 def sample_trajectory(
     questions, process: procmod.QuestionProcess, initial: BlochVector, length: int, seed: int
 ) -> Trajectory:
-    """Simulate the measurement chain directly: draw a question, draw the Born
-    outcome, collapse, repeat.  Reproducible for a given seed."""
+    """Simulate the measurement chain on one path: questions from
+    `process.sample_questions`, Born answers from `answer_step` block by
+    block, fed from their own Philox stream.  Reproducible for a given seed."""
     questions = _check_questions(questions)
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
     labels = procmod.sample_questions(process, length, seed)
     label_to_idx = {q.label: i for i, q in enumerate(questions)}
-    born = born_plus_matrix(questions)
+    q = np.fromiter(map(label_to_idx.__getitem__, labels), np.intp, length)[:, None]
     rng = procmod._rng(seed + 0x5EED)  # decouple answer draws from question draws
-    u = rng.random(length)
-    steps = []
-    q0 = label_to_idx[labels[0]]
-    p_plus = born_probability(initial, questions[q0].axis)
-    a = +1 if u[0] < p_plus else -1
-    steps.append((labels[0], a))
-    state = state_index(q0, a)
-    for t in range(1, length):
-        j = label_to_idx[labels[t]]
-        a = +1 if u[t] < born[state, j] else -1
-        steps.append((labels[t], a))
-        state = state_index(j, a)
-    return Trajectory(steps=tuple(steps), seed=seed, initial=initial)
+    a = np.empty_like(q)
+    step, state = answer_step(questions, initial), np.full(1, 2 * len(questions))
+    for t0, t1 in procmod.blocks(0, length, 1):
+        a[t0:t1] = step(state, q[t0:t1], rng.random((t1 - t0, 1)))
+        state = 2 * q[t1 - 1] + a[t1 - 1]
+    answers = (1 - 2 * a[:, 0]).tolist()
+    return Trajectory(steps=tuple(zip(labels, answers)), seed=seed, initial=initial)
 
 
 def trajectory_window_indices(trajectory: Trajectory, questions, window: int) -> np.ndarray:

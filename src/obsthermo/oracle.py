@@ -236,22 +236,6 @@ def replica_layout(n: int, per_replica: int) -> tuple:
     return -(-n // windows), windows
 
 
-def _question_draw(law: np.ndarray):
-    """rng.choice(k, size, p=law) as k - 1 column compares: the same uniforms, the same draws."""
-    cdf = np.cumsum(law)
-    cdf /= cdf[-1]
-
-    def draw(rng, size: int) -> np.ndarray:
-        q = np.zeros(size, dtype=np.intp)
-        if law.size > 1:
-            u = rng.random(size)
-            for c in cdf[:-1]:
-                q += u >= c
-        return q
-
-    return draw
-
-
 def sample_windows(
     questions,
     process,
@@ -261,10 +245,11 @@ def sample_windows(
     seed: int,
     burn_in: int | None = None,
 ) -> np.ndarray:
-    """Draw n (window+1)-pair windows from replica trajectories run in lockstep.
+    """Draw n (window+1)-pair windows from R replica trajectories.
 
-    R replicas start from `initial` and advance together, one R-wide Born-rule
-    step per time step.  Each discards burn_in steps (None means
+    The replicas start from `initial` and run through the sampler's question
+    and answer steps, b = max(1, process._BLOCK_ENTRIES // R) steps at a time;
+    no output depends on b.  Each discards burn_in steps (None means
     `mixing_burn_in`) and then gives L consecutive sliding windows, with
     (R, L) = `replica_layout(n, windows_per_replica(...))`.  Replicas are
     i.i.d.; windows inside one are not, so errors must resample whole
@@ -283,40 +268,32 @@ def sample_windows(
     replicas, per = replica_layout(n, windows_per_replica(questions, process, burn_in))
     k = len(questions)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    born = chainmod.born_plus_matrix(questions).ravel()  # one-step physics, (2k, k) flattened
-    first = _question_draw(procmod.first_question_distribution(process))
-    if isinstance(process, procmod.IIDProcess):
-        iid = _question_draw(process.weights)
-    elif isinstance(process, procmod.MarkovProcess):
-        cum_cols = np.cumsum(process.transition, axis=1).T[:-1]
-    p0 = np.array([born_probability(initial, q.axis) for q in questions])
-
+    next_questions = procmod.question_step(process)
+    next_answers = chainmod.answer_step(questions, initial)
+    # one Philox stream, per step R question uniforms and then R answer uniforms; no question
+    # uniforms for K = 1, nor after step 0 on periodic or one-question i.i.d. schedules
+    periodic = isinstance(process, procmod.PeriodicProcess)
+    later = not periodic and (k > 1 or isinstance(process, procmod.MarkovProcess))
     steps = window + per  # pairs each replica keeps after its burn-in
-    kept = np.empty((replicas, 2 * steps), dtype=np.min_scalar_type(k))
-    for t in range(burn_in + steps):
-        if t == 0:
-            q = first(rng, replicas)  # a periodic schedule draws too, keeping the stream
-            if isinstance(process, procmod.PeriodicProcess):
-                q = np.full(replicas, process.labels.index(process.sequence[0]))
-            p_plus = p0[q]
-        else:
-            q_prev, a_prev = q, a
-            if isinstance(process, procmod.IIDProcess):
-                q = iid(rng, replicas)
-            elif isinstance(process, procmod.MarkovProcess):
-                u = rng.random(replicas)
-                q = np.zeros(replicas, dtype=np.intp)
-                for col in cum_cols:
-                    q += u > col[q_prev]
-            else:
-                label = process.sequence[t % len(process.sequence)]
-                q = np.full(replicas, process.labels.index(label))
-            p_plus = born.take((2 * q_prev + a_prev) * k + q)
-        a = (rng.random(replicas) >= p_plus).astype(np.intp)  # 0 is +1, 1 is -1
-        if t >= burn_in:
-            kept[:, 2 * (t - burn_in)] = q
-            kept[:, 2 * (t - burn_in) + 1] = a
+    kept = np.empty((replicas, steps, 2), dtype=np.min_scalar_type(k))
+    q = np.full(replicas, k)  # a fresh start: question K, chain state 2K
+    state = 2 * q
+    spans = [(0, 1)] + procmod.blocks(1, burn_in, replicas)
+    spans += procmod.blocks(max(1, burn_in), burn_in + steps, replicas)
+    buffer = np.empty(2 * replicas * max(t1 - t0 for t0, t1 in spans))
+    for t0, t1 in spans:
+        shape = (t1 - t0, 1 + (k > 1 if t0 == 0 else later), replicas)
+        u = rng.random(out=buffer[: math.prod(shape)].reshape(shape))
+        qs = next_questions(q, u[:, 0], t0)  # reads no uniform where none is drawn
+        a = next_answers(state, qs, u[:, -1])
+        q = qs[-1]
+        state = q * 2
+        state += a[-1]
+        if t0 >= burn_in:
+            kept[:, t0 - burn_in : t1 - burn_in, 0] = qs.T
+            kept[:, t0 - burn_in : t1 - burn_in, 1] = a.T
     width = 2 * (window + 1)
+    kept = kept.reshape(replicas, 2 * steps)
     out = np.empty((replicas, per, width), dtype=kept.dtype)
     for c in range(width):  # a replica's window j starts at its kept pair j
         out[:, :, c] = kept[:, c : c + 2 * per : 2]

@@ -1,8 +1,9 @@
-"""Exogenous question schedules: i.i.d., Markov, or periodic over a finite question set.
+"""Exogenous question schedules: i.i.d., Markov, or periodic over a finite
+question set, and the sampler's question step.
 
-The observer never influences the schedule.  Sampling uses numpy's Philox
-counter-based generator so that parallel sweeps with distinct seeds stay
-reproducible and decorrelated.
+The observer never influences the schedule.  Questions are drawn by
+`question_step` from uniforms of numpy's Philox counter-based generator, so
+that parallel sweeps with distinct seeds stay reproducible and decorrelated.
 """
 
 from dataclasses import dataclass
@@ -12,6 +13,9 @@ import numpy as np
 from .errors import ValidationError
 
 PROB_TOL = 1e-12
+#: Path-steps in one sampler block: R paths advance max(1, _BLOCK_ENTRIES // R) steps at a time.
+#: From about 10^3 paths up a plain R-wide step is faster than a scan, so such blocks are one step.
+_BLOCK_ENTRIES = 2**11
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -137,24 +141,70 @@ def first_question_distribution(process: QuestionProcess) -> np.ndarray:
     return next_question_distribution(process, previous_label=None, time_index=0)
 
 
+def blocks(start: int, stop: int, paths: int) -> list:
+    """[t0, t1) spans over range(start, stop), max(1, _BLOCK_ENTRIES // paths) steps each."""
+    size = max(1, _BLOCK_ENTRIES // paths)
+    return [(t, min(t + size, stop)) for t in range(start, stop, size)]
+
+
+def iterate_maps(start: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """The (b, R) orbit of `start` under maps[i, x, r], path r's image of x at step i + 1.
+
+    A Hillis-Steele prefix scan (Hillis & Steele, CACM 29, 1986) composes the
+    b - 1 maps in ceil(log2 b) rounds of one flat gather each.
+    """
+    if not len(maps):
+        return start[None]
+    steps, size, paths = maps.shape
+    maps = maps.astype(np.intp)
+    at = np.arange(steps)[:, None, None] * (size * paths) + np.arange(paths)  # maps[i, 0, r]
+    shift = 1
+    while shift < steps:
+        maps[shift:] = maps.take(at[shift:] + maps[:-shift] * paths)
+        shift *= 2
+    return np.concatenate([start[None], maps.take(at[:, 0] + start * paths)])
+
+
+def question_step(process: QuestionProcess):
+    """The sampler's question step: a function (prev, u, t0) -> (b, R) question indices.
+
+    `prev` holds the question of each of R paths before the block, K for a
+    fresh start, drawn from `first_question_distribution`; `u` holds (b, R)
+    uniforms; `t0` is the block's first time index.  A draw counts the
+    normalized cumulative weights c with u >= c, so a question of weight zero
+    is never drawn.  Periodic reads the sequence and no uniform.  Markov draws
+    the first step at `prev`, then composes the maps of the rest.
+    """
+    if isinstance(process, PeriodicProcess):
+        seq = np.array([process.labels.index(s) for s in process.sequence])[:, None]
+        return lambda prev, u, t0: seq.take(t0 + np.arange(len(u)), 0, mode="wrap").repeat(len(prev), 1)
+    if isinstance(process, IIDProcess):
+        cdf = process.weights.cumsum()
+        cols = (cdf / cdf[-1])[:-1]
+        return lambda prev, u, t0: sum((u >= c for c in cols), np.zeros(u.shape, np.intp))
+    cdf = np.vstack([process.transition, first_question_distribution(process)]).cumsum(axis=1)
+    cols, k = (cdf / cdf[:, -1:]).T[:-1], len(process.labels)
+
+    def markov(prev, u, t0):
+        first = np.zeros(u.shape[1], dtype=np.intp)
+        maps = np.zeros((len(u) - 1, k, u.shape[1]), dtype=np.intp)
+        for col in cols:
+            first += u[0] >= col[prev]
+            maps += u[1:, None] >= col[:k, None]
+        return iterate_maps(first, maps)
+
+    return markov
+
+
 def sample_questions(process: QuestionProcess, length: int, seed: int) -> list:
-    """Draw a reproducible question-label sequence of the given length."""
+    """Draw a reproducible question-label sequence of the given length: the
+    labels of `question_step` on one path, fed from one Philox stream."""
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
-    if isinstance(process, PeriodicProcess):
-        reps = -(-length // len(process.sequence))
-        return list(process.sequence * reps)[:length]
     rng = _rng(seed)
-    if isinstance(process, IIDProcess):
-        idx = rng.choice(len(process.labels), size=length, p=process.weights)
-        return [process.labels[i] for i in idx]
-    # Markov: cumulative rows let each step be a single searchsorted draw
-    cum = np.cumsum(process.transition, axis=1)
-    cum_init = np.cumsum(process.initial)
-    u = rng.random(length)
-    out = np.empty(length, dtype=int)
-    out[0] = np.searchsorted(cum_init, u[0], side="right")
-    for t in range(1, length):
-        out[t] = np.searchsorted(cum[out[t - 1]], u[t], side="right")
-    out = np.minimum(out, len(process.labels) - 1)
-    return [process.labels[i] for i in out]
+    idx = np.empty(length, dtype=np.intp)
+    step, prev = question_step(process), np.full(1, len(process.labels))
+    for t0, t1 in blocks(0, length, 1):
+        idx[t0:t1] = step(prev, rng.random((t1 - t0, 1)), t0)[:, 0]
+        prev = idx[t1 - 1 : t1]
+    return np.array(process.labels, dtype=object)[idx].tolist()

@@ -271,8 +271,8 @@ def reference_windows(questions, process, initial, window, n, seed, burn_in):
             law = first_question_distribution(process) if t == 0 else process.weights
             q_next = rng.choice(k, size=n, p=law) if k > 1 else np.zeros(n, dtype=int)
         elif isinstance(process, MarkovProcess):
-            cum = np.cumsum(process.transition, axis=1)[q]
-            q_next = (rng.random(n)[:, None] > cum).sum(axis=1)
+            cdf = np.cumsum(process.transition, axis=1)[q]
+            q_next = (rng.random(n)[:, None] >= cdf / cdf[:, -1:]).sum(axis=1)
         if isinstance(process, PeriodicProcess):
             q_next = np.full(n, process.labels.index(process.sequence[t % len(process.sequence)]))
         p_plus = p0[q_next] if t == 0 else born[2 * q + a, q_next]
