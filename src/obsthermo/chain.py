@@ -51,6 +51,19 @@ def _check_questions(questions) -> tuple:
     return questions
 
 
+def check_process_labels(questions, process: procmod.QuestionProcess) -> tuple:
+    """The questions as a tuple, once the schedule lists their labels in their order.
+
+    Kernels, samplers and the oracle tree read a scheduled question's position
+    in `process.labels` as its index into `questions`.
+    """
+    questions = _check_questions(questions)
+    labels = tuple(q.label for q in questions)
+    if tuple(process.labels) != labels:
+        raise ValidationError(f"process labels {process.labels} do not match questions {labels}")
+    return questions
+
+
 def state_index(question_index: int, answer: int) -> int:
     return 2 * question_index + (0 if answer == +1 else 1)
 
@@ -130,17 +143,12 @@ def build_chain(questions, process: procmod.QuestionProcess) -> ChainKernel:
     Only IID and Markov schedules define a time-homogeneous kernel; periodic
     schedules must go through time-unrolled enumeration (see obsthermo.oracle).
     """
-    questions = _check_questions(questions)
     if isinstance(process, procmod.PeriodicProcess):
         raise ValidationError(
             "periodic schedules have no time-homogeneous kernel; "
             "use oracle.brute_force_joint for time-unrolled enumeration"
         )
-    if tuple(process.labels) != tuple(q.label for q in questions):
-        raise ValidationError(
-            f"process labels {process.labels} do not match questions "
-            f"{tuple(q.label for q in questions)}"
-        )
+    questions = check_process_labels(questions, process)
     k = len(questions)
     if isinstance(process, procmod.IIDProcess):
         qstep = np.tile(process.weights, (k, 1))

@@ -8,6 +8,7 @@ its minimum, zero, is degenerate: constant maps (no information) and maximally
 predictive maps (no nostalgia) both attain it.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .strategy import (
 _LN2 = np.log(2.0)
 _DESCENT_SLACK = 1e-12
 _LOG_FLOOR = 1e-300  # decoder entries floored inside logs; rows renormalized each iteration
-_MAP_BLOCK = 4096  # most maps evaluated at once: bounds the (maps, M, X') block in memory
+_MAP_BLOCK = 4096  # most maps, and tail subsets, per block: bounds the gathered (maps, M, X') terms
 
 
 @dataclass(frozen=True)
@@ -280,10 +281,17 @@ def _scan_maps(hf: HistoryFutureJoint, m: int, cap: int):
 
     Maps are numbered mixed-radix with the last history fastest, the order of
     `strategy.enumerate_deterministic`.  A block holds the m**r maps that share
-    their leading n_hist - r histories, with m**r <= _MAP_BLOCK.  p(m, x') grows one
-    history at a time: terms[h, d] is history row h placed on memory row d, and
-    each step broadcasts it against every map so far.  So each cell adds its
-    histories' rows in history order, plus exact +0.0 terms.
+    their leading n_hist - r histories, with m**r and 2**r <= _MAP_BLOCK.  Row d
+    of a map's p(m, x') is the prefix's row d plus the tail histories the map
+    sends to d, a subset of the last r.  So each block builds rows[d, s] for all
+    2**r subsets s by doubling, rows[:, 2**j:2**(j+1)] = rows[:, :2**j] + tail
+    history j; takes p ln p of these m * 2**r rows and of their sums once; and
+    gathers each map's m terms at the fixed flat index d * 2**r + mask_d(map).
+
+    The numbers equal those of summing every map's table on its own, bit for
+    bit: each row adds its histories to +0.0 in history order, and the gathered
+    terms are reduced on the same C-ordered (maps, m, x') and (maps, m) shapes.
+    So they depend neither on r nor on _MAP_BLOCK.
     """
     n_hist, x = hf.table.shape
     if n_hist < 1 or m < 1:
@@ -294,27 +302,32 @@ def _scan_maps(hf: HistoryFutureJoint, m: int, cap: int):
             f"{total} deterministic maps exceed the cap {cap}; "
             "use the soft optimizer or raise the cap"
         )
-    terms = np.zeros((n_hist, m, m, x))
-    for d in range(m):
-        terms[:, d, d] = hf.table
     r = 0
-    while r < n_hist and m ** (r + 1) <= _MAP_BLOCK:
+    while r < n_hist and max(m, 2) ** (r + 1) <= _MAP_BLOCK:
         r += 1
-
-    def grow(p, histories):
-        for h in histories:
-            p = (p[:, None] + terms[h][None]).reshape(-1, m, x)
-        return p
-
+    lead, block = n_hist - r, m**r
+    index = np.arange(m)[None] << r  # (maps in a block, m) flat rows d * 2**r + mask_d
+    for j in range(r):  # tail history j sets bit j of the mask of the row it maps to
+        index = (index[:, None] + (np.eye(m, dtype=index.dtype) << j)).reshape(-1, m)
+    index = index.ravel()
+    rows = np.empty((m, 1 << r, x))
+    terms = np.empty((block * m, x))
+    sum_terms = np.empty(block * m)
     h_x = -xlogx(hf.table.sum(axis=0)).sum() / _LN2
-    prefixes = grow(np.zeros((1, m, x)), range(n_hist - r))
-    for i in range(prefixes.shape[0]):
-        p_mx = grow(prefixes[i : i + 1], range(n_hist - r, n_hist))
-        p_m = p_mx.sum(axis=2)
-        i_mem = np.maximum(0.0, -xlogx(p_m).sum(axis=1) / _LN2)  # H(M): maps are deterministic
-        h_mx = -xlogx(p_mx).sum(axis=(1, 2)) / _LN2
+    for i, prefix in enumerate(itertools.product(range(m), repeat=lead)):
+        rows[:, 0] = 0.0
+        for h, d in enumerate(prefix):
+            rows[d, 0] += hf.table[h]
+        for j in range(r):
+            np.add(rows[:, : 1 << j], hf.table[lead + j], out=rows[:, 1 << j : 2 << j])
+        # every index is in range: "clip" only skips the copy that "raise" makes of `out`
+        np.take(xlogx(rows).reshape(-1, x), index, axis=0, out=terms, mode="clip")
+        np.take(xlogx(rows.sum(axis=2)), index, out=sum_terms, mode="clip")
+        # H(M): maps are deterministic
+        i_mem = np.maximum(0.0, -sum_terms.reshape(block, m).sum(axis=1) / _LN2)
+        h_mx = -terms.reshape(block, m, x).sum(axis=(1, 2)) / _LN2
         i_pred = np.maximum(0.0, i_mem + h_x - h_mx)
-        yield i * m**r, i_mem, i_pred
+        yield i * block, i_mem, i_pred
 
 
 def _map_at(index: int, n_hist: int, m: int) -> np.ndarray:

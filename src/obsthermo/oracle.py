@@ -110,7 +110,7 @@ def brute_force_joint(
     questions, process, initial: BlochVector, horizon: int, leaf_cap: int = LEAF_CAP
 ) -> EnumerationResult:
     """Exact probability of every length-`horizon` trajectory."""
-    questions = tuple(questions)
+    questions = chainmod.check_process_labels(questions, process)
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     leaves = (2 * len(questions)) ** horizon
@@ -152,7 +152,7 @@ def converged_tail(
     Returns (tail joint, horizon used).  Reducible chains such as the single
     question scenario stabilize immediately; mixing chains take a few steps.
     """
-    questions = tuple(questions)
+    questions = chainmod.check_process_labels(questions, process)
     k = len(questions)
     horizon = window + 1
     if (2 * k) ** (horizon + 1) > leaf_cap:
@@ -200,12 +200,7 @@ def mixing_burn_in(questions, process) -> int:
     time-homogeneous kernel and keep MIN_BURN_IN.  Only this length comes
     from the kernel; the windows are still simulated from the Born rule.
     """
-    if isinstance(process, procmod.PeriodicProcess):
-        return MIN_BURN_IN
-    lam = chainmod.slowest_mode_modulus(chainmod.build_chain(questions, process))
-    if lam == 0.0:
-        return MIN_BURN_IN
-    return max(MIN_BURN_IN, math.ceil(math.log(BURN_IN_TOL) / math.log(lam)))
+    return _chain_plan(questions, process, None)[0]
 
 
 def windows_per_replica(questions, process, burn_in: int | None = None) -> int:
@@ -217,13 +212,21 @@ def windows_per_replica(questions, process, burn_in: int | None = None) -> int:
     class it lands in, on a periodic one it keeps its phase, and a periodic
     schedule has no kernel, so each window needs its own replica.
     """
+    return _chain_plan(questions, process, burn_in)[1]
+
+
+def _chain_plan(questions, process, burn_in: int | None) -> tuple:
+    """(burn-in, windows per replica) of `mixing_burn_in` and `windows_per_replica`,
+    from at most one kernel build."""
     if isinstance(process, procmod.PeriodicProcess):
-        return 1
-    if not chainmod.mixes(chainmod.build_chain(questions, process)):
-        return 1
+        return (MIN_BURN_IN if burn_in is None else burn_in), 1
+    kernel = chainmod.build_chain(questions, process)
     if burn_in is None:
-        burn_in = mixing_burn_in(questions, process)
-    return max(1, burn_in)
+        lam = chainmod.slowest_mode_modulus(kernel)
+        burn_in = MIN_BURN_IN
+        if lam != 0.0:
+            burn_in = max(MIN_BURN_IN, math.ceil(math.log(BURN_IN_TOL) / math.log(lam)))
+    return burn_in, (max(1, burn_in) if chainmod.mixes(kernel) else 1)
 
 
 def replica_layout(n: int, per_replica: int) -> tuple:
@@ -262,10 +265,9 @@ def sample_windows(
     question count.  Rows r*L to r*L + L - 1 are replica r's windows in time
     order, so row i+1's first 2*window columns are row i's last 2*window.
     """
-    questions = tuple(questions)
-    if burn_in is None:
-        burn_in = mixing_burn_in(questions, process)
-    replicas, per = replica_layout(n, windows_per_replica(questions, process, burn_in))
+    questions = chainmod.check_process_labels(questions, process)
+    burn_in, per = _chain_plan(questions, process, burn_in)
+    replicas, per = replica_layout(n, per)
     k = len(questions)
     rng = np.random.Generator(np.random.Philox(key=seed))
     next_questions = procmod.question_step(process)
@@ -358,10 +360,9 @@ def monte_carlo_check(
     if n < 10**3:
         raise ValidationError(f"need at least 1000 samples, got {n}")
     questions = tuple(questions)
-    if burn_in is None:
-        burn_in = mixing_burn_in(questions, process)
+    burn_in, per = _chain_plan(questions, process, burn_in)
     samples = sample_windows(questions, process, initial, window, n, seed, burn_in=burn_in)
-    replicas, per = replica_layout(n, windows_per_replica(questions, process, burn_in))
+    replicas, per = replica_layout(n, per)
     labels = tuple(q.label for q in questions)
     k, labeled, encoder, _ = view_encoder(strategy, labels, window)
     views, nexts = encoder.shape[0], 2 * len(questions)

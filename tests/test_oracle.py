@@ -368,3 +368,44 @@ def test_monte_carlo_three_sigma_coverage_and_calibration(name):
     errors = np.array([r.se_i_pred for r in runs])
     assert np.sum(np.abs(estimates - exact) > 3.0 * errors) <= 1
     assert 0.7 <= np.std(estimates, ddof=1) / np.median(errors) <= 1.4
+
+
+def test_schedule_must_list_the_questions_in_their_order():
+    # a periodic schedule listing (Qx, Qz) for questions (Qz, Qx) used to ask Qx
+    questions, _ = case_b_questions()
+    plus_z = BlochVector(0.0, 0.0, 1.0)
+    swapped = PeriodicProcess(labels=("Qx", "Qz"), sequence=("Qz",))
+    with pytest.raises(ValidationError, match="do not match"):
+        sample_windows(questions, swapped, plus_z, window=1, n=2000, seed=0)
+    with pytest.raises(ValidationError, match="do not match"):
+        monte_carlo_check(
+            questions, swapped, plus_z, window=1, strategy=WindowStrategy(k=1), n=2000, seed=0
+        )
+    with pytest.raises(ValidationError, match="do not match"):
+        brute_force_joint(questions, swapped, plus_z, horizon=2)
+    with pytest.raises(ValidationError, match="do not match"):
+        converged_tail(questions, swapped, plus_z, window=1)
+    with pytest.raises(ValidationError, match="do not match"):
+        build_chain(questions, IIDProcess(labels=("Qx", "Qz"), weights=np.array([0.5, 0.5])))
+
+    ordered = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz",))
+    windows = sample_windows(questions, ordered, plus_z, window=1, n=2000, seed=0)
+    assert not windows.any()  # always Qz, always +1
+    tail, _ = converged_tail(questions, ordered, plus_z, window=1)
+    assert tail.table[0, 0, 0, 0] == pytest.approx(1.0)
+
+
+def test_monte_carlo_check_builds_the_kernel_once_per_plan(monkeypatch):
+    from obsthermo import chain as chainmod
+
+    builds = []
+    original = chainmod.build_chain
+    monkeypatch.setattr(chainmod, "build_chain", lambda *a: builds.append(1) or original(*a))
+    questions, proc = case_b_questions()
+    monte_carlo_check(
+        questions, proc, MIXED_STATE, window=2, strategy=WindowStrategy(k=2), n=2000, seed=1
+    )
+    assert len(builds) == 2  # monte_carlo_check's plan, then sample_windows' own
+    builds.clear()
+    sample_windows(questions, proc, MIXED_STATE, window=2, n=2000, seed=1)
+    assert len(builds) == 1
