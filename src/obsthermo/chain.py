@@ -331,6 +331,14 @@ class Trajectory:
                 raise ValidationError(f"answers must be +1/-1, got {a!r}")
         object.__setattr__(self, "steps", steps)
 
+    @classmethod
+    def _of_pairs(cls, steps: tuple, seed: int, initial: BlochVector) -> "Trajectory":
+        """A trajectory over a non-empty tuple of (str label, +1/-1) pairs, taken as it is."""
+        traj = cls.__new__(cls)
+        for name, value in (("steps", steps), ("seed", seed), ("initial", initial)):
+            object.__setattr__(traj, name, value)
+        return traj
+
     def __len__(self):
         return len(self.steps)
 
@@ -360,7 +368,7 @@ def sample_trajectory(
         a[t0:t1] = step(state, q[t0:t1], rng.random((t1 - t0, 1)))
         state = 2 * q[t1 - 1] + a[t1 - 1]
     answers = (1 - 2 * a[:, 0]).tolist()
-    return Trajectory(steps=tuple(zip(labels, answers)), seed=seed, initial=initial)
+    return Trajectory._of_pairs(tuple(zip(map(str, labels), answers)), seed, initial)
 
 
 def trajectory_window_indices(trajectory: Trajectory, questions, window: int) -> np.ndarray:

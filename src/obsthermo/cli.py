@@ -65,11 +65,12 @@ def _cmd_analyze(args) -> int:
     scenario = load_scenario(args.config)
     out = _out_dir(args, scenario)
     result = workflows.analyze(scenario)
+    window = result.window  # the full window may exceed the entry cap: fail before any write
     if result.long_run.cesaro:
         print("note: periodic chain, long run is the Cesaro average", file=sys.stderr)
     report = result.report.to_dict()
     _dump_json(report, out / f"{scenario.name}_report.json")
-    write_window_joint_csv(result.window, out / f"{scenario.name}_window_joint.csv")
+    write_window_joint_csv(window, out / f"{scenario.name}_window_joint.csv")
     memory_joint = result.applied.marginal(["m", "q+1", "a+1"])
     write_joint_csv(
         memory_joint,

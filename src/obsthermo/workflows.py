@@ -5,6 +5,7 @@ them directly.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import bound as boundmod
 from . import chain as chainmod
@@ -27,6 +28,7 @@ from .strategy import (
     MEMORY_VAR,
     apply_strategy,
     deterministic_count,
+    history_window,
     view_encoder,
 )
 
@@ -40,33 +42,53 @@ def scenario_kernel(scenario: Scenario) -> chainmod.ChainKernel:
     return chainmod.build_chain(scenario.questions, scenario.process)
 
 
-def scenario_window(scenario: Scenario):
-    """(kernel, long-run result, window joint) for a scenario."""
+def scenario_window(scenario: Scenario, k: int | None = None):
+    """(kernel, long-run result, window joint over the last k pairs) for a scenario.
+
+    k defaults to the scenario's window w.  The long run is invariant under
+    the kernel, so the k-pair window is exactly the marginal of the w-pair one.
+    """
     kernel = scenario_kernel(scenario)
     long_run = chainmod.long_run_distribution(kernel, scenario.initial_state)
-    window = chainmod.window_joint(kernel, long_run, scenario.window)
+    window = chainmod.window_joint(kernel, long_run, scenario.window if k is None else k)
     return kernel, long_run, window
 
 
 @dataclass(frozen=True, eq=False)
 class AnalysisResult:
-    """`applied` spans only the strategy's k-pair window: I(M; window) = I(M; view)."""
+    """The report of a strategy and the tables it was read from.
+
+    `view` is the window over the strategy's k pairs, the only table analyze
+    builds, and `applied` spans it: I(M; w-pair history) = I(M; view).
+    `window`, the scenario's full w-pair window, is built on first access
+    (it is `view` when k = w), so its entry cap binds only code that reads it.
+    """
 
     report: boundmod.InfoReport
-    window: JointDistribution
+    view: JointDistribution
     applied: JointDistribution
     long_run: chainmod.LongRunResult
+    kernel: chainmod.ChainKernel
+    w: int
+
+    @cached_property
+    def window(self) -> JointDistribution:
+        if self.w == history_window(self.view):
+            return self.view
+        return chainmod.window_joint(self.kernel, self.long_run, self.w)
 
 
 def analyze(scenario: Scenario) -> AnalysisResult:
-    """Exact InfoReport for the scenario's strategy at its window."""
+    """Exact InfoReport for the scenario's strategy, from its k-pair view window."""
     if scenario.strategy is None:
         raise ValidationError("scenario.strategy: required for analyze")
-    _, long_run, window = scenario_window(scenario)
     k = view_encoder(scenario.strategy, scenario.labels, scenario.window)[0]
-    applied = apply_strategy(scenario.strategy, window.marginal(chainmod.window_names(k)))
+    kernel, long_run, view = scenario_window(scenario, k)
+    applied = apply_strategy(scenario.strategy, view)
     report = boundmod.evaluate(applied, temperature_kelvin=scenario.temperature_kelvin)
-    return AnalysisResult(report=report, window=window, applied=applied, long_run=long_run)
+    return AnalysisResult(
+        report=report, view=view, applied=applied, long_run=long_run, kernel=kernel, w=scenario.window
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +108,13 @@ def optimize(scenario: Scenario) -> OptimizeResult:
     settings = scenario.optimizer
     if settings is None:
         raise ValidationError("scenario.optimizer: required for optimize")
-    _, _, window = scenario_window(scenario)
-    hf = history_future_joint(window, k=settings.history_k, labeled=settings.history_labeled)
+    k = scenario.window if settings.history_k is None else settings.history_k
+    if not 1 <= k <= scenario.window:
+        raise ValidationError(
+            f"optimizer.history.k={k} outside the scenario's history window w={scenario.window}"
+        )
+    _, _, window = scenario_window(scenario, k)
+    hf = history_future_joint(window, k=k, labeled=settings.history_labeled)
     points = tuple(sweep_beta(hf, settings))
     best = min(points, key=lambda p: p.objective)
     degeneracy = None

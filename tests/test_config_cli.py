@@ -9,6 +9,7 @@ from obsthermo import (
     analyze,
     bundled_scenario,
     bundled_scenario_path,
+    optimize,
     parse_scenario,
     scenario_to_json,
     serialize_scenario,
@@ -223,3 +224,35 @@ def test_serialization_preserves_field_values():
     assert data["process"]["transition"] == [[1.0, 0.0], [0.0, 1.0]]
     assert data["strategy"] == {"type": "window", "k": 2, "labeled": False}
     assert data["optimizer"]["history"] == {"k": 1, "labeled": False}
+
+
+def _two_question_config(**overrides):
+    return minimal_config(
+        questions=[
+            {"label": "Qz", "axis": [0.0, 0.0, 1.0]},
+            {"label": "Qx", "axis": [1.0, 0.0, 0.0]},
+        ],
+        process={"type": "iid", "weights": [0.5, 0.5]},
+        **overrides,
+    )
+
+
+def test_optimize_history_beyond_window_rejected(tmp_path):
+    cfg = _two_question_config(window=2, optimizer={"memory_size": 2, "history": {"k": 3}})
+    with pytest.raises(ValidationError, match="history"):
+        optimize(parse_scenario(cfg))
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_cli_analyze_beyond_the_entry_cap_writes_nothing(tmp_path, capsys):
+    # K = 2, w = 11: analyze reads its k = 1 view, but the CLI also writes the
+    # full window, which has 4^12 > WINDOW_ENTRY_CAP entries
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_two_question_config(window=11)))
+    out = tmp_path / "out"
+    assert cli_main(["analyze", "--config", str(path), "--out", str(out)]) == 1
+    assert "size cap" in capsys.readouterr().err
+    assert not any(out.iterdir())

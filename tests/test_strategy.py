@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from obsthermo import (
+    BlochVector,
     KernelStrategy,
     MIXED_STATE,
+    MarkovProcess,
     NothingStrategy,
+    OptimizerSettings,
+    Question,
     SizeCapError,
     ValidationError,
     WindowStrategy,
@@ -22,9 +26,12 @@ from obsthermo import (
     long_run_distribution,
     memory_capacity_bits,
     mutual_information,
+    optimize,
     strategy_summary,
     window_joint,
+    workflows,
 )
+from obsthermo.optimize import history_future_joint
 from obsthermo.strategy import (
     assignment_from_map,
     deterministic_count,
@@ -33,7 +40,7 @@ from obsthermo.strategy import (
     write_kernel_csv,
 )
 
-from conftest import case_b_questions
+from conftest import case_b_questions, two_questions_at_angle
 
 H_CASE_B_PAIR = 3.0 - 0.75 * math.log2(3.0)
 
@@ -154,6 +161,111 @@ def test_analyze_on_its_view_matches_full_window(strategy):
     assert np.max(
         np.abs(result.applied.marginal(pinned).table - full.marginal(pinned).table)
     ) <= 1e-12
+
+
+def _alternating_scenario():
+    process = MarkovProcess(
+        labels=("Qz", "Qx"), transition=np.array([[0.0, 1.0], [1.0, 0.0]]), initial=np.array([1.0, 0.0])
+    )
+    return dataclasses.replace(
+        bundled_scenario("case_b_labeled"),
+        process=process,
+        initial_state=BlochVector(0, 0, 1),
+    )
+
+
+def _slow_scenario():
+    questions, process = two_questions_at_angle(0.05)
+    return dataclasses.replace(
+        bundled_scenario("case_b_labeled"),
+        questions=questions,
+        process=process,
+        initial_state=BlochVector(0, 0, 1),
+    )
+
+
+def _three_question_markov_scenario():
+    questions, _ = case_b_questions()
+    questions += (Question(label="Qy", axis=np.array([0.0, 0.6, 0.8])),)
+    process = MarkovProcess(
+        labels=("Qz", "Qx", "Qy"),
+        transition=np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.0, 0.6]]),
+        initial=np.array([0.2, 0.5, 0.3]),
+    )
+    return dataclasses.replace(
+        bundled_scenario("case_b_labeled"),
+        questions=questions,
+        process=process,
+        initial_state=BlochVector(0.3, -0.2, 0.5),
+    )
+
+
+# chains where the k-window equals the w-window's marginal only because the
+# long run is invariant under the kernel: reducible, periodic (Cesaro), slow
+AGREEMENT_CASES = {
+    "case_a": lambda: bundled_scenario("case_a"),
+    "case_b_bestcase": lambda: bundled_scenario("case_b_bestcase"),
+    "alternating": _alternating_scenario,
+    "theta_0.05_from_z": _slow_scenario,
+    "three_question_markov": _three_question_markov_scenario,
+}
+AGREEMENT_W = 3
+AGREEMENT_VIEWS = [(1, True), (2, False), (2, True)]
+
+
+@pytest.mark.parametrize("name", AGREEMENT_CASES)
+def test_k_window_routes_match_the_full_window(name, monkeypatch):
+    base = dataclasses.replace(AGREEMENT_CASES[name](), window=AGREEMENT_W)
+    kernel = build_chain(base.questions, base.process)
+    long_run = long_run_distribution(kernel, base.initial_state)
+    full = window_joint(kernel, long_run, AGREEMENT_W)
+    assert long_run.cesaro == (name == "alternating")
+
+    strategies = [NothingStrategy(), *(WindowStrategy(k=k, labeled=lab) for k, lab in AGREEMENT_VIEWS)]
+    for strategy in strategies:
+        scenario = dataclasses.replace(base, strategy=strategy, temperature_kelvin=300.0)
+        result = analyze(scenario)
+        expected = evaluate(apply_strategy(strategy, full), temperature_kelvin=300.0)
+        for field, value in dataclasses.asdict(expected).items():
+            assert getattr(result.report, field) == pytest.approx(value, rel=0, abs=1e-12), field
+
+    built = []
+
+    def spy(window, k=None, labeled=True):
+        hf = history_future_joint(window, k=k, labeled=labeled)
+        built.append(hf)
+        return hf
+
+    monkeypatch.setattr(workflows, "history_future_joint", spy)
+    for k, labeled in AGREEMENT_VIEWS:
+        settings = OptimizerSettings(
+            memory_size=2, beta_steps=1, restarts=1, history_k=k, history_labeled=labeled
+        )
+        optimize(dataclasses.replace(base, optimizer=settings))
+        expected = history_future_joint(full, k=k, labeled=labeled)
+        assert built[-1].history_symbols == expected.history_symbols
+        assert np.max(np.abs(built[-1].table - expected.table)) <= 1e-12
+
+
+def test_analyze_beyond_the_entry_cap_reports_its_view():
+    # K = 2, w = 11: the full window has 4^12 > WINDOW_ENTRY_CAP entries
+    big = dataclasses.replace(
+        bundled_scenario("case_b_labeled"), window=11, strategy=WindowStrategy(k=2, labeled=True)
+    )
+    result = analyze(big)
+    small = analyze(dataclasses.replace(big, window=2)).report
+    for field, value in dataclasses.asdict(small).items():
+        assert getattr(result.report, field) == pytest.approx(value, rel=0, abs=1e-12), field
+    with pytest.raises(SizeCapError):
+        result.window
+
+
+def test_analysis_window_is_the_view_when_k_equals_w():
+    scenario = dataclasses.replace(
+        bundled_scenario("case_b_labeled"), window=2, strategy=WindowStrategy(k=2, labeled=False)
+    )
+    result = analyze(scenario)
+    assert result.window is result.view
 
 
 def test_window_k_exceeding_joint_window_rejected(case_b_window2):
