@@ -9,13 +9,14 @@ s = 2 * question_index + (0 if a == +1 else 1).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import process as procmod
 from .errors import SizeCapError, ValidationError
 from .joint import JointDistribution, write_joint_csv
-from .qubit import ANSWERS, BlochVector, Question, answer_to_bit, born_probability, collapse
+from .qubit import ANSWERS, BlochVector, Question, answer_to_bit, collapsed_states, outcome_table
 
 KERNEL_TOL = 1e-12
 LONG_RUN_TOL = 1e-10
@@ -73,17 +74,20 @@ def state_symbols(questions) -> list:
     return [(q.label, a) for q in questions for a in ANSWERS]
 
 
+def step_law(law: np.ndarray, states: np.ndarray, axes) -> np.ndarray:
+    """(n, 2K) law of the next chain state from n qubit states: the one-step law.
+
+    Row i is law[i, q] times the Born factor of answer a for states[i] along
+    axes[q], at column 2q + (0 if a == +1 else 1); `law` holds rows of
+    `process.question_law`.
+    """
+    return (law[:, :, None] * outcome_table(states, axes)).reshape(len(law), -1)
+
+
 def born_plus_matrix(questions) -> np.ndarray:
     """B[s, j] = P(+1 | state s, axis of question j), for every chain state s."""
-    questions = _check_questions(questions)
-    k = len(questions)
-    out = np.empty((2 * k, k))
-    for i, q in enumerate(questions):
-        for a in ANSWERS:
-            state = collapse(q.axis, a)
-            for j, q2 in enumerate(questions):
-                out[state_index(i, a), j] = born_probability(state, q2.axis)
-    return out
+    axes = [q.axis for q in _check_questions(questions)]
+    return outcome_table(collapsed_states(axes), axes)[:, :, 0]
 
 
 def answer_step(questions, initial: BlochVector):
@@ -95,8 +99,9 @@ def answer_step(questions, initial: BlochVector):
     lookup, the later ones {+,-} -> {+,-} maps of the answer before.
     """
     k = len(questions)
-    p0 = [born_probability(initial, q.axis) for q in questions]
-    born = np.vstack([born_plus_matrix(questions), p0, p0]).ravel()
+    axes = [q.axis for q in questions]
+    born = outcome_table(np.vstack([collapsed_states(axes), initial.as_array()]), axes)
+    born = born[:, :, 0].ravel()
     rows = np.array([[0], [k]])  # born[2 q_prev + a_prev, q] for a_prev = 0, 1
 
     def step(prev, q, u):
@@ -136,6 +141,12 @@ class ChainKernel:
     def num_questions(self) -> int:
         return len(self.questions)
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The matrix's eigenvalues, computed once for `mixes`, `slowest_mode_modulus`
+        and the long run's periodicity flag."""
+        return np.linalg.eigvals(self.matrix)
+
 
 def build_chain(questions, process: procmod.QuestionProcess) -> ChainKernel:
     """Kernel P((q',a') | (q,a)) = P_proc(q'|q) * Born(a' | collapse(q,a), axis(q')).
@@ -149,36 +160,10 @@ def build_chain(questions, process: procmod.QuestionProcess) -> ChainKernel:
             "use oracle.brute_force_joint for time-unrolled enumeration"
         )
     questions = check_process_labels(questions, process)
-    k = len(questions)
-    if isinstance(process, procmod.IIDProcess):
-        qstep = np.tile(process.weights, (k, 1))
-    else:
-        qstep = np.asarray(process.transition)
-    born = born_plus_matrix(questions)  # (2k, k)
-    mat = np.empty((2 * k, 2 * k))
-    for s in range(2 * k):
-        q = s // 2
-        for j in range(k):
-            mat[s, state_index(j, +1)] = qstep[q, j] * born[s, j]
-            mat[s, state_index(j, -1)] = qstep[q, j] * (1.0 - born[s, j])
+    axes = [q.axis for q in questions]
+    law = np.repeat(procmod.question_law(process)[:-1], 2, axis=0)  # row s: after question s // 2
+    mat = step_law(law, collapsed_states(axes), axes)
     return ChainKernel(questions=questions, process=process, matrix=mat)
-
-
-def initial_state_distribution(
-    questions, initial: BlochVector, first_question_dist: np.ndarray
-) -> np.ndarray:
-    """Distribution of the first (question, answer) pair from a fresh state."""
-    questions = _check_questions(questions)
-    k = len(questions)
-    first = np.asarray(first_question_dist, dtype=float)
-    if first.shape != (k,):
-        raise ValidationError(f"first question law needs {k} entries, got shape {first.shape}")
-    mu = np.empty(2 * k)
-    for j, q in enumerate(questions):
-        p_plus = born_probability(initial, q.axis)
-        mu[state_index(j, +1)] = first[j] * p_plus
-        mu[state_index(j, -1)] = first[j] * (1.0 - p_plus)
-    return mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,9 +187,9 @@ class LongRunResult:
         object.__setattr__(self, "distribution", mu)
 
 
-def _is_periodic(matrix: np.ndarray) -> bool:
+def _is_periodic(kernel: ChainKernel) -> bool:
     """True when the kernel has an eigenvalue of modulus 1 other than 1."""
-    vals = np.linalg.eigvals(matrix)
+    vals = kernel.eigenvalues
     on_circle = np.abs(np.abs(vals) - 1.0) < _UNIT_TOL
     return bool(np.any(on_circle & (np.abs(vals - 1.0) >= _UNIT_TOL)))
 
@@ -215,7 +200,7 @@ def mixes(kernel: ChainKernel) -> bool:
     Then the chain has one recurrent class and it is aperiodic: every start
     converges to the same long run, and one trajectory forgets where it began.
     """
-    moduli = np.abs(np.linalg.eigvals(kernel.matrix))
+    moduli = np.abs(kernel.eigenvalues)
     return int(np.sum(moduli >= 1.0 - _UNIT_TOL)) == 1
 
 
@@ -225,7 +210,7 @@ def slowest_mode_modulus(kernel: ChainKernel) -> float:
     Stationary and periodic modes, within the unit tolerance of modulus 1, are
     left out: what remains sets how fast the chain forgets its start.
     """
-    moduli = np.abs(np.linalg.eigvals(kernel.matrix))
+    moduli = np.abs(kernel.eigenvalues)
     inner = moduli[moduli < 1.0 - _UNIT_TOL]
     return float(inner.max()) if inner.size else 0.0
 
@@ -251,9 +236,7 @@ def _cesaro_limit(matrix: np.ndarray, mu0: np.ndarray) -> np.ndarray:
     return mu
 
 
-def long_run_distribution(
-    kernel: ChainKernel, initial: BlochVector, first_question_dist: np.ndarray | None = None
-) -> LongRunResult:
+def long_run_distribution(kernel: ChainKernel, initial: BlochVector) -> LongRunResult:
     """Limit of the chain distribution started from the induced initial law.
 
     Reducible chains (e.g. a single question) get the initial-condition-induced
@@ -261,17 +244,15 @@ def long_run_distribution(
     not settle, the result is the Cesaro average; it is flagged only if the
     chain is genuinely periodic, not merely slow to mix.
     """
-    if first_question_dist is None:
-        first_question_dist = procmod.first_question_distribution(kernel.process)
-    mu = initial_state_distribution(kernel.questions, initial, first_question_dist)
+    start = procmod.question_law(kernel.process)[-1:]
+    mu0 = mu = step_law(start, initial.as_array()[None], [q.axis for q in kernel.questions])[0]
     mat = kernel.matrix
     for _ in range(10_000):
         nxt = mu @ mat
         if np.max(np.abs(nxt - mu)) < 1e-15:
             return LongRunResult(distribution=nxt, cesaro=False)
         mu = nxt
-    mu0 = initial_state_distribution(kernel.questions, initial, first_question_dist)
-    return LongRunResult(distribution=_cesaro_limit(mat, mu0), cesaro=_is_periodic(mat))
+    return LongRunResult(distribution=_cesaro_limit(mat, mu0), cesaro=_is_periodic(kernel))
 
 
 def window_alphabets(questions, window: int) -> tuple:

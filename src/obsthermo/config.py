@@ -7,6 +7,7 @@ optimizer settings and temperature.  Unknown keys are rejected.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -73,6 +74,59 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _boolean(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where}: must be true or false, got {value!r}")
+    return value
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer, or a float with an integral value; never a bool."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValidationError(f"{where}: must be an integer, got {value!r}")
+
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise ValidationError(f"{where}: must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    """A (nested) list of JSON numbers as a float array."""
+
+    def numeric(v) -> bool:
+        if isinstance(v, list):
+            return all(numeric(x) for x in v)
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and np.isfinite(v)
+
+    if not isinstance(value, list) or not numeric(value):
+        raise ValidationError(f"{where}: must be a list of finite numbers, got {value!r}")
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:  # ragged nesting
+        raise ValidationError(f"{where}: rows must have equal lengths") from None
+
+
+_REQUIRED = object()
+
+
+def _field(data: dict, key: str, where: str, check, default=_REQUIRED):
+    """data[key] passed through `check`, or `default` when the key is absent."""
+    if key in data:
+        return check(data[key], f"{where}.{key}")
+    if default is _REQUIRED:
+        raise ValidationError(f"{where}.{key}: required key missing")
+    return default
+
+
+def _optional_integer(value, where: str):
+    return None if value is None else _integer(value, where)
+
+
 def _parse_questions(items, where: str) -> tuple:
     if not isinstance(items, list) or not items:
         raise ValidationError(f"{where}: needs a non-empty list of questions")
@@ -83,9 +137,9 @@ def _parse_questions(items, where: str) -> tuple:
             raise ValidationError(f"{spot}: expected an object with label and axis")
         _reject_unknown(item, {"label", "axis"}, spot)
         label = _require(item, "label", spot)
-        axis = _require(item, "axis", spot)
+        axis = _field(item, "axis", spot, _numbers)
         try:
-            out.append(Question(label=str(label), axis=np.asarray(axis, dtype=float)))
+            out.append(Question(label=str(label), axis=axis))
         except ValidationError as exc:
             raise ValidationError(f"{spot}: {exc}") from None
     labels = [q.label for q in out]
@@ -98,71 +152,68 @@ def _parse_process(data, labels, where: str) -> QuestionProcess:
     if not isinstance(data, dict):
         raise ValidationError(f"{where}: expected an object")
     kind = _require(data, "type", where)
+    fields = {"iid": ("weights",), "markov": ("transition", "initial"), "periodic": ("sequence",)}
+    if kind not in fields:
+        raise ValidationError(f"{where}.type: must be iid, markov or periodic, got {kind!r}")
+    _reject_unknown(data, {"type", *fields[kind]}, where)
+    if kind == "periodic":
+        build, args = PeriodicProcess, {"sequence": _require(data, "sequence", where)}
+    else:
+        build = IIDProcess if kind == "iid" else MarkovProcess
+        args = {key: _field(data, key, where, _numbers) for key in fields[kind]}
     try:
-        if kind == "iid":
-            _reject_unknown(data, {"type", "weights"}, where)
-            return IIDProcess(labels=labels, weights=_require(data, "weights", where))
-        if kind == "markov":
-            _reject_unknown(data, {"type", "transition", "initial"}, where)
-            return MarkovProcess(
-                labels=labels,
-                transition=_require(data, "transition", where),
-                initial=_require(data, "initial", where),
-            )
-        if kind == "periodic":
-            _reject_unknown(data, {"type", "sequence"}, where)
-            return PeriodicProcess(labels=labels, sequence=_require(data, "sequence", where))
+        return build(labels=labels, **args)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
-    raise ValidationError(f"{where}.type: must be iid, markov or periodic, got {kind!r}")
 
 
 def _parse_strategy(data, where: str) -> Strategy:
     if not isinstance(data, dict):
         raise ValidationError(f"{where}: expected an object")
     kind = _require(data, "type", where)
+    fields = {"window": ("k", "labeled"), "nothing": (), "kernel": ("assignment", "k", "labeled")}
+    if kind not in fields:
+        raise ValidationError(f"{where}.type: must be window, kernel or nothing, got {kind!r}")
+    _reject_unknown(data, {"type", *fields[kind]}, where)
+    if kind == "nothing":
+        return NothingStrategy()
+    labeled = _field(data, "labeled", where, _boolean, True)
+    if kind == "window":
+        build, args = WindowStrategy, {"k": _field(data, "k", where, _integer)}
+    else:
+        build = KernelStrategy
+        args = {
+            "assignment": _field(data, "assignment", where, _numbers),
+            "k": _field(data, "k", where, _optional_integer, None),
+        }
     try:
-        if kind == "window":
-            _reject_unknown(data, {"type", "k", "labeled"}, where)
-            return WindowStrategy(k=int(_require(data, "k", where)), labeled=bool(data.get("labeled", True)))
-        if kind == "nothing":
-            _reject_unknown(data, {"type"}, where)
-            return NothingStrategy()
-        if kind == "kernel":
-            _reject_unknown(data, {"type", "assignment", "k", "labeled"}, where)
-            return KernelStrategy(
-                assignment=np.asarray(_require(data, "assignment", where), dtype=float),
-                k=int(data["k"]) if data.get("k") is not None else None,
-                labeled=bool(data.get("labeled", True)),
-            )
+        return build(labeled=labeled, **args)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
-    raise ValidationError(f"{where}.type: must be window, kernel or nothing, got {kind!r}")
 
 
 def _parse_optimizer(data, where: str) -> OptimizerSettings:
     if not isinstance(data, dict):
         raise ValidationError(f"{where}: expected an object")
     _reject_unknown(data, _OPTIMIZER_KEYS, where)
-    history = data.get("history")
-    history_k, history_labeled = None, True
-    if history is not None:
-        _reject_unknown(history, {"k", "labeled"}, f"{where}.history")
-        history_k = int(history["k"]) if history.get("k") is not None else None
-        history_labeled = bool(history.get("labeled", True))
+    history = {} if data.get("history") is None else data["history"]
+    if not isinstance(history, dict):
+        raise ValidationError(f"{where}.history: expected an object")
+    _reject_unknown(history, {"k", "labeled"}, f"{where}.history")
+    settings = {
+        "memory_size": _field(data, "memory_size", where, _integer),
+        "beta_min": _field(data, "beta_min", where, _number, 1.0),
+        "beta_max": _field(data, "beta_max", where, _number, 8.0),
+        "beta_steps": _field(data, "beta_steps", where, _integer, 7),
+        "tolerance": _field(data, "tolerance", where, _number, 1e-9),
+        "max_iterations": _field(data, "max_iterations", where, _integer, 10_000),
+        "restarts": _field(data, "restarts", where, _integer, 8),
+        "seed": _field(data, "seed", where, _integer, 0),
+        "history_k": _field(history, "k", f"{where}.history", _optional_integer, None),
+        "history_labeled": _field(history, "labeled", f"{where}.history", _boolean, True),
+    }
     try:
-        return OptimizerSettings(
-            memory_size=int(_require(data, "memory_size", where)),
-            beta_min=float(data.get("beta_min", 1.0)),
-            beta_max=float(data.get("beta_max", 8.0)),
-            beta_steps=int(data.get("beta_steps", 7)),
-            tolerance=float(data.get("tolerance", 1e-9)),
-            max_iterations=int(data.get("max_iterations", 10_000)),
-            restarts=int(data.get("restarts", 8)),
-            seed=int(data.get("seed", 0)),
-            history_k=history_k,
-            history_labeled=history_labeled,
-        )
+        return OptimizerSettings(**settings)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
@@ -176,12 +227,12 @@ def parse_scenario(data: dict) -> Scenario:
     questions = _parse_questions(_require(data, "questions", "scenario"), "scenario.questions")
     labels = tuple(q.label for q in questions)
     process = _parse_process(_require(data, "process", "scenario"), labels, "scenario.process")
-    initial_raw = data.get("initial_state", [0.0, 0.0, 0.0])
+    initial_raw = _field(data, "initial_state", "scenario", _numbers, np.zeros(3))
     try:
-        initial = BlochVector.from_array(np.asarray(initial_raw, dtype=float))
+        initial = BlochVector.from_array(initial_raw)
     except ValidationError as exc:
         raise ValidationError(f"scenario.initial_state: {exc}") from None
-    window = int(_require(data, "window", "scenario"))
+    window = _field(data, "window", "scenario", _integer)
     if window < 1:
         raise ValidationError(f"scenario.window: must be >= 1, got {window}")
     strategy = None
@@ -192,7 +243,7 @@ def parse_scenario(data: dict) -> Scenario:
         optimizer = _parse_optimizer(data["optimizer"], "scenario.optimizer")
     temperature = data.get("temperature_kelvin")
     if temperature is not None:
-        temperature = float(temperature)
+        temperature = _number(temperature, "scenario.temperature_kelvin")
         if temperature <= 0:
             raise ValidationError(f"scenario.temperature_kelvin: must be > 0, got {temperature}")
     output = data.get("output")

@@ -3,11 +3,13 @@ enumeration and seeded Monte Carlo.
 
 The tree enumerates every (question, answer) path explicitly, multiplying
 process weights and Born factors leaf by leaf from the actual Bloch vectors.
-It shares only the one-step physics (Born rule, collapse) with the chain
-module, none of its kernel or stationary-distribution algebra, so agreement
-between the two certifies both.
+It shares only the one-step physics with the chain module: the Born table
+`qubit.outcome_table`, the question law `process.question_law` and the step
+`chain.step_law` that multiplies them.  It shares none of the kernel,
+long-run or window algebra, so agreement between the two certifies both.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +21,7 @@ from . import joint as jointmod
 from . import process as procmod
 from .errors import SizeCapError, ValidationError
 from .joint import JointDistribution
-from .qubit import ANSWERS, BlochVector, born_probability
+from .qubit import ANSWERS, BlochVector, collapsed_states
 from .strategy import Strategy, view_encoder
 from .strategy import apply_strategy  # noqa: F401  unused; perfbench/selftest.py expects this import site
 
@@ -44,66 +46,24 @@ class EnumerationResult:
     leaf_count: int
 
 
-def _axes_matrix(questions) -> np.ndarray:
-    return np.stack([q.axis for q in questions])
+def _tree_levels(questions, process, initial: BlochVector):
+    """Leaf masses of the tree at horizons 1, 2, ...: each level branches every
+    leaf into 2K children (question, answer), a fresh root first.
 
-
-def _first_leaves(questions, process, initial: BlochVector):
+    The root sits at `initial`.  Leaf i of a level ends in chain state i % 2K,
+    so its Bloch vector is row i % 2K of the collapsed states.
+    """
     k = len(questions)
-    axes = _axes_matrix(questions)
-    first = procmod.first_question_distribution(process)
-    p_plus = np.array([born_probability(initial, q.axis) for q in questions])
-    probs = np.empty(2 * k)
-    probs[0::2] = first * p_plus
-    probs[1::2] = first * (1.0 - p_plus)
-    signs = np.tile([1.0, -1.0], k)
-    states = np.repeat(axes, 2, axis=0) * signs[:, None]
-    return probs, states
-
-
-def _expand_leaves(questions, process, probs, states, time_index):
-    """One tree level: each leaf branches into 2K children (question, answer)."""
-    k = len(questions)
-    axes = _axes_matrix(questions)
-    n = probs.shape[0]
-    if isinstance(process, procmod.IIDProcess):
-        law = np.tile(process.weights, (n, 1))
-    elif isinstance(process, procmod.MarkovProcess):
-        last_q = (np.arange(n) // 2) % k
-        law = process.transition[last_q]
-    else:
-        law = np.zeros((n, k))
-        label = process.sequence[time_index % len(process.sequence)]
-        law[:, process.labels.index(label)] = 1.0
-    p_plus = 0.5 * (1.0 + states @ axes.T)  # (n, k), Born from the actual Bloch vectors
-    p_plus = np.clip(p_plus, 0.0, 1.0)
-    children = np.empty((n, k, 2))
-    children[:, :, 0] = law * p_plus
-    children[:, :, 1] = law * (1.0 - p_plus)
-    new_probs = (probs[:, None, None] * children).reshape(-1)
-    signs = np.tile([1.0, -1.0], k)
-    pattern = np.repeat(axes, 2, axis=0) * signs[:, None]
-    new_states = np.tile(pattern, (n, 1))
-    return new_probs, new_states
-
-
-def _grow_tree(questions, process, initial: BlochVector, horizon: int):
-    """Leaf masses and post-measurement states of the depth-`horizon` tree."""
-    probs, states = _first_leaves(questions, process, initial)
-    for t in range(1, horizon):
-        probs, states = _expand_leaves(questions, process, probs, states, t)
-    return probs, states
-
-
-def _enumeration(questions, probs: np.ndarray, horizon: int) -> EnumerationResult:
-    """The trajectory joint over (Q_1, A_1, ..., Q_T, A_T) held by the leaf masses."""
-    labels = tuple(q.label for q in questions)
-    joint = JointDistribution(
-        names=tuple(n for t in range(1, horizon + 1) for n in (f"q{t}", f"a{t}")),
-        alphabets=(labels, ANSWERS) * horizon,
-        table=probs.reshape((len(questions), 2) * horizon),
-    )
-    return EnumerationResult(horizon=horizon, joint=joint, leaf_count=probs.size)
+    axes = [q.axis for q in questions]
+    pairs = collapsed_states(axes)
+    last = np.arange(2 * k) // 2
+    probs, states, prev = np.ones(1), initial.as_array()[None], np.full(1, k)
+    for t in itertools.count():
+        law = procmod.question_law(process, t)[prev]
+        probs = (probs[:, None] * chainmod.step_law(law, states, axes)).reshape(-1)
+        yield probs
+        copies = probs.size // (2 * k)
+        states, prev = np.tile(pairs, (copies, 1)), np.tile(last, copies)
 
 
 def brute_force_joint(
@@ -118,8 +78,14 @@ def brute_force_joint(
         raise SizeCapError(
             f"enumeration needs {leaves} leaves; raise leaf_cap to at least {leaves}"
         )
-    probs, _ = _grow_tree(questions, process, initial, horizon)
-    return _enumeration(questions, probs, horizon)
+    probs = next(itertools.islice(_tree_levels(questions, process, initial), horizon - 1, None))
+    labels = tuple(q.label for q in questions)
+    joint = JointDistribution(
+        names=tuple(n for t in range(1, horizon + 1) for n in (f"q{t}", f"a{t}")),
+        alphabets=(labels, ANSWERS) * horizon,
+        table=probs.reshape((len(questions), 2) * horizon),
+    )
+    return EnumerationResult(horizon=horizon, joint=joint, leaf_count=probs.size)
 
 
 def tail_window_joint(result: EnumerationResult, window: int) -> JointDistribution:
@@ -154,24 +120,24 @@ def converged_tail(
     """
     questions = chainmod.check_process_labels(questions, process)
     k = len(questions)
-    horizon = window + 1
-    if (2 * k) ** (horizon + 1) > leaf_cap:
+    if (2 * k) ** (window + 2) > leaf_cap:
         raise SizeCapError(
-            f"cannot even compare horizons {horizon} and {horizon + 1} under leaf cap {leaf_cap}"
+            f"cannot even compare horizons {window + 1} and {window + 2} under leaf cap {leaf_cap}"
         )
-    probs, states = _grow_tree(questions, process, initial, horizon)
-    prev_tail = tail_window_joint(_enumeration(questions, probs, horizon), window)
-    while True:
+    width = (2 * k) ** (window + 1)
+    levels = enumerate(_tree_levels(questions, process, initial), start=1)
+    for horizon, probs in itertools.islice(levels, window, None):
+        tail = probs.reshape(-1, width).sum(axis=0)  # the last window + 1 pairs
+        if horizon > window + 1 and np.max(np.abs(tail - prev_tail)) < tol:
+            table = tail.reshape((k, 2) * (window + 1))
+            names = chainmod.window_names(window)
+            alphabets = chainmod.window_alphabets(questions, window)
+            return JointDistribution(names=names, alphabets=alphabets, table=table), horizon
         if probs.size * 2 * k > leaf_cap:
             raise SizeCapError(
                 f"tail has not stabilized within the leaf cap {leaf_cap}; "
                 f"last deviation at horizon {horizon}"
             )
-        probs, states = _expand_leaves(questions, process, probs, states, horizon)
-        horizon += 1
-        tail = tail_window_joint(_enumeration(questions, probs, horizon), window)
-        if jointmod.max_abs_deviation(tail, prev_tail) < tol:
-            return tail, horizon
         prev_tail = tail
 
 

@@ -109,6 +109,26 @@ def _label_index(process: QuestionProcess, label: str) -> int:
         raise ValidationError(f"unknown question label {label!r}; known: {process.labels}") from None
 
 
+def question_law(process: QuestionProcess, time_index: int = 0) -> np.ndarray:
+    """(K+1, K) law of the question at `time_index`: row q after question q, row K
+    at a fresh start.
+
+    IID rows are all the weights; Markov rows are the transition rows and then
+    the initial law; Periodic rows are all one-hot on the scheduled label.
+    """
+    k = len(process.labels)
+    if isinstance(process, MarkovProcess):
+        return np.vstack([process.transition, process.initial])
+    if isinstance(process, IIDProcess):
+        law = process.weights
+    elif isinstance(process, PeriodicProcess):
+        law = np.zeros(k)
+        law[_label_index(process, process.sequence[time_index % len(process.sequence)])] = 1.0
+    else:
+        raise ValidationError(f"unknown process type {type(process).__name__}")
+    return np.tile(law, (k + 1, 1))
+
+
 def next_question_distribution(
     process: QuestionProcess, previous_label: str | None = None, time_index: int = 0
 ) -> np.ndarray:
@@ -117,28 +137,17 @@ def next_question_distribution(
     IID ignores history and time; Markov needs `previous_label` after step 0;
     Periodic is deterministic in `time_index` (one-hot).
     """
-    k = len(process.labels)
+    law = question_law(process, time_index)
     if previous_label is not None:
-        _label_index(process, previous_label)
-    if isinstance(process, IIDProcess):
-        return process.weights.copy()
-    if isinstance(process, MarkovProcess):
-        if previous_label is None:
-            if time_index != 0:
-                raise ValidationError("Markov process needs previous_label after step 0")
-            return process.initial.copy()
-        return process.transition[_label_index(process, previous_label)].copy()
-    if isinstance(process, PeriodicProcess):
-        vec = np.zeros(k)
-        label = process.sequence[time_index % len(process.sequence)]
-        vec[_label_index(process, label)] = 1.0
-        return vec
-    raise ValidationError(f"unknown process type {type(process).__name__}")
+        return law[_label_index(process, previous_label)]
+    if isinstance(process, MarkovProcess) and time_index != 0:
+        raise ValidationError("Markov process needs previous_label after step 0")
+    return law[-1]
 
 
 def first_question_distribution(process: QuestionProcess) -> np.ndarray:
     """Law of the first question (time index 0)."""
-    return next_question_distribution(process, previous_label=None, time_index=0)
+    return question_law(process)[-1]
 
 
 def blocks(start: int, stop: int, paths: int) -> list:
@@ -169,7 +178,7 @@ def question_step(process: QuestionProcess):
     """The sampler's question step: a function (prev, u, t0) -> (b, R) question indices.
 
     `prev` holds the question of each of R paths before the block, K for a
-    fresh start, drawn from `first_question_distribution`; `u` holds (b, R)
+    fresh start, drawn from row K of `question_law`; `u` holds (b, R)
     uniforms; `t0` is the block's first time index.  A draw counts the
     normalized cumulative weights c with u >= c, so a question of weight zero
     is never drawn.  Periodic reads the sequence and no uniform.  Markov draws
@@ -178,12 +187,10 @@ def question_step(process: QuestionProcess):
     if isinstance(process, PeriodicProcess):
         seq = np.array([process.labels.index(s) for s in process.sequence])[:, None]
         return lambda prev, u, t0: seq.take(t0 + np.arange(len(u)), 0, mode="wrap").repeat(len(prev), 1)
-    if isinstance(process, IIDProcess):
-        cdf = process.weights.cumsum()
-        cols = (cdf / cdf[-1])[:-1]
-        return lambda prev, u, t0: sum((u >= c for c in cols), np.zeros(u.shape, np.intp))
-    cdf = np.vstack([process.transition, first_question_distribution(process)]).cumsum(axis=1)
+    cdf = question_law(process).cumsum(axis=1)
     cols, k = (cdf / cdf[:, -1:]).T[:-1], len(process.labels)
+    if isinstance(process, IIDProcess):
+        return lambda prev, u, t0: sum((u >= c for c in cols[:, k]), np.zeros(u.shape, np.intp))
 
     def markov(prev, u, t0):
         first = np.zeros(u.shape[1], dtype=np.intp)

@@ -117,35 +117,49 @@ class Question:
         return f"Question({self.label!r}, axis=[{ax}])"
 
 
-def born_probability(state: BlochVector, axis) -> float:
-    """Probability of outcome +1 when measuring `state` along `axis`.
+def _unit_axes(axes) -> np.ndarray:
+    return np.stack([_unit_axis(axis) for axis in axes])
 
-    p(+1) = (1 + r.n) / 2; p(-1) is its complement.  An overlap within a few
-    ulps of +-1 is rounding on an eigenstate and counts as exactly +-1, so a
-    repeated measurement repeats its answer with probability exactly 1.
+
+def outcome_table(states, axes) -> np.ndarray:
+    """(n, K, 2) Born table: [i, j] holds P(+1), P(-1) for measuring states[i] along axes[j].
+
+    `states` is an (n, 3) array of Bloch vectors.  p(+1) = (1 + r.n) / 2.  An
+    overlap within a few ulps of +-1 is rounding on an eigenstate and counts as
+    exactly +-1, so a repeated measurement repeats its answer with probability
+    exactly 1.
     """
-    overlap = float(state.as_array() @ _unit_axis(axis))
-    if abs(overlap) > 1.0 - _EIGEN_ROUNDING:
-        overlap = float(np.sign(overlap))
-    return 0.5 * (1.0 + overlap)
+    # one vector dot per (state, axis) pair: a matrix product picks gemm, gemv or dot
+    # by shape, and their last bits differ, so an overlap would depend on the batch
+    states = np.asarray(states, dtype=float)[:, None, None, :]
+    overlap = (states @ _unit_axes(axes)[:, :, None])[..., 0, 0]
+    overlap = np.where(np.abs(overlap) > 1.0 - _EIGEN_ROUNDING, np.sign(overlap), overlap)
+    p_plus = 0.5 * (1.0 + overlap)
+    return np.stack([p_plus, 1.0 - p_plus], axis=-1)
+
+
+def collapsed_states(axes) -> np.ndarray:
+    """(2K, 3) post-measurement states: rows 2j and 2j + 1 are +axes[j] and -axes[j]."""
+    return np.repeat(_unit_axes(axes), 2, axis=0) * np.tile([1.0, -1.0], len(axes))[:, None]
+
+
+def born_probability(state: BlochVector, axis) -> float:
+    """Probability of outcome +1 when measuring `state` along `axis`."""
+    return outcome_probability(state, axis, +1)
 
 
 def outcome_probability(state: BlochVector, axis, outcome: int) -> float:
-    """Born probability of a specific outcome in {+1, -1}."""
-    p_plus = born_probability(state, axis)
-    if outcome == +1:
-        return p_plus
-    if outcome == -1:
-        return 1.0 - p_plus
-    raise ValidationError(f"outcome must be +1 or -1, got {outcome!r}")
+    """Born probability of a specific outcome in {+1, -1}: one entry of :func:`outcome_table`."""
+    if outcome not in ANSWERS:
+        raise ValidationError(f"outcome must be +1 or -1, got {outcome!r}")
+    return float(outcome_table(state.as_array()[None], [axis])[0, 0, ANSWERS.index(outcome)])
 
 
 def collapse(axis, outcome: int) -> BlochVector:
     """Post-measurement state: +axis for outcome +1, -axis for outcome -1."""
-    n = _unit_axis(axis)
     if outcome not in ANSWERS:
         raise ValidationError(f"outcome must be +1 or -1, got {outcome!r}")
-    return BlochVector.from_array(outcome * n)
+    return BlochVector.from_array(collapsed_states([axis])[ANSWERS.index(outcome)])
 
 
 def repeat_measurement_check(state: BlochVector, axis) -> float:

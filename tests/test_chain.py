@@ -22,7 +22,7 @@ from obsthermo import (
     window_joint,
     window_names,
 )
-from obsthermo.chain import state_index, write_trajectory_csv
+from obsthermo.chain import mixes, slowest_mode_modulus, state_index, write_trajectory_csv
 
 from conftest import case_b_questions, markov_identity_questions, two_questions_at_angle
 
@@ -113,6 +113,22 @@ def test_long_run_slow_aperiodic_chain_not_flagged_periodic():
     lr = long_run_distribution(kernel, BlochVector(0, 0, 1))
     assert not lr.cesaro
     assert np.allclose(lr.distribution, 0.25, atol=1e-9)
+
+
+def test_kernel_spectrum_is_computed_once(monkeypatch):
+    # the periodicity flag, `mixes` and `slowest_mode_modulus` read one eigenvalue cache
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
+    questions, _ = case_b_questions()
+    alternate = MarkovProcess(
+        labels=("Qz", "Qx"), transition=np.array([[0.0, 1.0], [1.0, 0.0]]), initial=np.array([1.0, 0.0])
+    )
+    kernel = build_chain(questions, alternate)
+    assert long_run_distribution(kernel, BlochVector(0, 0, 1)).cesaro
+    assert not mixes(kernel)
+    assert slowest_mode_modulus(kernel) == pytest.approx(0.0, abs=1e-12)
+    assert len(calls) == 1
 
 
 def test_window_case_a_fully_predictive():

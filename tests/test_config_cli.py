@@ -173,6 +173,33 @@ def test_cli_validation_error_exit_code(tmp_path):
     assert cli_main(["analyze", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"strategy": {"type": "window", "k": 1, "labeled": "false"}}, id="string-bool"),
+        pytest.param({"window": 2.7}, id="fractional-window"),
+        pytest.param({"window": "two"}, id="string-window"),
+        pytest.param({"window": True}, id="bool-window"),
+        pytest.param({"optimizer": {"memory_size": 2, "history": 5}}, id="number-history"),
+        pytest.param({"optimizer": {"memory_size": 2, "beta_max": [1]}}, id="list-beta-max"),
+        pytest.param({"questions": [{"label": "Qz", "axis": "z"}]}, id="string-axis"),
+        pytest.param({"initial_state": "mixed"}, id="string-initial-state"),
+        pytest.param({"process": {"type": "iid", "weights": ["1"]}}, id="string-weight"),
+    ],
+)
+def test_cli_malformed_values_exit_1_naming_the_field(tmp_path, capsys, overrides):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(minimal_config(**overrides)))
+    assert cli_main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("invalid input: scenario.")
+
+
+def test_integral_floats_count_as_integers():
+    sc = parse_scenario(minimal_config(window=2.0, strategy={"type": "window", "k": 1.0}))
+    assert (sc.window, sc.strategy.k) == (2, 1)
+    assert type(sc.window) is int
+
+
 def test_cli_nonconvergence_exit_code(tmp_path):
     cfg = minimal_config(
         questions=[

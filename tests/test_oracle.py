@@ -161,6 +161,22 @@ def test_periodic_enumeration_matches_degenerate_iid():
     assert np.max(np.abs(res_p.joint.table - res_i.joint.table)) == 0.0
 
 
+def test_tree_two_levels_equal_the_start_law_times_the_kernel_bitwise():
+    # the tree and the kernel apply one Born table and one question law, so they agree exactly
+    rng = np.random.default_rng(2506)
+    for _ in range(400):
+        k = int(rng.integers(1, 4))
+        axes = rng.normal(size=(k, 3))
+        questions = tuple(Question(f"Q{j}", a / np.linalg.norm(a)) for j, a in enumerate(axes))
+        process = IIDProcess(tuple(q.label for q in questions), rng.dirichlet(np.ones(k)))
+        r = rng.normal(size=3)
+        initial = BlochVector.from_array(r / np.linalg.norm(r) * rng.uniform())
+        p_plus = np.array([born_probability(initial, q.axis) for q in questions])
+        start = first_question_distribution(process)[:, None] * np.stack([p_plus, 1.0 - p_plus], 1)
+        tree = brute_force_joint(questions, process, initial, 2).joint.table.reshape(2 * k, 2 * k)
+        assert np.array_equal(tree, start.reshape(-1, 1) * build_chain(questions, process).matrix)
+
+
 def test_eigenstate_start_tree():
     questions, proc = single_question()
     res = brute_force_joint(questions, proc, BlochVector(0, 0, 1), horizon=2)

@@ -15,7 +15,7 @@ from obsthermo import (
     outcome_probability,
     repeat_measurement_check,
 )
-from obsthermo.qubit import answer_to_bit, bit_to_answer
+from obsthermo.qubit import answer_to_bit, bit_to_answer, collapsed_states, outcome_table
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -107,10 +107,14 @@ def test_rotation_covariance(state, axis, seed):
     assert born_probability(rotated, n) == pytest.approx(p, abs=1e-12)
 
 
-@given(unit_vectors(), st.sampled_from([+1, -1]))
-def test_repeatability_property(axis, outcome):
-    state = collapse(axis, outcome)
-    assert outcome_probability(state, axis, outcome) == 1.0
+@given(st.lists(unit_vectors(), min_size=1, max_size=4), st.sampled_from([+1, -1]))
+def test_repeatability_property(axes, outcome):
+    state = collapse(axes[0], outcome)
+    assert outcome_probability(state, axes[0], outcome) == 1.0
+    # every collapsed state against its own axis, in one call: rows +axis_j, -axis_j
+    table = outcome_table(collapsed_states(axes), axes)
+    own = table[np.arange(2 * len(axes)), np.arange(2 * len(axes)) // 2]
+    assert np.array_equal(own, np.tile(np.eye(2), (len(axes), 1)))
 
 
 def test_bloch_norm_cap():
