@@ -16,7 +16,6 @@ from .chain import (
     build_chain,
     long_run_distribution,
     sample_trajectory,
-    trajectory_window_indices,
     window_joint,
     window_names,
 )
@@ -35,7 +34,6 @@ from .info import (
     conditional_mutual_information,
     entropy,
     mutual_information,
-    plugin_from_samples,
 )
 from .joint import JointDistribution, max_abs_deviation
 from .optimize import (
@@ -55,13 +53,11 @@ from .oracle import (
     converged_tail,
     cross_validate,
     monte_carlo_check,
-    tail_window_joint,
 )
 from .process import (
     IIDProcess,
     MarkovProcess,
     PeriodicProcess,
-    next_question_distribution,
     sample_questions,
 )
 from .qubit import (
@@ -71,15 +67,12 @@ from .qubit import (
     Question,
     born_probability,
     collapse,
-    outcome_probability,
-    repeat_measurement_check,
 )
 from .strategy import (
     KernelStrategy,
     NothingStrategy,
     WindowStrategy,
     apply_strategy,
-    enumerate_deterministic,
     memory_capacity_bits,
     strategy_summary,
 )
@@ -130,7 +123,6 @@ __all__ = [
     "cross_validate",
     "degeneracy_report",
     "entropy",
-    "enumerate_deterministic",
     "evaluate",
     "exhaustive_best",
     "history_future_joint",
@@ -140,14 +132,10 @@ __all__ = [
     "memory_capacity_bits",
     "monte_carlo_check",
     "mutual_information",
-    "next_question_distribution",
     "optimize",
     "optimize_soft",
-    "outcome_probability",
     "parse_scenario",
-    "plugin_from_samples",
     "predictive_cap_check",
-    "repeat_measurement_check",
     "sample",
     "sample_questions",
     "sample_trajectory",
@@ -155,8 +143,6 @@ __all__ = [
     "serialize_scenario",
     "strategy_summary",
     "sweep_beta",
-    "tail_window_joint",
-    "trajectory_window_indices",
     "verify",
     "window_joint",
     "window_names",

@@ -65,10 +65,6 @@ def check_process_labels(questions, process: procmod.QuestionProcess) -> tuple:
     return questions
 
 
-def state_index(question_index: int, answer: int) -> int:
-    return 2 * question_index + (0 if answer == +1 else 1)
-
-
 def state_symbols(questions) -> list:
     """Chain states in index order: [(label0, +1), (label0, -1), (label1, +1), ...]."""
     return [(q.label, a) for q in questions for a in ANSWERS]
@@ -82,12 +78,6 @@ def step_law(law: np.ndarray, states: np.ndarray, axes) -> np.ndarray:
     `process.question_law`.
     """
     return (law[:, :, None] * outcome_table(states, axes)).reshape(len(law), -1)
-
-
-def born_plus_matrix(questions) -> np.ndarray:
-    """B[s, j] = P(+1 | state s, axis of question j), for every chain state s."""
-    axes = [q.axis for q in _check_questions(questions)]
-    return outcome_table(collapsed_states(axes), axes)[:, :, 0]
 
 
 def answer_step(questions, initial: BlochVector):
@@ -350,26 +340,6 @@ def sample_trajectory(
         state = 2 * q[t1 - 1] + a[t1 - 1]
     answers = (1 - 2 * a[:, 0]).tolist()
     return Trajectory._of_pairs(tuple(zip(map(str, labels), answers)), seed, initial)
-
-
-def trajectory_window_indices(trajectory: Trajectory, questions, window: int) -> np.ndarray:
-    """Sliding (w+1)-pair windows of a trajectory as symbol indices.
-
-    Returns an (N, 2*(w+1)) integer array aligned with window_names(window),
-    ready for info.plugin_from_samples.
-    """
-    questions = _check_questions(questions)
-    if len(trajectory) < window + 1:
-        raise ValidationError("trajectory shorter than one window")
-    label_to_idx = {q.label: i for i, q in enumerate(questions)}
-    q_idx = np.array([label_to_idx[q] for q in trajectory.labels()])
-    a_idx = np.array([0 if a == +1 else 1 for a in trajectory.answers()])
-    n = len(trajectory) - window
-    cols = []
-    for j in range(window + 1):
-        cols.append(q_idx[j : j + n])
-        cols.append(a_idx[j : j + n])
-    return np.stack(cols, axis=1)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

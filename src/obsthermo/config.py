@@ -80,6 +80,18 @@ def _boolean(value, where: str) -> bool:
     return value
 
 
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}: must be a string, got {value!r}")
+    return value
+
+
+def _strings(value, where: str) -> tuple:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValidationError(f"{where}: must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def _integer(value, where: str) -> int:
     """A JSON integer, or a float with an integral value; never a bool."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
@@ -136,10 +148,10 @@ def _parse_questions(items, where: str) -> tuple:
         if not isinstance(item, dict):
             raise ValidationError(f"{spot}: expected an object with label and axis")
         _reject_unknown(item, {"label", "axis"}, spot)
-        label = _require(item, "label", spot)
+        label = _field(item, "label", spot, _string)
         axis = _field(item, "axis", spot, _numbers)
         try:
-            out.append(Question(label=str(label), axis=axis))
+            out.append(Question(label=label, axis=axis))
         except ValidationError as exc:
             raise ValidationError(f"{spot}: {exc}") from None
     labels = [q.label for q in out]
@@ -151,13 +163,13 @@ def _parse_questions(items, where: str) -> tuple:
 def _parse_process(data, labels, where: str) -> QuestionProcess:
     if not isinstance(data, dict):
         raise ValidationError(f"{where}: expected an object")
-    kind = _require(data, "type", where)
+    kind = _field(data, "type", where, _string)
     fields = {"iid": ("weights",), "markov": ("transition", "initial"), "periodic": ("sequence",)}
     if kind not in fields:
         raise ValidationError(f"{where}.type: must be iid, markov or periodic, got {kind!r}")
     _reject_unknown(data, {"type", *fields[kind]}, where)
     if kind == "periodic":
-        build, args = PeriodicProcess, {"sequence": _require(data, "sequence", where)}
+        build, args = PeriodicProcess, {"sequence": _field(data, "sequence", where, _strings)}
     else:
         build = IIDProcess if kind == "iid" else MarkovProcess
         args = {key: _field(data, key, where, _numbers) for key in fields[kind]}
@@ -170,7 +182,7 @@ def _parse_process(data, labels, where: str) -> QuestionProcess:
 def _parse_strategy(data, where: str) -> Strategy:
     if not isinstance(data, dict):
         raise ValidationError(f"{where}: expected an object")
-    kind = _require(data, "type", where)
+    kind = _field(data, "type", where, _string)
     fields = {"window": ("k", "labeled"), "nothing": (), "kernel": ("assignment", "k", "labeled")}
     if kind not in fields:
         raise ValidationError(f"{where}.type: must be window, kernel or nothing, got {kind!r}")
@@ -223,7 +235,7 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError("scenario: expected a JSON object")
     _reject_unknown(data, _SCENARIO_KEYS, "scenario")
-    name = str(_require(data, "name", "scenario"))
+    name = _field(data, "name", "scenario", _string)
     questions = _parse_questions(_require(data, "questions", "scenario"), "scenario.questions")
     labels = tuple(q.label for q in questions)
     process = _parse_process(_require(data, "process", "scenario"), labels, "scenario.process")
@@ -248,7 +260,7 @@ def parse_scenario(data: dict) -> Scenario:
             raise ValidationError(f"scenario.temperature_kelvin: must be > 0, got {temperature}")
     output = data.get("output")
     if output is not None:
-        output = str(output)
+        output = _string(output, "scenario.output")
     return Scenario(
         name=name,
         questions=questions,

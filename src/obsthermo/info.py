@@ -1,4 +1,4 @@
-"""Exact Shannon quantities, in bits, on joint tables; plug-in estimates from samples.
+"""Exact Shannon quantities, in bits, on joint tables.
 
 Log base 2 throughout; conversion to physical units happens only in the
 dissipation bound.  Tiny negatives from floating-point cancellation (>= -1e-10)
@@ -60,6 +60,18 @@ def mutual_information_table(table: np.ndarray):
     return np.maximum(mi, 0.0)
 
 
+def encoder_information(table: np.ndarray, encoder: np.ndarray) -> tuple:
+    """(I(M; view), I(M; next)) in bits of a p(view, next) table read through p(m | view).
+
+    i_mem is the information of p(view) p(m | view), i_pred that of
+    encoder^T @ table.  A stack of tables, shaped (..., views, nexts), gives
+    arrays of values, each computed as the 2-D table alone would be.
+    """
+    i_mem = mutual_information_table(table.sum(axis=-1)[..., None] * encoder)
+    i_pred = mutual_information_table(encoder.T @ table)
+    return i_mem, i_pred
+
+
 def entropy(joint: jointmod.JointDistribution, names) -> float:
     """Shannon entropy H(names) in bits, with 0 log 0 = 0."""
     _check_subsets(joint, names)
@@ -86,26 +98,3 @@ def conditional_mutual_information(
     h_abc = _entropy_of_table(joint.marginal(a + b + c).table)
     h_c = _entropy_of_table(joint.marginal(c).table)
     return _clamp(h_ac + h_bc - h_abc - h_c, "conditional mutual information")
-
-
-def plugin_from_samples(samples: np.ndarray, names, alphabets) -> jointmod.JointDistribution:
-    """Empirical joint from an (N, num_vars) array of symbol indices.
-
-    No bias correction: plug-in estimates serve as statistical cross-checks of
-    the exact tables, not as primary outputs.
-    """
-    samples = np.asarray(samples)
-    if samples.ndim != 2 or samples.shape[0] < 1:
-        raise ValidationError(f"samples must be a non-empty (N, vars) array, got {samples.shape}")
-    names = tuple(names)
-    alphabets = tuple(tuple(a) for a in alphabets)
-    if samples.shape[1] != len(names):
-        raise ValidationError(
-            f"samples have {samples.shape[1]} columns but {len(names)} variables were named"
-        )
-    sizes = tuple(len(a) for a in alphabets)
-    if samples.min(initial=0) < 0 or np.any(samples.max(axis=0) >= np.array(sizes)):
-        raise ValidationError("sample indices out of range for the given alphabets")
-    flat = np.ravel_multi_index(tuple(samples.T), sizes)
-    counts = np.bincount(flat, minlength=int(np.prod(sizes))).reshape(sizes)
-    return jointmod.from_counts(names, alphabets, counts)

@@ -73,14 +73,6 @@ class JointDistribution:
             table=table,
         )
 
-    def rename(self, mapping: dict) -> "JointDistribution":
-        """Return the same table with variables renamed via `mapping`."""
-        return JointDistribution(
-            names=tuple(mapping.get(n, n) for n in self.names),
-            alphabets=self.alphabets,
-            table=self.table,
-        )
-
     def reorder(self, names) -> "JointDistribution":
         """Return the same distribution with variables permuted into `names` order."""
         names = tuple(names)
@@ -97,17 +89,6 @@ class JointDistribution:
         """Yield (symbols, probability) for every cell, row-major."""
         for idx in np.ndindex(*self.table.shape):
             yield tuple(self.alphabets[i][j] for i, j in enumerate(idx)), float(self.table[idx])
-
-
-def from_counts(names, alphabets, counts) -> JointDistribution:
-    """Empirical joint from a count table; mass normalized to exactly 1."""
-    counts = np.asarray(counts, dtype=float)
-    total = counts.sum()
-    if total <= 0:
-        raise ValidationError("counts must contain at least one sample")
-    table = counts / total
-    table = table / table.sum()  # lock mass to 1 despite rounding
-    return JointDistribution(names=names, alphabets=alphabets, table=table)
 
 
 def max_abs_deviation(a: JointDistribution, b: JointDistribution) -> float:

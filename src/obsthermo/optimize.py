@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain as chainmod
+from . import process as procmod
 from .errors import OptimizerError, SizeCapError, ValidationError
-from .info import mutual_information_table, xlogx
+from .info import encoder_information, xlogx
 from .joint import JointDistribution
 from .strategy import (
     ENUMERATION_CAP,
@@ -59,6 +60,8 @@ class OptimizerSettings:
             raise ValidationError("beta_steps, max_iterations and restarts must be >= 1")
         if self.tolerance <= 0:
             raise ValidationError("tolerance must be > 0")
+        if not 0 <= self.seed < 2**128:
+            raise ValidationError(f"seed must be in [0, 2**128), got {self.seed}")
 
     def betas(self) -> np.ndarray:
         if self.beta_steps == 1:
@@ -137,11 +140,7 @@ class FrontierPoint:
 def _point_from_encoder(
     hf: HistoryFutureJoint, enc: np.ndarray, beta: float | None, converged: bool, iterations: int
 ) -> FrontierPoint:
-    p_h = hf.history_marginal()
-    p_hm = p_h[:, None] * enc
-    i_mem = mutual_information_table(p_hm)
-    p_mx = enc.T @ hf.table
-    i_pred = mutual_information_table(p_mx)
+    i_mem, i_pred = encoder_information(hf.table, enc)
     nostalgia = max(0.0, i_mem - i_pred)
     objective = i_mem - (beta if beta is not None else 1.0) * i_pred
     return FrontierPoint(
@@ -253,7 +252,7 @@ def optimize_soft(
         raise ValidationError(f"beta must be >= 1, got {beta}")
     m = settings.memory_size
     n_hist = hf.num_histories
-    rng = np.random.Generator(np.random.Philox(key=settings.seed))
+    rng = procmod._rng(settings.seed)
     encs = _initial_encoders(n_hist, m, settings.restarts, rng)
     if warm_starts:
         encs = np.concatenate([encs, np.asarray(warm_starts, dtype=float)])
@@ -280,7 +279,7 @@ def _scan_maps(hf: HistoryFutureJoint, m: int, cap: int):
     """(first map index, i_mem, i_pred) for blocks of every deterministic map h -> m.
 
     Maps are numbered mixed-radix with the last history fastest, the order of
-    `strategy.enumerate_deterministic`.  A block holds the m**r maps that share
+    `itertools.product(range(m), repeat=n_hist)`.  A block holds the m**r maps that share
     their leading n_hist - r histories, with m**r and 2**r <= _MAP_BLOCK.  Row d
     of a map's p(m, x') is the prefix's row d plus the tail histories the map
     sends to d, a subset of the last r.  So each block builds rows[d, s] for all

@@ -22,7 +22,7 @@ from . import process as procmod
 from .errors import SizeCapError, ValidationError
 from .joint import JointDistribution
 from .qubit import ANSWERS, BlochVector, collapsed_states
-from .strategy import Strategy, view_encoder
+from .strategy import Strategy, view_encoder, view_index
 from .strategy import apply_strategy  # noqa: F401  unused; perfbench/selftest.py expects this import site
 
 LEAF_CAP = 10**7
@@ -86,23 +86,6 @@ def brute_force_joint(
         table=probs.reshape((len(questions), 2) * horizon),
     )
     return EnumerationResult(horizon=horizon, joint=joint, leaf_count=probs.size)
-
-
-def tail_window_joint(result: EnumerationResult, window: int) -> JointDistribution:
-    """Marginal of the last window+1 pairs, renamed to the window convention."""
-    if result.horizon < window + 1:
-        raise ValidationError(
-            f"horizon {result.horizon} too short for a window of {window} history pairs"
-        )
-    t0 = result.horizon - window  # absolute time of the oldest window pair
-    target = chainmod.window_names(window)
-    keep, mapping = [], {}
-    for j, t in enumerate(range(t0, result.horizon + 1)):
-        keep += [f"q{t}", f"a{t}"]
-        mapping[f"q{t}"] = target[2 * j]
-        mapping[f"a{t}"] = target[2 * j + 1]
-    marg = result.joint.marginal(keep)
-    return marg.rename(mapping).reorder(target)
 
 
 def converged_tail(
@@ -235,7 +218,7 @@ def sample_windows(
     burn_in, per = _chain_plan(questions, process, burn_in)
     replicas, per = replica_layout(n, per)
     k = len(questions)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = procmod._rng(seed)
     next_questions = procmod.question_step(process)
     next_answers = chainmod.answer_step(questions, initial)
     # one Philox stream, per step R question uniforms and then R answer uniforms; no question
@@ -291,15 +274,10 @@ class MonteCarloReport:
 def _view_next_cells(samples: np.ndarray, num_questions: int, k: int, labeled: bool) -> np.ndarray:
     """Each window's (view, next pair) cell: view-major, views in canonical order."""
     w = samples.shape[1] // 2 - 1
-    pair = 2 * num_questions
-    cell = np.zeros(samples.shape[0], dtype=np.intp)
-    for j in range(w - k, w + 1):  # the view's k pairs, then the next pair with its label
-        if labeled or j == w:
-            cell *= pair
-            cell += 2 * samples[:, 2 * j].astype(np.intp)
-        else:
-            cell *= 2
-        cell += samples[:, 2 * j + 1]
+    columns = samples.T
+    cell = view_index(columns[2 * (w - k) : 2 * w], num_questions, labeled)
+    cell *= 2 * num_questions
+    cell += view_index(columns[2 * w :], num_questions, True)  # the next pair, with its label
     return cell
 
 
@@ -334,7 +312,7 @@ def monte_carlo_check(
     views, nexts = encoder.shape[0], 2 * len(questions)
     cells = _view_next_cells(samples, len(questions), k, labeled)
 
-    rng = np.random.Generator(np.random.Philox(key=seed + 0xB00))
+    rng = procmod._rng(seed + 0xB00)
     if per == 1:
         counts = np.bincount(cells, minlength=views * nexts)
         boots = rng.multinomial(n, counts / counts.sum(), size=n_bootstrap)
@@ -351,9 +329,7 @@ def monte_carlo_check(
 
     def scores(table: np.ndarray) -> tuple:
         p = table.reshape(table.shape[:-1] + (views, nexts))
-        p = p / p.sum(axis=(-2, -1), keepdims=True)
-        i_mem = info.mutual_information_table(p.sum(axis=-1)[..., None] * encoder)
-        i_pred = info.mutual_information_table(np.einsum("vm,...vx->...mx", encoder, p))
+        i_mem, i_pred = info.encoder_information(p / p.sum(axis=(-2, -1), keepdims=True), encoder)
         return i_mem, i_pred, np.maximum(i_mem - i_pred, 0.0)
 
     i_mem, i_pred, nostalgia = scores(counts)

@@ -19,6 +19,9 @@ _BLOCK_ENTRIES = 2**11
 
 
 def _rng(seed: int) -> np.random.Generator:
+    """The Philox generator keyed by `seed`, an integer in [0, 2**128)."""
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed must be in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
@@ -102,13 +105,6 @@ class PeriodicProcess:
 QuestionProcess = IIDProcess | MarkovProcess | PeriodicProcess
 
 
-def _label_index(process: QuestionProcess, label: str) -> int:
-    try:
-        return process.labels.index(label)
-    except ValueError:
-        raise ValidationError(f"unknown question label {label!r}; known: {process.labels}") from None
-
-
 def question_law(process: QuestionProcess, time_index: int = 0) -> np.ndarray:
     """(K+1, K) law of the question at `time_index`: row q after question q, row K
     at a fresh start.
@@ -123,31 +119,10 @@ def question_law(process: QuestionProcess, time_index: int = 0) -> np.ndarray:
         law = process.weights
     elif isinstance(process, PeriodicProcess):
         law = np.zeros(k)
-        law[_label_index(process, process.sequence[time_index % len(process.sequence)])] = 1.0
+        law[process.labels.index(process.sequence[time_index % len(process.sequence)])] = 1.0
     else:
         raise ValidationError(f"unknown process type {type(process).__name__}")
     return np.tile(law, (k + 1, 1))
-
-
-def next_question_distribution(
-    process: QuestionProcess, previous_label: str | None = None, time_index: int = 0
-) -> np.ndarray:
-    """Law of the next question, as a probability vector over process.labels.
-
-    IID ignores history and time; Markov needs `previous_label` after step 0;
-    Periodic is deterministic in `time_index` (one-hot).
-    """
-    law = question_law(process, time_index)
-    if previous_label is not None:
-        return law[_label_index(process, previous_label)]
-    if isinstance(process, MarkovProcess) and time_index != 0:
-        raise ValidationError("Markov process needs previous_label after step 0")
-    return law[-1]
-
-
-def first_question_distribution(process: QuestionProcess) -> np.ndarray:
-    """Law of the first question (time index 0)."""
-    return question_law(process)[-1]
 
 
 def blocks(start: int, stop: int, paths: int) -> list:

@@ -33,15 +33,6 @@ def answer_to_bit(answer: int) -> int:
     raise ValidationError(f"answer must be +1 or -1, got {answer!r}")
 
 
-def bit_to_answer(bit: int) -> int:
-    """Inverse of :func:`answer_to_bit`."""
-    if bit == 1:
-        return +1
-    if bit == 0:
-        return -1
-    raise ValidationError(f"answer bit must be 0 or 1, got {bit!r}")
-
-
 @dataclass(frozen=True)
 class BlochVector:
     """A qubit state r = (x, y, z) with |r| <= 1; pure iff |r| = 1."""
@@ -144,15 +135,9 @@ def collapsed_states(axes) -> np.ndarray:
 
 
 def born_probability(state: BlochVector, axis) -> float:
-    """Probability of outcome +1 when measuring `state` along `axis`."""
-    return outcome_probability(state, axis, +1)
-
-
-def outcome_probability(state: BlochVector, axis, outcome: int) -> float:
-    """Born probability of a specific outcome in {+1, -1}: one entry of :func:`outcome_table`."""
-    if outcome not in ANSWERS:
-        raise ValidationError(f"outcome must be +1 or -1, got {outcome!r}")
-    return float(outcome_table(state.as_array()[None], [axis])[0, 0, ANSWERS.index(outcome)])
+    """Probability of outcome +1 when measuring `state` along `axis`: one entry of
+    :func:`outcome_table`."""
+    return float(outcome_table(state.as_array()[None], [axis])[0, 0, 0])
 
 
 def collapse(axis, outcome: int) -> BlochVector:
@@ -160,20 +145,3 @@ def collapse(axis, outcome: int) -> BlochVector:
     if outcome not in ANSWERS:
         raise ValidationError(f"outcome must be +1 or -1, got {outcome!r}")
     return BlochVector.from_array(collapsed_states([axis])[ANSWERS.index(outcome)])
-
-
-def repeat_measurement_check(state: BlochVector, axis) -> float:
-    """Probability that re-measuring `axis` reproduces the outcome encoded in `state`.
-
-    Expects `state` to be an eigenstate of the axis (i.e. collapse(axis, a));
-    returns the Born probability of that same outcome a, which is exactly 1
-    by projective repeatability.
-    """
-    n = _unit_axis(axis)
-    overlap = float(state.as_array() @ n)
-    if abs(abs(overlap) - 1.0) > UNIT_TOL:
-        raise ValidationError(
-            "state is not an eigenstate of the given axis; repeatability check undefined"
-        )
-    outcome = +1 if overlap > 0 else -1
-    return outcome_probability(state, n, outcome)

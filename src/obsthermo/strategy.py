@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain as chainmod
-from .errors import SizeCapError, ValidationError
+from .errors import ValidationError
 from .joint import JointDistribution
 from .qubit import ANSWERS, answer_to_bit
 
@@ -135,24 +135,21 @@ def memory_capacity_bits(strategy: Strategy, labels) -> float:
     return float(np.log2(len(memory_alphabet(strategy, labels))))
 
 
-def _view_index_grid(joint: JointDistribution, k: int, labeled: bool) -> np.ndarray:
-    """For every full-history configuration, the canonical index of its view symbol.
+def view_index(pairs, num_questions: int, labeled: bool) -> np.ndarray:
+    """Canonical index of the view made of k pairs, oldest first, in `view_alphabet` order.
 
-    Shaped like the history block of the joint's table.
+    pairs[2j] and pairs[2j + 1] hold pair j's question index and answer bit
+    (0 for +1, 1 for -1), arrays of one shape.  Pair by pair the index becomes
+    idx * 2K + 2q + a on a labeled view and idx * 2 + a on an unlabeled one.
     """
-    hist = _history_names(joint)
-    view_variables(joint, k, labeled)  # validates k against the joint's window
-    hist_shape = tuple(len(joint.alphabet(n)) for n in hist)
-    grids = np.indices(hist_shape)
-    by_name = dict(zip(hist, grids))
-    idx = np.zeros(hist_shape, dtype=int)
-    for offset in range(-k + 1, 1):
-        qn, an = chainmod.pair_names(offset)
+    idx = np.zeros(np.shape(pairs[0]), dtype=np.intp)
+    for q, a in zip(pairs[::2], pairs[1::2]):
         if labeled:
-            kq = len(joint.alphabet(qn))
-            idx = idx * (2 * kq) + by_name[qn] * 2 + by_name[an]
+            idx *= 2 * num_questions
+            idx += 2 * q.astype(np.intp, copy=False)
         else:
-            idx = idx * 2 + by_name[an]
+            idx *= 2
+        idx += a
     return idx
 
 
@@ -167,8 +164,8 @@ def view_encoder(strategy: Strategy, labels, w: int) -> tuple:
     if isinstance(strategy, NothingStrategy):
         return 1, False, np.ones((2, 1)), m_alpha
     k = strategy.k if strategy.k is not None else w
-    if k > w:
-        raise ValidationError(f"strategy view k={k} exceeds the joint's history window w={w}")
+    if not 1 <= k <= w:
+        raise ValidationError(f"strategy view k={k} outside the joint's history window w={w}")
     if isinstance(strategy, WindowStrategy):
         return k, strategy.labeled, np.eye(len(m_alpha)), m_alpha
     expected = (2 * len(labels) if strategy.labeled else 2) ** k
@@ -190,7 +187,8 @@ def apply_strategy(strategy: Strategy, joint: JointDistribution) -> JointDistrib
     joint = joint.reorder(chainmod.window_names(w))
     labels = joint.alphabet(chainmod.FUTURE_PAIR[0])
     k, labeled, encoder, m_alpha = view_encoder(strategy, labels, w)
-    rows = encoder[_view_index_grid(joint, k, labeled)]
+    pairs = np.indices(joint.table.shape[: 2 * w])[2 * (w - k) :]  # the view's k pairs
+    rows = encoder[view_index(pairs, len(labels), labeled)]
 
     # result[m, hist..., q', a'] = rows[hist..., m] * table[hist..., q', a']
     rows_m = np.moveaxis(rows, -1, 0)[..., None, None]
@@ -204,24 +202,6 @@ def apply_strategy(strategy: Strategy, joint: JointDistribution) -> JointDistrib
 
 def deterministic_count(history_size: int, memory_size: int) -> int:
     return memory_size**history_size
-
-
-def enumerate_deterministic(history_size: int, memory_size: int, cap: int = ENUMERATION_CAP):
-    """Yield every deterministic map history -> memory exactly once, as index arrays.
-
-    Enumeration order is mixed-radix with the newest history configuration
-    varying fastest.
-    """
-    if history_size < 1 or memory_size < 1:
-        raise ValidationError("history and memory sizes must be >= 1")
-    total = deterministic_count(history_size, memory_size)
-    if total > cap:
-        raise SizeCapError(
-            f"{total} deterministic maps exceed the cap {cap}; "
-            "use the soft optimizer or raise the cap"
-        )
-    for combo in itertools.product(range(memory_size), repeat=history_size):
-        yield np.array(combo, dtype=int)
 
 
 def assignment_from_map(map_indices, memory_size: int) -> np.ndarray:

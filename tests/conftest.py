@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from obsthermo import (
     Question,
     bundled_scenario,
 )
+from obsthermo.qubit import collapsed_states, outcome_table
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +70,16 @@ def markov_identity_questions():
         labels=("Qz", "Qx"), transition=np.eye(2), initial=np.array([0.5, 0.5])
     )
     return questions, process
+
+
+def born_plus_matrix(questions):
+    """B[s, j] = P(+1 | chain state s, axis of question j), for every chain state s."""
+    axes = [q.axis for q in questions]
+    return outcome_table(collapsed_states(axes), axes)[:, :, 0]
+
+
+def enumerate_deterministic(history_size: int, memory_size: int):
+    """Every deterministic map history -> memory as an index array, in the exhaustive
+    scan's order: mixed radix, the newest history varying fastest."""
+    for combo in itertools.product(range(memory_size), repeat=history_size):
+        yield np.array(combo, dtype=int)

@@ -16,15 +16,34 @@ from obsthermo import (
     long_run_distribution,
     max_abs_deviation,
     mutual_information,
-    plugin_from_samples,
     sample_trajectory,
-    trajectory_window_indices,
     window_joint,
     window_names,
 )
-from obsthermo.chain import mixes, slowest_mode_modulus, state_index, write_trajectory_csv
+from obsthermo.chain import mixes, slowest_mode_modulus, write_trajectory_csv
+from obsthermo.joint import JointDistribution
 
 from conftest import case_b_questions, markov_identity_questions, two_questions_at_angle
+
+
+def state_index(question_index: int, answer: int) -> int:
+    return 2 * question_index + (0 if answer == +1 else 1)
+
+
+def window_frequencies(trajectory, questions, window: int) -> JointDistribution:
+    """Relative frequencies of the trajectory's sliding (window + 1)-pair windows."""
+    label_to_idx = {q.label: i for i, q in enumerate(questions)}
+    states = np.array([state_index(label_to_idx[q], a) for q, a in trajectory.steps])
+    size = 2 * len(questions)
+    cells = np.zeros(len(states) - window, dtype=int)
+    for j in range(window + 1):
+        cells = cells * size + states[j : j + len(cells)]
+    counts = np.bincount(cells, minlength=size ** (window + 1))
+    return JointDistribution(
+        names=window_names(window),
+        alphabets=(tuple(q.label for q in questions), (1, -1)) * (window + 1),
+        table=(counts / counts.sum()).reshape((len(questions), 2) * (window + 1)),
+    )
 
 
 def single_question():
@@ -210,12 +229,7 @@ def test_plugin_i_pred_from_trajectory_windows():
 
     questions, proc = case_b_questions()
     traj = sample_trajectory(questions, proc, MIXED_STATE, 2 * 10**5, seed=31)
-    idx = trajectory_window_indices(traj, questions, 2)
-    emp = plugin_from_samples(
-        idx,
-        names=window_names(2),
-        alphabets=(("Qz", "Qx"), (1, -1)) * 3,
-    )
+    emp = window_frequencies(traj, questions, 2)
     report = evaluate(apply_strategy(WindowStrategy(k=2, labeled=True), emp))
     assert abs(report.i_pred - 0.5) < 0.01
 
@@ -224,12 +238,7 @@ def test_trajectory_conditionals_match_kernel():
     questions, proc = case_b_questions()
     kernel = build_chain(questions, proc)
     traj = sample_trajectory(questions, proc, MIXED_STATE, 2 * 10**5, seed=9)
-    idx = trajectory_window_indices(traj, questions, 1)
-    emp = plugin_from_samples(
-        idx,
-        names=window_names(1),
-        alphabets=(("Qz", "Qx"), (1, -1), ("Qz", "Qx"), (1, -1)),
-    )
+    emp = window_frequencies(traj, questions, 1)
     # empirical transition from (Qz, +): compare against the kernel row
     cond = emp.table[0, 0] / emp.table[0, 0].sum()
     assert np.max(np.abs(cond.reshape(-1) - kernel.matrix[0])) < 0.01

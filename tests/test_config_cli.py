@@ -194,6 +194,69 @@ def test_cli_malformed_values_exit_1_naming_the_field(tmp_path, capsys, override
     assert capsys.readouterr().err.startswith("invalid input: scenario.")
 
 
+@pytest.mark.parametrize(
+    "command,overrides,args,field",
+    [
+        pytest.param("sample", {}, ["--length", "10", "--seed", "-1"], "seed", id="sample-seed"),
+        pytest.param("verify", {}, ["--seed", "-1"], "seed", id="verify-seed"),
+        pytest.param(
+            "optimize", {"optimizer": {"memory_size": 2}}, ["--seed", "-1"], "seed", id="optimize-seed"
+        ),
+        pytest.param(
+            "optimize",
+            {"optimizer": {"memory_size": 2, "seed": -3}},
+            [],
+            "scenario.optimizer: seed",
+            id="config-seed",
+        ),
+        pytest.param(
+            "analyze",
+            {"questions": [{"label": ["Qz"], "axis": [0.0, 0.0, 1.0]}]},
+            [],
+            "scenario.questions[0].label",
+            id="list-label",
+        ),
+        pytest.param("analyze", {"name": {"a": 1}}, [], "scenario.name", id="object-name"),
+        pytest.param("analyze", {"output": ["x"]}, [], "scenario.output", id="list-output"),
+        pytest.param(
+            "analyze",
+            {"process": {"type": ["iid"], "weights": [1.0]}},
+            [],
+            "scenario.process.type",
+            id="list-process-type",
+        ),
+        pytest.param(
+            "analyze",
+            {"strategy": {"type": ["window"], "k": 1}},
+            [],
+            "scenario.strategy.type",
+            id="list-strategy-type",
+        ),
+        pytest.param(
+            "analyze",
+            {"process": {"type": "periodic", "sequence": "Qz"}},
+            [],
+            "scenario.process.sequence",
+            id="string-sequence",
+        ),
+        pytest.param(
+            "analyze",
+            {"process": {"type": "periodic", "sequence": ["Qz", 1]}},
+            [],
+            "scenario.process.sequence",
+            id="number-in-sequence",
+        ),
+    ],
+)
+def test_cli_non_strings_and_negative_seeds_exit_1(tmp_path, capsys, command, overrides, args, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(minimal_config(**overrides)))
+    assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out"), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {field}")
+    assert "Traceback" not in err
+
+
 def test_integral_floats_count_as_integers():
     sc = parse_scenario(minimal_config(window=2.0, strategy={"type": "window", "k": 1.0}))
     assert (sc.window, sc.strategy.k) == (2, 1)

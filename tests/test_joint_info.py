@@ -15,10 +15,8 @@ from obsthermo import (
     entropy,
     max_abs_deviation,
     mutual_information,
-    plugin_from_samples,
 )
-from obsthermo.info import mutual_information_table, xlogx
-from obsthermo.joint import from_counts
+from obsthermo.info import encoder_information, mutual_information_table, xlogx
 
 # entropy of {3/8, 3/8, 1/8, 1/8}: 3 - (3/4) log2 3
 H_CASE_B_PAIR = 3.0 - 0.75 * math.log2(3.0)
@@ -145,39 +143,13 @@ def test_cmi_of_markov_triple_is_zero():
     assert conditional_mutual_information(j, ["x"], ["z"], ["y"]) == 0.0
 
 
-def test_plugin_from_samples_counts():
-    samples = np.array([[0, 0], [0, 0], [1, 1], [0, 1]])
-    j = plugin_from_samples(samples, names=("x", "y"), alphabets=((0, 1), (0, 1)))
-    assert j.table.sum() == 1.0
-    assert j.table[0, 0] == pytest.approx(0.5)
-    assert j.table[1, 0] == 0.0
-
-
-def test_plugin_single_sample_is_point_mass():
-    j = plugin_from_samples(np.array([[1, 0]]), names=("x", "y"), alphabets=((0, 1), (0, 1)))
-    assert j.table[1, 0] == 1.0
-    assert entropy(j, ["x", "y"]) == 0.0
-
-
-def test_plugin_rejects_empty_and_out_of_range():
-    with pytest.raises(ValidationError):
-        plugin_from_samples(np.empty((0, 2), dtype=int), ("x", "y"), ((0, 1), (0, 1)))
-    with pytest.raises(ValidationError):
-        plugin_from_samples(np.array([[0, 5]]), ("x", "y"), ((0, 1), (0, 1)))
-
-
-def test_from_counts_exact_mass():
-    j = from_counts(("s",), ((0, 1, 2),), np.array([1.0, 1.0, 1.0]))
-    assert j.table.sum() == 1.0
-
-
 def test_max_abs_deviation_requires_matching_variables():
     a = pair_table(0.25, 0.25, 0.25, 0.25)
     b = pair_table(0.25, 0.25, 0.25, 0.25, names=("x", "z"))
     with pytest.raises(ValidationError):
         max_abs_deviation(a, b)
     # same variables permuted line up fine
-    c = b.rename({"z": "y"}).reorder(("y", "x"))
+    c = pair_table(0.25, 0.25, 0.25, 0.25).reorder(("y", "x"))
     assert max_abs_deviation(a, c) == 0.0
 
 
@@ -204,6 +176,14 @@ def test_mutual_information_table_of_a_stack_equals_each_table():
         for i in range(3):
             for j in range(4):
                 assert values[i, j] == mutual_information_table(stack[i, j])  # bitwise
+        for m in (1, 2, 3):
+            encoder = rng.dirichlet(np.ones(m), size=shape[0])
+            i_mem, i_pred = encoder_information(stack, encoder)
+            assert i_mem.shape == i_pred.shape == (3, 4)
+            for i in range(3):
+                for j in range(4):
+                    alone = encoder_information(stack[i, j], encoder)
+                    assert (i_mem[i, j], i_pred[i, j]) == alone  # bitwise
     assert isinstance(mutual_information_table(np.full((2, 2), 0.25)), float)
 
 

@@ -28,10 +28,10 @@ from obsthermo.optimize import (
     _run_fixed_points,
     write_frontier_csv,
 )
-from obsthermo.strategy import assignment_from_map, enumerate_deterministic, harden
+from obsthermo.strategy import assignment_from_map, harden
 from obsthermo.workflows import scenario_window
 
-from conftest import case_b_questions
+from conftest import case_b_questions, enumerate_deterministic
 
 IPRED_UNLABELED = 0.18872187554086717  # 1 - Hb(1/4)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from obsthermo import (
+    BUNDLED_SCENARIOS,
     IIDProcess,
     MIXED_STATE,
     MarkovProcess,
@@ -18,26 +19,33 @@ from obsthermo import (
     bundled_scenario,
     converged_tail,
     cross_validate,
+    history_future_joint,
     long_run_distribution,
     monte_carlo_check,
-    tail_window_joint,
     window_joint,
+    window_names,
 )
-from obsthermo.chain import born_plus_matrix
+from obsthermo.chain import window_alphabets
 from obsthermo.config import parse_scenario
 from obsthermo.joint import JointDistribution
 from obsthermo.oracle import (
     MIN_REPLICAS,
+    _view_next_cells,
     mixing_burn_in,
     replica_layout,
     sample_windows,
     verdict,
     windows_per_replica,
 )
-from obsthermo.process import first_question_distribution
-from obsthermo.workflows import analyze
+from obsthermo.process import question_law
+from obsthermo.workflows import analyze, scenario_window
 
-from conftest import case_b_questions, markov_identity_questions, two_questions_at_angle
+from conftest import (
+    born_plus_matrix,
+    case_b_questions,
+    markov_identity_questions,
+    two_questions_at_angle,
+)
 
 
 def at_angle_scenario(theta: float):
@@ -52,6 +60,18 @@ def at_angle_scenario(theta: float):
             "window": 2,
             "strategy": {"type": "window", "k": 2, "labeled": False},
         }
+    )
+
+
+def tree_tail(result, questions, window: int) -> JointDistribution:
+    """The last window + 1 pairs of a tree's joint, summed out by a raw reshape as
+    `converged_tail` does, under the window names."""
+    k = len(questions)
+    tail = result.joint.table.reshape(-1, (2 * k) ** (window + 1)).sum(axis=0)
+    return JointDistribution(
+        names=window_names(window),
+        alphabets=window_alphabets(questions, window),
+        table=tail.reshape((k, 2) * (window + 1)),
     )
 
 
@@ -100,7 +120,7 @@ def test_tail_alignment_and_cross_validation_case_a():
     lr = long_run_distribution(kernel, MIXED_STATE)
     w = window_joint(kernel, lr, 1)
     res = brute_force_joint(questions, proc, MIXED_STATE, horizon=3)
-    tail = tail_window_joint(res, 1)
+    tail = tree_tail(res, questions, 1)
     assert cross_validate(w, tail) <= 1e-10
 
 
@@ -117,7 +137,7 @@ def test_tail_alignment_case_b_window2():
 def test_identical_tables_zero_deviation():
     questions, proc = case_b_questions()
     res = brute_force_joint(questions, proc, MIXED_STATE, horizon=2)
-    tail = tail_window_joint(res, 1)
+    tail = tree_tail(res, questions, 1)
     assert cross_validate(tail, tail) == 0.0
 
 
@@ -125,7 +145,7 @@ def test_corrupted_table_detected():
     # negative control: a perturbed copy must fail the equivalence check
     questions, proc = case_b_questions()
     res = brute_force_joint(questions, proc, MIXED_STATE, horizon=2)
-    tail = tail_window_joint(res, 1)
+    tail = tree_tail(res, questions, 1)
     bad_table = tail.table.copy()
     bad_table[0, 0, 0, 0] += 1e-6  # same-question repeat cell, strictly positive
     bad_table[0, 0, 1, 0] -= 1e-6  # cross-question cell, strictly positive
@@ -140,7 +160,7 @@ def test_cross_validate_variable_mismatch():
     questions, proc = case_b_questions()
     res = brute_force_joint(questions, proc, MIXED_STATE, horizon=2)
     with pytest.raises(ValidationError):
-        cross_validate(tail_window_joint(res, 1), res.joint)
+        cross_validate(tree_tail(res, questions, 1), res.joint)
 
 
 def test_markov_identity_tail_matches_chain():
@@ -172,9 +192,24 @@ def test_tree_two_levels_equal_the_start_law_times_the_kernel_bitwise():
         r = rng.normal(size=3)
         initial = BlochVector.from_array(r / np.linalg.norm(r) * rng.uniform())
         p_plus = np.array([born_probability(initial, q.axis) for q in questions])
-        start = first_question_distribution(process)[:, None] * np.stack([p_plus, 1.0 - p_plus], 1)
+        start = question_law(process)[-1][:, None] * np.stack([p_plus, 1.0 - p_plus], 1)
         tree = brute_force_joint(questions, process, initial, 2).joint.table.reshape(2 * k, 2 * k)
         assert np.array_equal(tree, start.reshape(-1, 1) * build_chain(questions, process).matrix)
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_monte_carlo_cells_and_the_exact_table_share_one_view_coding(name, labeled):
+    # every window as one sample, weighed by its exact probability, fills the exact table
+    scenario = bundled_scenario(name)
+    _, _, window = scenario_window(scenario)
+    w, k_q = scenario.window, len(scenario.questions)
+    rows = np.indices(window.table.shape).reshape(2 * (w + 1), -1).T.astype(np.min_scalar_type(k_q))
+    for k in range(1, w + 1):
+        exact = history_future_joint(window, k, labeled).table
+        cells = _view_next_cells(rows, k_q, k, labeled)
+        table = np.bincount(cells, weights=window.table.reshape(-1), minlength=exact.size)
+        assert np.max(np.abs(table.reshape(exact.shape) - exact)) <= 1e-15
 
 
 def test_eigenstate_start_tree():
@@ -284,7 +319,7 @@ def reference_windows(questions, process, initial, window, n, seed, burn_in):
     out = np.empty((n, 2 * (window + 1)), dtype=int)
     for t in range(burn_in + window + 1):
         if t == 0 or isinstance(process, IIDProcess):
-            law = first_question_distribution(process) if t == 0 else process.weights
+            law = question_law(process)[-1] if t == 0 else process.weights
             q_next = rng.choice(k, size=n, p=law) if k > 1 else np.zeros(n, dtype=int)
         elif isinstance(process, MarkovProcess):
             cdf = np.cumsum(process.transition, axis=1)[q]

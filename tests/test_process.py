@@ -5,10 +5,12 @@ from obsthermo import (
     IIDProcess,
     MarkovProcess,
     PeriodicProcess,
+    Question,
     ValidationError,
-    next_question_distribution,
+    build_chain,
     sample_questions,
 )
+from obsthermo.process import question_law
 
 LABELS = ("Q1", "Q2")
 
@@ -18,32 +20,30 @@ def iid_half():
 
 
 def test_iid_ignores_history():
+    # every row of the law, after either question or at a fresh start, is the weights
     proc = iid_half()
-    assert np.allclose(next_question_distribution(proc), [0.5, 0.5])
-    assert np.allclose(next_question_distribution(proc, "Q2", 17), [0.5, 0.5])
+    assert np.allclose(question_law(proc), [[0.5, 0.5]] * 3)
+    assert np.allclose(question_law(proc, 17), [[0.5, 0.5]] * 3)
 
 
 def test_periodic_single_question_one_hot():
     proc = PeriodicProcess(labels=LABELS, sequence=("Q1",))
     for t in range(5):
-        assert np.allclose(next_question_distribution(proc, time_index=t), [1.0, 0.0])
+        assert np.allclose(question_law(proc, t), [[1.0, 0.0]] * 3)
 
 
 def test_markov_identity_repeats_last_question():
     proc = MarkovProcess(labels=LABELS, transition=np.eye(2), initial=np.array([0.5, 0.5]))
-    assert np.allclose(next_question_distribution(proc, "Q2"), [0.0, 1.0])
-    assert np.allclose(next_question_distribution(proc), [0.5, 0.5])
-
-
-def test_markov_needs_previous_after_step_zero():
-    proc = MarkovProcess(labels=LABELS, transition=np.eye(2), initial=np.array([1.0, 0.0]))
-    with pytest.raises(ValidationError):
-        next_question_distribution(proc, previous_label=None, time_index=3)
+    law = question_law(proc)
+    assert np.allclose(law[LABELS.index("Q2")], [0.0, 1.0])
+    assert np.allclose(law[-1], [0.5, 0.5])
 
 
 def test_unknown_label_rejected():
-    with pytest.raises(ValidationError):
-        next_question_distribution(iid_half(), "Q9")
+    # a question the schedule does not list cannot be chained with it
+    questions = tuple(Question(label, np.array([0.0, 0.0, 1.0])) for label in ("Q1", "Q9"))
+    with pytest.raises(ValidationError, match="process labels"):
+        build_chain(questions, iid_half())
 
 
 def test_time_invariance_for_iid_and_markov():
@@ -52,9 +52,9 @@ def test_time_invariance_for_iid_and_markov():
         labels=LABELS, transition=np.array([[0.7, 0.3], [0.2, 0.8]]), initial=np.array([1.0, 0.0])
     )
     for t in (0, 1, 100):
-        assert np.allclose(next_question_distribution(iid, "Q1", t), [0.5, 0.5])
+        assert np.allclose(question_law(iid, t)[0], [0.5, 0.5])
     for t in (1, 2, 100):
-        assert np.allclose(next_question_distribution(markov, "Q1", t), [0.7, 0.3])
+        assert np.allclose(question_law(markov, t)[0], [0.7, 0.3])
 
 
 def test_periodic_sampling_tiles_the_sequence():
@@ -110,3 +110,10 @@ def test_validation_errors():
         PeriodicProcess(labels=LABELS, sequence=("Q9",))
     with pytest.raises(ValidationError):
         IIDProcess(labels=("Q1", "Q1"), weights=np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("seed", [-1, -3, 2**128])
+def test_seed_outside_the_philox_key_range_rejected(seed):
+    with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\*\*128\)"):
+        sample_questions(iid_half(), 3, seed=seed)
+    assert len(sample_questions(iid_half(), 3, seed=2**128 - 1)) == 3

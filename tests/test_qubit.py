@@ -6,16 +6,15 @@ from hypothesis import given, strategies as st
 from scipy.spatial.transform import Rotation
 
 from obsthermo import (
+    ANSWERS,
     BlochVector,
     MIXED_STATE,
     Question,
     ValidationError,
     born_probability,
     collapse,
-    outcome_probability,
-    repeat_measurement_check,
 )
-from obsthermo.qubit import answer_to_bit, bit_to_answer, collapsed_states, outcome_table
+from obsthermo.qubit import answer_to_bit, collapsed_states, outcome_table
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -76,8 +75,8 @@ def test_collapse_is_pure():
 
 
 def test_repeatability_exact():
-    assert repeat_measurement_check(collapse(Z, +1), Z) == 1.0
-    assert repeat_measurement_check(collapse(X, -1), X) == 1.0
+    assert born_probability(collapse(Z, +1), Z) == 1.0
+    assert born_probability(collapse(X, -1), X) == 0.0
 
 
 def test_orthogonal_after_collapse():
@@ -86,8 +85,9 @@ def test_orthogonal_after_collapse():
 
 
 def test_repeat_check_rejects_non_eigenstate():
-    with pytest.raises(ValidationError):
-        repeat_measurement_check(collapse(Z, +1), X)
+    # only the axis a state collapsed onto repeats its answer with certainty
+    for axis in (X, np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.8, -0.6])):
+        assert 0.0 < born_probability(collapse(Z, +1), axis) < 1.0
 
 
 @given(states(), unit_vectors())
@@ -110,7 +110,7 @@ def test_rotation_covariance(state, axis, seed):
 @given(st.lists(unit_vectors(), min_size=1, max_size=4), st.sampled_from([+1, -1]))
 def test_repeatability_property(axes, outcome):
     state = collapse(axes[0], outcome)
-    assert outcome_probability(state, axes[0], outcome) == 1.0
+    assert outcome_table(state.as_array()[None], axes[:1])[0, 0, ANSWERS.index(outcome)] == 1.0
     # every collapsed state against its own axis, in one call: rows +axis_j, -axis_j
     table = outcome_table(collapsed_states(axes), axes)
     own = table[np.arange(2 * len(axes)), np.arange(2 * len(axes)) // 2]
@@ -137,6 +137,6 @@ def test_question_auto_normalizes_within_config_tolerance():
 
 def test_answer_serialization_round_trip():
     assert answer_to_bit(+1) == 1 and answer_to_bit(-1) == 0
-    assert bit_to_answer(1) == +1 and bit_to_answer(0) == -1
+    assert [ANSWERS[1 - answer_to_bit(a)] for a in ANSWERS] == list(ANSWERS)
     with pytest.raises(ValidationError):
         answer_to_bit(2)

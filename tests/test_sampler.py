@@ -22,8 +22,9 @@ from obsthermo import (
     sample_trajectory,
 )
 from obsthermo import process as procmod
-from obsthermo.chain import born_plus_matrix
 from obsthermo.oracle import mixing_burn_in, replica_layout, sample_windows, windows_per_replica
+
+from conftest import born_plus_matrix
 
 QZ = Question(label="Qz", axis=np.array([0.0, 0.0, 1.0]))
 QX = Question(label="Qx", axis=np.array([1.0, 0.0, 0.0]))

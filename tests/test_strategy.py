@@ -21,8 +21,8 @@ from obsthermo import (
     bundled_scenario,
     conditional_mutual_information,
     entropy,
-    enumerate_deterministic,
     evaluate,
+    exhaustive_best,
     long_run_distribution,
     memory_capacity_bits,
     mutual_information,
@@ -31,7 +31,7 @@ from obsthermo import (
     window_joint,
     workflows,
 )
-from obsthermo.optimize import history_future_joint
+from obsthermo.optimize import HistoryFutureJoint, history_future_joint
 from obsthermo.strategy import (
     assignment_from_map,
     deterministic_count,
@@ -40,7 +40,7 @@ from obsthermo.strategy import (
     write_kernel_csv,
 )
 
-from conftest import case_b_questions, two_questions_at_angle
+from conftest import case_b_questions, enumerate_deterministic, two_questions_at_angle
 
 H_CASE_B_PAIR = 3.0 - 0.75 * math.log2(3.0)
 
@@ -293,8 +293,15 @@ def test_enumeration_counts():
 
 
 def test_enumeration_cap():
+    hf = HistoryFutureJoint(
+        table=np.full((30, 4), 1 / 120),
+        history_symbols=tuple((h,) for h in range(30)),
+        future_symbols=tuple(range(4)),
+        k=1,
+        labeled=False,
+    )
     with pytest.raises(SizeCapError, match="soft optimizer"):
-        list(enumerate_deterministic(30, 4, cap=10**6))
+        exhaustive_best(hf, 4, objective="max_i_pred", cap=10**6)
 
 
 def test_summary_nothing():
