@@ -10,7 +10,7 @@ from obsthermo import (
     brute_force_joint,
     bundled_scenario,
     converged_tail,
-    cross_validate,
+    max_abs_deviation,
     monte_carlo_check,
 )
 from obsthermo.workflows import scenario_window
@@ -22,12 +22,12 @@ _, _, window = scenario_window(scenario)
 tail, horizon = converged_tail(
     scenario.questions, scenario.process, scenario.initial_state, scenario.window
 )
-deviation = cross_validate(window, tail)
+deviation = max_abs_deviation(window, tail)
 print(f"tree stabilized at horizon {horizon}; max per-entry deviation {deviation:.3e}")
 
-result = brute_force_joint(scenario.questions, scenario.process, scenario.initial_state, 3)
-pair = result.joint.marginal(("a1", "a2")).table
-print(f"tree P(a1=a2) = {pair[0, 0] + pair[1, 1]} over {result.leaf_count} leaves")
+joint = brute_force_joint(scenario.questions, scenario.process, scenario.initial_state, 3)
+pair = joint.marginal(("a1", "a2")).table
+print(f"tree P(a1=a2) = {pair[0, 0] + pair[1, 1]} over {joint.table.size} leaves")
 
 print("\n== Monte Carlo cross-check ==")
 exact = analyze(scenario).report

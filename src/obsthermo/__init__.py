@@ -46,14 +46,7 @@ from .optimize import (
     optimize_soft,
     sweep_beta,
 )
-from .oracle import (
-    EnumerationResult,
-    MonteCarloReport,
-    brute_force_joint,
-    converged_tail,
-    cross_validate,
-    monte_carlo_check,
-)
+from .oracle import MonteCarloReport, brute_force_joint, converged_tail, monte_carlo_check
 from .process import (
     IIDProcess,
     MarkovProcess,
@@ -88,7 +81,6 @@ __all__ = [
     "BlochVector",
     "CapCheckResult",
     "ChainKernel",
-    "EnumerationResult",
     "FrontierPoint",
     "HistoryFutureJoint",
     "IIDProcess",
@@ -120,7 +112,6 @@ __all__ = [
     "collapse",
     "conditional_mutual_information",
     "converged_tail",
-    "cross_validate",
     "degeneracy_report",
     "entropy",
     "evaluate",

@@ -254,24 +254,19 @@ def window_alphabets(questions, window: int) -> tuple:
     return tuple(alphabets)
 
 
-def window_joint(
-    kernel: ChainKernel,
-    long_run: LongRunResult,
-    window: int,
-    entry_cap: int = WINDOW_ENTRY_CAP,
-) -> JointDistribution:
+def window_joint(kernel: ChainKernel, long_run: LongRunResult, window: int) -> JointDistribution:
     """Exact joint over w history pairs plus the next pair, at the long run.
 
     Variables are named q-w+1, a-w+1, ..., q0, a0, q+1, a+1; the table has
-    (2K)^(w+1) entries.
+    (2K)^(w+1) entries, at most WINDOW_ENTRY_CAP.
     """
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
     n = kernel.num_states
     entries = n ** (window + 1)
-    if entries > entry_cap:
+    if entries > WINDOW_ENTRY_CAP:
         raise SizeCapError(
-            f"window joint needs {entries} entries; raise entry_cap to at least {entries}"
+            f"window joint needs {entries} entries, over WINDOW_ENTRY_CAP = {WINDOW_ENTRY_CAP}"
         )
     table = long_run.distribution.copy()
     for _ in range(window):
@@ -332,7 +327,7 @@ def sample_trajectory(
     labels = procmod.sample_questions(process, length, seed)
     label_to_idx = {q.label: i for i, q in enumerate(questions)}
     q = np.fromiter(map(label_to_idx.__getitem__, labels), np.intp, length)[:, None]
-    rng = procmod._rng(seed + 0x5EED)  # decouple answer draws from question draws
+    rng = procmod._rng(seed, offset=0x5EED)  # decouple answer draws from question draws
     a = np.empty_like(q)
     step, state = answer_step(questions, initial), np.full(1, 2 * len(questions))
     for t0, t1 in procmod.blocks(0, length, 1):

@@ -19,7 +19,7 @@ from .errors import OptimizerError, SizeCapError, ValidationError
 from .joint import write_joint_csv
 from .optimize import write_frontier_csv
 from .qubit import answer_to_bit
-from .strategy import KernelStrategy, write_kernel_csv
+from .strategy import write_kernel_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -89,8 +89,7 @@ def _cmd_optimize(args) -> int:
     result = workflows.optimize(scenario)
     write_frontier_csv(result.points, out / f"{scenario.name}_frontier.csv")
     best = result.best
-    if isinstance(best.strategy, KernelStrategy):
-        write_kernel_csv(best.strategy, scenario.labels, out / f"{scenario.name}_best_strategy.csv")
+    write_kernel_csv(best.strategy, scenario.labels, out / f"{scenario.name}_best_strategy.csv")
     if result.degeneracy is not None:
         payload = [
             {

@@ -30,17 +30,6 @@ _SCENARIO_KEYS = {
     "temperature_kelvin",
     "output",
 }
-_OPTIMIZER_KEYS = {
-    "memory_size",
-    "beta_min",
-    "beta_max",
-    "beta_steps",
-    "tolerance",
-    "max_iterations",
-    "restarts",
-    "seed",
-    "history",
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,6 +193,19 @@ def _parse_strategy(data, where: str) -> Strategy:
         raise ValidationError(f"{where}: {exc}") from None
 
 
+#: Optional optimizer keys and their checks; memory_size is required.
+_OPTIMIZER_FIELDS = {
+    "beta_min": _number,
+    "beta_max": _number,
+    "beta_steps": _integer,
+    "tolerance": _number,
+    "max_iterations": _integer,
+    "restarts": _integer,
+    "seed": _integer,
+}
+_OPTIMIZER_KEYS = {"memory_size", "history", *_OPTIMIZER_FIELDS}
+
+
 def _parse_optimizer(data, where: str) -> OptimizerSettings:
     if not isinstance(data, dict):
         raise ValidationError(f"{where}: expected an object")
@@ -212,18 +214,14 @@ def _parse_optimizer(data, where: str) -> OptimizerSettings:
     if not isinstance(history, dict):
         raise ValidationError(f"{where}.history: expected an object")
     _reject_unknown(history, {"k", "labeled"}, f"{where}.history")
-    settings = {
-        "memory_size": _field(data, "memory_size", where, _integer),
-        "beta_min": _field(data, "beta_min", where, _number, 1.0),
-        "beta_max": _field(data, "beta_max", where, _number, 8.0),
-        "beta_steps": _field(data, "beta_steps", where, _integer, 7),
-        "tolerance": _field(data, "tolerance", where, _number, 1e-9),
-        "max_iterations": _field(data, "max_iterations", where, _integer, 10_000),
-        "restarts": _field(data, "restarts", where, _integer, 8),
-        "seed": _field(data, "seed", where, _integer, 0),
-        "history_k": _field(history, "k", f"{where}.history", _optional_integer, None),
-        "history_labeled": _field(history, "labeled", f"{where}.history", _boolean, True),
-    }
+    # only the keys given: OptimizerSettings holds the defaults
+    settings = {"memory_size": _field(data, "memory_size", where, _integer)}
+    for key, check in _OPTIMIZER_FIELDS.items():
+        if key in data:
+            settings[key] = check(data[key], f"{where}.{key}")
+    for key, check in (("k", _optional_integer), ("labeled", _boolean)):
+        if key in history:
+            settings[f"history_{key}"] = check(history[key], f"{where}.history.{key}")
     try:
         return OptimizerSettings(**settings)
     except ValidationError as exc:
@@ -236,6 +234,8 @@ def parse_scenario(data: dict) -> Scenario:
         raise ValidationError("scenario: expected a JSON object")
     _reject_unknown(data, _SCENARIO_KEYS, "scenario")
     name = _field(data, "name", "scenario", _string)
+    if "/" in name or "\\" in name:  # output files are named after it, inside --out
+        raise ValidationError(f"scenario.name: must not contain / or \\, got {name!r}")
     questions = _parse_questions(_require(data, "questions", "scenario"), "scenario.questions")
     labels = tuple(q.label for q in questions)
     process = _parse_process(_require(data, "process", "scenario"), labels, "scenario.process")

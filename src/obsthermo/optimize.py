@@ -19,7 +19,6 @@ from .errors import OptimizerError, SizeCapError, ValidationError
 from .info import encoder_information, xlogx
 from .joint import JointDistribution
 from .strategy import (
-    ENUMERATION_CAP,
     KernelStrategy,
     assignment_from_map,
     deterministic_count,
@@ -32,6 +31,9 @@ _LN2 = np.log(2.0)
 _DESCENT_SLACK = 1e-12
 _LOG_FLOOR = 1e-300  # decoder entries floored inside logs; rows renormalized each iteration
 _MAP_BLOCK = 4096  # most maps, and tail subsets, per block: bounds the gathered (maps, M, X') terms
+ENUMERATION_CAP = 10**6  # most deterministic maps an exhaustive scan enumerates
+TARGET_TOL = 1e-9  # slack under i_pred_target that "min_nostalgia_at_i_pred" still admits
+DEGENERACY_TOL = 1e-9  # most nostalgia of a map in the degeneracy report
 
 
 @dataclass(frozen=True)
@@ -275,7 +277,7 @@ def sweep_beta(hf: HistoryFutureJoint, settings: OptimizerSettings) -> list:
     return points
 
 
-def _scan_maps(hf: HistoryFutureJoint, m: int, cap: int):
+def _scan_maps(hf: HistoryFutureJoint, m: int):
     """(first map index, i_mem, i_pred) for blocks of every deterministic map h -> m.
 
     Maps are numbered mixed-radix with the last history fastest, the order of
@@ -296,10 +298,10 @@ def _scan_maps(hf: HistoryFutureJoint, m: int, cap: int):
     if n_hist < 1 or m < 1:
         raise ValidationError("history and memory sizes must be >= 1")
     total = deterministic_count(n_hist, m)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise SizeCapError(
-            f"{total} deterministic maps exceed the cap {cap}; "
-            "use the soft optimizer or raise the cap"
+            f"{total} deterministic maps exceed ENUMERATION_CAP = {ENUMERATION_CAP}; "
+            "use the soft optimizer"
         )
     r = 0
     while r < n_hist and max(m, 2) ** (r + 1) <= _MAP_BLOCK:
@@ -343,16 +345,14 @@ def exhaustive_best(
     objective: str = "beta",
     beta: float | None = None,
     i_pred_target: float | None = None,
-    target_tol: float = 1e-9,
-    cap: int = ENUMERATION_CAP,
 ) -> FrontierPoint:
     """Certified optimum over all deterministic maps history -> memory.
 
     objective: "beta" minimizes i_mem - beta * i_pred (beta required);
     "max_i_pred" maximizes i_pred; "min_nostalgia_at_i_pred" minimizes
-    nostalgia among maps with i_pred >= i_pred_target - target_tol.
+    nostalgia among maps with i_pred >= i_pred_target - TARGET_TOL.
     Ties go to the earliest map in enumeration order.  Raises SizeCapError
-    when the maps number more than `cap`.
+    when the maps number more than ENUMERATION_CAP.
     """
     if objective == "beta":
         if beta is None:
@@ -369,14 +369,14 @@ def exhaustive_best(
     best_score = None
     best_index = None
     best_info = None
-    for first, i_mem, i_pred in _scan_maps(hf, memory_size, cap):
+    for first, i_mem, i_pred in _scan_maps(hf, memory_size):
         if objective == "beta":
             scores = i_mem - beta * i_pred
         elif objective == "max_i_pred":
             scores = -i_pred
         else:
             scores = np.where(
-                i_pred >= i_pred_target - target_tol, i_mem - i_pred, np.inf
+                i_pred >= i_pred_target - TARGET_TOL, i_mem - i_pred, np.inf
             )
         j = int(np.argmin(scores))
         if best_score is None or scores[j] < best_score - 1e-15:
@@ -414,16 +414,14 @@ class DegenerateStrategy:
     observer_like: bool
 
 
-def degeneracy_report(
-    hf: HistoryFutureJoint, memory_size: int, tol: float = 1e-9, cap: int = ENUMERATION_CAP
-) -> list:
-    """Every deterministic map with nostalgia <= tol, annotated with its i_pred,
-    in enumeration order."""
+def degeneracy_report(hf: HistoryFutureJoint, memory_size: int) -> list:
+    """Every deterministic map with nostalgia <= DEGENERACY_TOL, annotated with
+    its i_pred, in enumeration order."""
     n_hist = hf.num_histories
     out = []
-    for first, i_mem, i_pred in _scan_maps(hf, memory_size, cap):
+    for first, i_mem, i_pred in _scan_maps(hf, memory_size):
         nostalgia = i_mem - i_pred
-        for j in np.flatnonzero(nostalgia <= tol):
+        for j in np.flatnonzero(nostalgia <= DEGENERACY_TOL):
             out.append(
                 DegenerateStrategy(
                     map_indices=tuple(_map_at(first + int(j), n_hist, memory_size).tolist()),

@@ -7,6 +7,13 @@ It shares only the one-step physics with the chain module: the Born table
 `qubit.outcome_table`, the question law `process.question_law` and the step
 `chain.step_law` that multiplies them.  It shares none of the kernel,
 long-run or window algebra, so agreement between the two certifies both.
+
+Monte Carlo draws its windows from the replica trajectories of
+`replica_plan`, the one place that reads the kernel's spectrum: how long a
+replica burns in and how many sliding windows it gives.  Caps, tolerances
+and counts are module constants, each read where it applies: LEAF_CAP bounds
+the tree, TAIL_TOL ends `converged_tail`, MIN_BURN_IN, BURN_IN_TOL and
+MIN_REPLICAS shape the plan, and N_BOOTSTRAP counts the bootstrap resamples.
 """
 
 import itertools
@@ -17,7 +24,6 @@ import numpy as np
 
 from . import chain as chainmod
 from . import info
-from . import joint as jointmod
 from . import process as procmod
 from .errors import SizeCapError, ValidationError
 from .joint import JointDistribution
@@ -30,20 +36,7 @@ TAIL_TOL = 1e-12
 MIN_BURN_IN = 64
 BURN_IN_TOL = 1e-6  # slowest mode's share left when a Monte Carlo window starts
 MIN_REPLICAS = 100  # fewest independent trajectories a Monte Carlo bootstrap resamples
-
-
-@dataclass(frozen=True, eq=False)
-class EnumerationResult:
-    """Exact joint over (Q_1, A_1, ..., Q_T, A_T) plus the leaf count.
-
-    Every question branch is enumerated each step regardless of its schedule
-    weight (zero-probability branches are kept as zero-mass leaves), so the
-    leaf count is always (2K)^T.
-    """
-
-    horizon: int
-    joint: JointDistribution
-    leaf_count: int
+N_BOOTSTRAP = 200  # replica bootstrap resamples behind each Monte Carlo error
 
 
 def _tree_levels(questions, process, initial: BlochVector):
@@ -66,67 +59,55 @@ def _tree_levels(questions, process, initial: BlochVector):
         states, prev = np.tile(pairs, (copies, 1)), np.tile(last, copies)
 
 
-def brute_force_joint(
-    questions, process, initial: BlochVector, horizon: int, leaf_cap: int = LEAF_CAP
-) -> EnumerationResult:
-    """Exact probability of every length-`horizon` trajectory."""
+def brute_force_joint(questions, process, initial: BlochVector, horizon: int) -> JointDistribution:
+    """Exact probability of every length-`horizon` trajectory, over (q1, a1, ..., qT, aT).
+
+    Every question branch is enumerated each step regardless of its schedule
+    weight (zero-probability branches are kept as zero-mass leaves), so the
+    table has (2K)^T entries.
+    """
     questions = chainmod.check_process_labels(questions, process)
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     leaves = (2 * len(questions)) ** horizon
-    if leaves > leaf_cap:
-        raise SizeCapError(
-            f"enumeration needs {leaves} leaves; raise leaf_cap to at least {leaves}"
-        )
+    if leaves > LEAF_CAP:
+        raise SizeCapError(f"enumeration needs {leaves} leaves, over LEAF_CAP = {LEAF_CAP}")
     probs = next(itertools.islice(_tree_levels(questions, process, initial), horizon - 1, None))
     labels = tuple(q.label for q in questions)
-    joint = JointDistribution(
+    return JointDistribution(
         names=tuple(n for t in range(1, horizon + 1) for n in (f"q{t}", f"a{t}")),
         alphabets=(labels, ANSWERS) * horizon,
         table=probs.reshape((len(questions), 2) * horizon),
     )
-    return EnumerationResult(horizon=horizon, joint=joint, leaf_count=probs.size)
 
 
-def converged_tail(
-    questions,
-    process,
-    initial: BlochVector,
-    window: int,
-    tol: float = TAIL_TOL,
-    leaf_cap: int = LEAF_CAP,
-) -> tuple:
-    """Grow the horizon until successive tail windows agree within tol.
+def converged_tail(questions, process, initial: BlochVector, window: int) -> tuple:
+    """Grow the horizon until successive tail windows agree within TAIL_TOL.
 
     Returns (tail joint, horizon used).  Reducible chains such as the single
     question scenario stabilize immediately; mixing chains take a few steps.
     """
     questions = chainmod.check_process_labels(questions, process)
     k = len(questions)
-    if (2 * k) ** (window + 2) > leaf_cap:
+    if (2 * k) ** (window + 2) > LEAF_CAP:
         raise SizeCapError(
-            f"cannot even compare horizons {window + 1} and {window + 2} under leaf cap {leaf_cap}"
+            f"cannot even compare horizons {window + 1} and {window + 2} under LEAF_CAP = {LEAF_CAP}"
         )
     width = (2 * k) ** (window + 1)
     levels = enumerate(_tree_levels(questions, process, initial), start=1)
     for horizon, probs in itertools.islice(levels, window, None):
         tail = probs.reshape(-1, width).sum(axis=0)  # the last window + 1 pairs
-        if horizon > window + 1 and np.max(np.abs(tail - prev_tail)) < tol:
+        if horizon > window + 1 and np.max(np.abs(tail - prev_tail)) < TAIL_TOL:
             table = tail.reshape((k, 2) * (window + 1))
             names = chainmod.window_names(window)
             alphabets = chainmod.window_alphabets(questions, window)
             return JointDistribution(names=names, alphabets=alphabets, table=table), horizon
-        if probs.size * 2 * k > leaf_cap:
+        if probs.size * 2 * k > LEAF_CAP:
             raise SizeCapError(
-                f"tail has not stabilized within the leaf cap {leaf_cap}; "
+                f"tail has not stabilized within LEAF_CAP = {LEAF_CAP} leaves; "
                 f"last deviation at horizon {horizon}"
             )
         prev_tail = tail
-
-
-def cross_validate(chain_joint: JointDistribution, oracle_joint: JointDistribution) -> float:
-    """Max absolute per-entry deviation between two window joints."""
-    return jointmod.max_abs_deviation(chain_joint, oracle_joint)
 
 
 def verdict(check: str, scenario: str, deviation: float, tolerance: float) -> dict:
@@ -140,52 +121,33 @@ def verdict(check: str, scenario: str, deviation: float, tolerance: float) -> di
     }
 
 
-def mixing_burn_in(questions, process) -> int:
-    """Steps a Monte Carlo replica discards before its first window.
+def replica_plan(questions, process, n: int) -> tuple:
+    """(burn-in, replicas R, windows L per replica) with which Monte Carlo draws n windows.
 
-    max(MIN_BURN_IN, ceil(ln BURN_IN_TOL / ln lam)), where lam is the chain
-    kernel's `slowest_mode_modulus`: after that many steps the slowest decaying
-    mode has shrunk by BURN_IN_TOL.  Periodic schedules have no
-    time-homogeneous kernel and keep MIN_BURN_IN.  Only this length comes
-    from the kernel; the windows are still simulated from the Born rule.
+    The burn-in is max(MIN_BURN_IN, ceil(ln BURN_IN_TOL / ln lam)) steps, where
+    lam is the chain kernel's `slowest_mode_modulus`: after that many steps the
+    slowest decaying mode has shrunk by BURN_IN_TOL (Levin, Peres & Wilmer,
+    Markov Chains and Mixing Times, ch. 4).  Only this length comes from the
+    kernel; the windows are still simulated from the Born rule.
+
+    L is the burn-in when the kernel `mixes`: a replica then has forgotten its
+    start and its next windows all follow the long run.  It is cut to
+    n // MIN_REPLICAS so that at least MIN_REPLICAS replicas carry the
+    bootstrap.  L is 1 otherwise: on a reducible kernel a trajectory never
+    leaves the class it lands in, on a periodic one it keeps its phase, so each
+    window needs its own replica.  A periodic schedule has no time-homogeneous
+    kernel: it burns in MIN_BURN_IN steps and gives one window per replica.
+    R = ceil(n / L), and the last replica may give fewer.
     """
-    return _chain_plan(questions, process, None)[0]
-
-
-def windows_per_replica(questions, process, burn_in: int | None = None) -> int:
-    """Most sliding windows one Monte Carlo replica gives after its burn-in.
-
-    The burn-in (None means `mixing_burn_in`) when the kernel `mixes`: a
-    replica then has forgotten its start and its next windows all follow the
-    long run.  1 otherwise: on a reducible kernel a trajectory never leaves the
-    class it lands in, on a periodic one it keeps its phase, and a periodic
-    schedule has no kernel, so each window needs its own replica.
-    """
-    return _chain_plan(questions, process, burn_in)[1]
-
-
-def _chain_plan(questions, process, burn_in: int | None) -> tuple:
-    """(burn-in, windows per replica) of `mixing_burn_in` and `windows_per_replica`,
-    from at most one kernel build."""
-    if isinstance(process, procmod.PeriodicProcess):
-        return (MIN_BURN_IN if burn_in is None else burn_in), 1
-    kernel = chainmod.build_chain(questions, process)
-    if burn_in is None:
+    burn_in, per = MIN_BURN_IN, 1
+    if not isinstance(process, procmod.PeriodicProcess):
+        kernel = chainmod.build_chain(questions, process)
         lam = chainmod.slowest_mode_modulus(kernel)
-        burn_in = MIN_BURN_IN
         if lam != 0.0:
             burn_in = max(MIN_BURN_IN, math.ceil(math.log(BURN_IN_TOL) / math.log(lam)))
-    return burn_in, (max(1, burn_in) if chainmod.mixes(kernel) else 1)
-
-
-def replica_layout(n: int, per_replica: int) -> tuple:
-    """(replicas R, windows L per replica) for n windows, at most per_replica each.
-
-    L is cut to n // MIN_REPLICAS so that at least MIN_REPLICAS replicas carry
-    the bootstrap; R = ceil(n / L), and the last replica may give fewer.
-    """
-    windows = max(1, min(per_replica, n // MIN_REPLICAS))
-    return -(-n // windows), windows
+        if chainmod.mixes(kernel):
+            per = max(1, min(burn_in, n // MIN_REPLICAS))
+    return burn_in, -(-n // per), per
 
 
 def sample_windows(
@@ -195,15 +157,13 @@ def sample_windows(
     window: int,
     n: int,
     seed: int,
-    burn_in: int | None = None,
 ) -> np.ndarray:
     """Draw n (window+1)-pair windows from R replica trajectories.
 
     The replicas start from `initial` and run through the sampler's question
     and answer steps, b = max(1, process._BLOCK_ENTRIES // R) steps at a time;
-    no output depends on b.  Each discards burn_in steps (None means
-    `mixing_burn_in`) and then gives L consecutive sliding windows, with
-    (R, L) = `replica_layout(n, windows_per_replica(...))`.  Replicas are
+    no output depends on b.  Each discards its burn-in and then gives L
+    consecutive sliding windows, as `replica_plan` sets out.  Replicas are
     i.i.d.; windows inside one are not, so errors must resample whole
     replicas.  Where L = 1 (reducible or periodic chains) R = n, every window
     has its own trajectory, the samples are i.i.d. and plain bootstrap errors
@@ -215,8 +175,7 @@ def sample_windows(
     order, so row i+1's first 2*window columns are row i's last 2*window.
     """
     questions = chainmod.check_process_labels(questions, process)
-    burn_in, per = _chain_plan(questions, process, burn_in)
-    replicas, per = replica_layout(n, per)
+    burn_in, replicas, per = replica_plan(questions, process, n)
     k = len(questions)
     rng = procmod._rng(seed)
     next_questions = procmod.question_step(process)
@@ -289,41 +248,38 @@ def monte_carlo_check(
     strategy: Strategy,
     n: int,
     seed: int,
-    n_bootstrap: int = 200,
-    burn_in: int | None = None,
 ) -> MonteCarloReport:
     """Monte Carlo estimate of an InfoReport's information terms, with bootstrap errors.
 
     Counts only the (view, next pair) cells of `strategy.view_encoder`: the
     memory reads the window through its view, so the plug-in I(M; window)
     equals I(M; view).  The errors come from a replica bootstrap: the
-    replicas of `sample_windows` are resampled whole, n_bootstrap times from
+    replicas of `sample_windows` are resampled whole, N_BOOTSTRAP times from
     a seeded generator.  With one window per replica this is the ordinary
     bootstrap, drawn over the cells.  All replicates are scored at once.
     """
     if n < 10**3:
         raise ValidationError(f"need at least 1000 samples, got {n}")
     questions = tuple(questions)
-    burn_in, per = _chain_plan(questions, process, burn_in)
-    samples = sample_windows(questions, process, initial, window, n, seed, burn_in=burn_in)
-    replicas, per = replica_layout(n, per)
+    burn_in, replicas, per = replica_plan(questions, process, n)
+    samples = sample_windows(questions, process, initial, window, n, seed)
     labels = tuple(q.label for q in questions)
     k, labeled, encoder, _ = view_encoder(strategy, labels, window)
     views, nexts = encoder.shape[0], 2 * len(questions)
     cells = _view_next_cells(samples, len(questions), k, labeled)
 
-    rng = procmod._rng(seed + 0xB00)
+    rng = procmod._rng(seed, offset=0xB00)
     if per == 1:
         counts = np.bincount(cells, minlength=views * nexts)
-        boots = rng.multinomial(n, counts / counts.sum(), size=n_bootstrap)
+        boots = rng.multinomial(n, counts / counts.sum(), size=N_BOOTSTRAP)
     else:
         # per-replica cell counts; a replicate weighs each replica by how often it was drawn
         cells += np.arange(n) // per * (views * nexts)
         by_replica = np.bincount(cells, minlength=replicas * views * nexts).astype(float)
         by_replica = by_replica.reshape(replicas, views * nexts)
         counts = by_replica.sum(axis=0)
-        weights = np.empty((n_bootstrap, replicas))
-        for b in range(n_bootstrap):
+        weights = np.empty((N_BOOTSTRAP, replicas))
+        for b in range(N_BOOTSTRAP):
             weights[b] = np.bincount(rng.integers(replicas, size=replicas), minlength=replicas)
         boots = np.einsum("br,rc->bc", weights, by_replica)  # not BLAS: no thread pool
 

@@ -18,11 +18,15 @@ PROB_TOL = 1e-12
 _BLOCK_ENTRIES = 2**11
 
 
-def _rng(seed: int) -> np.random.Generator:
-    """The Philox generator keyed by `seed`, an integer in [0, 2**128)."""
+def _rng(seed: int, offset: int = 0) -> np.random.Generator:
+    """The Philox generator keyed by (seed + offset) mod 2**128, for a seed in [0, 2**128).
+
+    A nonzero offset derives a second stream from the same seed; the key wraps,
+    so every valid seed has one.
+    """
     if not 0 <= seed < 2**128:
         raise ValidationError(f"seed must be in [0, 2**128), got {seed}")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return np.random.Generator(np.random.Philox(key=(int(seed) + offset) % 2**128))
 
 
 def _check_prob_vector(vec, size: int, where: str) -> np.ndarray:

@@ -21,7 +21,6 @@ from .joint import JointDistribution
 from .qubit import ANSWERS, answer_to_bit
 
 ROW_TOL = 1e-12
-ENUMERATION_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -300,21 +299,3 @@ def write_kernel_csv(strategy: KernelStrategy, labels, path) -> None:
             cells = [_serialize_history_symbol(sym, strategy.labeled)]
             cells += [format(v, ".9g") for v in row]
             fh.write(",".join(cells) + "\n")
-
-
-def read_kernel_csv(path) -> KernelStrategy:
-    """Inverse of write_kernel_csv."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    meta = {}
-    for ln in lines:
-        if ln.startswith("# k="):
-            for tok in ln[2:].split():
-                key, val = tok.split("=")
-                meta[key] = val
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
-    rows = [ln.split(",") for ln in body[1:]]
-    assignment = np.array([[float(v) for v in r[1:]] for r in rows])
-    return KernelStrategy(
-        assignment=assignment, k=int(meta["k"]), labeled=meta["labeled"] == "true"
-    )

@@ -13,8 +13,8 @@ from . import info
 from . import oracle as oraclemod
 from . import process as procmod
 from .config import Scenario
-from .errors import ValidationError
-from .joint import JointDistribution
+from .errors import SizeCapError, ValidationError
+from .joint import JointDistribution, max_abs_deviation
 from .optimize import (
     FrontierPoint,
     OptimizerSettings,
@@ -23,23 +23,12 @@ from .optimize import (
     history_future_joint,
     sweep_beta,
 )
-from .strategy import (
-    ENUMERATION_CAP,
-    MEMORY_VAR,
-    apply_strategy,
-    deterministic_count,
-    history_window,
-    view_encoder,
-)
+from .strategy import MEMORY_VAR, apply_strategy, history_window, view_encoder
 
 WINDOW_ORACLE_TOL = 1e-10
 CONSISTENCY_TOL = 1e-10
 MARKOV_PROPERTY_TOL = 1e-10
 DEFAULT_MC_SAMPLES = 10_000
-
-
-def scenario_kernel(scenario: Scenario) -> chainmod.ChainKernel:
-    return chainmod.build_chain(scenario.questions, scenario.process)
 
 
 def scenario_window(scenario: Scenario, k: int | None = None):
@@ -48,7 +37,7 @@ def scenario_window(scenario: Scenario, k: int | None = None):
     k defaults to the scenario's window w.  The long run is invariant under
     the kernel, so the k-pair window is exactly the marginal of the w-pair one.
     """
-    kernel = scenario_kernel(scenario)
+    kernel = chainmod.build_chain(scenario.questions, scenario.process)
     long_run = chainmod.long_run_distribution(kernel, scenario.initial_state)
     window = chainmod.window_joint(kernel, long_run, scenario.window if k is None else k)
     return kernel, long_run, window
@@ -117,10 +106,11 @@ def optimize(scenario: Scenario) -> OptimizeResult:
     hf = history_future_joint(window, k=k, labeled=settings.history_labeled)
     points = tuple(sweep_beta(hf, settings))
     best = min(points, key=lambda p: p.objective)
-    degeneracy = None
-    reference = None
-    if deterministic_count(hf.num_histories, settings.memory_size) <= ENUMERATION_CAP:
+    try:
         degeneracy = tuple(degeneracy_report(hf, settings.memory_size))
+    except SizeCapError:  # more maps than the scan enumerates
+        degeneracy = reference = None
+    else:
         reference = exhaustive_best(
             hf, settings.memory_size, objective="beta", beta=float(settings.betas()[-1])
         )
@@ -153,14 +143,14 @@ def verify(
     tail, _horizon = oraclemod.converged_tail(
         scenario.questions, scenario.process, scenario.initial_state, scenario.window
     )
-    dev = oraclemod.cross_validate(window, tail)
+    dev = max_abs_deviation(window, tail)
     verdicts.append(oraclemod.verdict("window_vs_oracle", name, dev, WINDOW_ORACLE_TOL))
 
     if scenario.window >= 2:
         # dropping the oldest pair of a w-window leaves exactly the (w-1)-window names
         smaller = chainmod.window_joint(kernel, long_run, scenario.window - 1)
         dropped = window.marginal(chainmod.window_names(scenario.window)[2:])
-        dev = oraclemod.cross_validate(dropped, smaller)
+        dev = max_abs_deviation(dropped, smaller)
         verdicts.append(oraclemod.verdict("window_consistency", name, dev, CONSISTENCY_TOL))
 
     future = window.marginal(chainmod.FUTURE_PAIR)

@@ -21,12 +21,12 @@ from obsthermo import (
     build_chain,
     bundled_scenario,
     converged_tail,
-    cross_validate,
     degeneracy_report,
     evaluate,
     exhaustive_best,
     history_future_joint,
     long_run_distribution,
+    max_abs_deviation,
     memory_capacity_bits,
     monte_carlo_check,
     optimize,
@@ -164,7 +164,7 @@ def test_criterion_10_oracle_equivalence_all_scenarios():
         tail, _ = converged_tail(
             scenario.questions, scenario.process, scenario.initial_state, scenario.window
         )
-        deviation = cross_validate(window, tail)
+        deviation = max_abs_deviation(window, tail)
         assert deviation <= 1e-10, name
         worst = max(worst, deviation)
     _report(10, f"chain vs brute-force tree: worst per-entry deviation {worst:.3e} <= 1e-10")

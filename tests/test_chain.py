@@ -20,6 +20,7 @@ from obsthermo import (
     window_joint,
     window_names,
 )
+from obsthermo import chain as chainmod
 from obsthermo.chain import mixes, slowest_mode_modulus, write_trajectory_csv
 from obsthermo.joint import JointDistribution
 
@@ -200,12 +201,14 @@ def test_window_exogeneity_for_iid():
     assert mutual_information(w, ["q+1"], history) < 1e-10
 
 
-def test_window_size_cap_names_requirement():
+def test_window_size_cap_names_requirement(monkeypatch):
     questions, proc = case_b_questions()
     kernel = build_chain(questions, proc)
     lr = long_run_distribution(kernel, MIXED_STATE)
-    with pytest.raises(SizeCapError, match="256"):
-        window_joint(kernel, lr, 3, entry_cap=100)
+    monkeypatch.setattr(chainmod, "WINDOW_ENTRY_CAP", 100)
+    assert window_joint(kernel, lr, 2).table.size == 64
+    with pytest.raises(SizeCapError, match="needs 256 entries, over WINDOW_ENTRY_CAP = 100"):
+        window_joint(kernel, lr, 3)
 
 
 def test_trajectory_case_a_eigenstate_start_constant():

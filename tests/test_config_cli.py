@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from obsthermo import (
     verify,
 )
 from obsthermo.cli import main as cli_main
+from obsthermo.optimize import OptimizerSettings
 
 
 def minimal_config(**overrides):
@@ -255,6 +257,41 @@ def test_cli_non_strings_and_negative_seeds_exit_1(tmp_path, capsys, command, ov
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: {field}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "..\\escaped"])
+def test_cli_scenario_name_must_be_one_path_component(tmp_path, capsys, name):
+    # output files are named after the scenario: a separator would put them outside --out
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(minimal_config(name=name)))
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "nested" / "out"
+    assert cli_main(["analyze", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: scenario.name")
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_cli_sample_and_verify_accept_the_largest_seed(tmp_path):
+    # the answer and bootstrap streams derive their keys from seed + offset, mod 2**128
+    cfg = bundled_scenario_path("case_b_labeled")
+    seed = str(2**128 - 1)
+    out = str(tmp_path)
+    assert cli_main(["sample", "--config", cfg, "--length", "100", "--seed", seed, "--out", out]) == 0
+    assert cli_main(["verify", "--config", cfg, "--seed", seed, "--out", out]) == 0
+
+
+def test_optimizer_defaults_live_in_the_settings_class():
+    cases = [
+        ({"memory_size": 3}, OptimizerSettings(memory_size=3)),
+        ({"memory_size": 2, "history": {"labeled": False}}, OptimizerSettings(2, history_labeled=False)),
+        ({"memory_size": 2, "seed": 5, "history": {"k": 1}}, OptimizerSettings(2, seed=5, history_k=1)),
+    ]
+    for optimizer, expected in cases:
+        parsed = parse_scenario(minimal_config(optimizer=optimizer)).optimizer
+        for field in dataclasses.fields(OptimizerSettings):
+            assert getattr(parsed, field.name) == getattr(expected, field.name), field.name
 
 
 def test_integral_floats_count_as_integers():

@@ -188,7 +188,7 @@ def test_mutual_information_table_of_a_stack_equals_each_table():
 
 
 def test_import_loads_no_scipy():
-    # the runtime needs numpy only; scipy is a test-time dependency
+    # the runtime needs numpy only
     import obsthermo
 
     code = "import sys, obsthermo; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -11,6 +11,7 @@ from obsthermo import (
     SizeCapError,
     ValidationError,
     build_chain,
+    bundled_scenario,
     bundled_scenario_path,
     degeneracy_report,
     exhaustive_best,
@@ -19,6 +20,7 @@ from obsthermo import (
     optimize_soft,
     sweep_beta,
     window_joint,
+    workflows,
 )
 from obsthermo.cli import main as cli_main
 from obsthermo.optimize import (
@@ -32,6 +34,8 @@ from obsthermo.strategy import assignment_from_map, harden
 from obsthermo.workflows import scenario_window
 
 from conftest import case_b_questions, enumerate_deterministic
+
+optmod = importlib.import_module("obsthermo.optimize")  # the package's `optimize` is the workflow
 
 IPRED_UNLABELED = 0.18872187554086717  # 1 - Hb(1/4)
 
@@ -298,7 +302,7 @@ def test_exhaustive_best_matches_brute_force(n_hist, m):
 
 
 @pytest.mark.parametrize("n_hist,m", SCAN_SHAPES)
-def test_degeneracy_report_matches_brute_force_in_enumeration_order(n_hist, m):
+def test_degeneracy_report_matches_brute_force_in_enumeration_order(n_hist, m, monkeypatch):
     hf = random_hf(n_hist, seed=n_hist * 10 + m + 1)
     brute = brute_force_points(hf, m)
     nostalgia = sorted(i_mem - i_pred for _, i_mem, i_pred in brute)
@@ -308,25 +312,37 @@ def test_degeneracy_report_matches_brute_force_in_enumeration_order(n_hist, m):
         j += 1
     tol = nostalgia[j] + 0.5 * (nostalgia[j + 1] - nostalgia[j]) if j + 1 < len(nostalgia) else 1e-9
     expected = [(mp, i_mem, i_pred) for mp, i_mem, i_pred in brute if i_mem - i_pred <= tol]
-    report = degeneracy_report(hf, m, tol=tol)
+    constants = [d.map_indices for d in degeneracy_report(hf, m) if len(set(d.map_indices)) == 1]
+    assert constants == [(c,) * n_hist for c in range(m)]
+    monkeypatch.setattr(optmod, "DEGENERACY_TOL", tol)
+    report = degeneracy_report(hf, m)
     assert [d.map_indices for d in report] == [mp for mp, _, _ in expected]
     for d, (_, i_mem, i_pred) in zip(report, expected):
         assert d.i_mem == pytest.approx(i_mem, abs=1e-12)
         assert d.i_pred == pytest.approx(i_pred, abs=1e-12)
         assert d.nostalgia == pytest.approx(max(0.0, i_mem - i_pred), abs=1e-12)
         assert d.observer_like == (d.i_pred > 1e-9)
-    constants = [d.map_indices for d in degeneracy_report(hf, m) if len(set(d.map_indices)) == 1]
-    assert constants == [(c,) * n_hist for c in range(m)]
 
 
 @pytest.mark.parametrize("n_hist,m", SCAN_SHAPES)
-def test_map_scan_over_cap_points_to_soft_optimizer(n_hist, m):
+def test_map_scan_over_cap_points_to_soft_optimizer(n_hist, m, monkeypatch):
     hf = random_hf(n_hist, seed=0)
-    cap = m**n_hist - 1
-    with pytest.raises(SizeCapError, match="soft optimizer"):
-        exhaustive_best(hf, m, objective="max_i_pred", cap=cap)
-    with pytest.raises(SizeCapError, match="soft optimizer"):
-        degeneracy_report(hf, m, cap=cap)
+    monkeypatch.setattr(optmod, "ENUMERATION_CAP", m**n_hist - 1)
+    over = rf"{m**n_hist} deterministic maps exceed ENUMERATION_CAP = {m**n_hist - 1}; use the soft optimizer"
+    with pytest.raises(SizeCapError, match=over):
+        exhaustive_best(hf, m, objective="max_i_pred")
+    with pytest.raises(SizeCapError, match=over):
+        degeneracy_report(hf, m)
+
+
+def test_optimize_skips_the_map_scan_over_the_cap(monkeypatch):
+    scenario = bundled_scenario("case_a")  # 2**2 maps: H = 2, M = 2
+    result = workflows.optimize(scenario)
+    assert result.degeneracy is not None and result.exhaustive_reference is not None
+    monkeypatch.setattr(optmod, "ENUMERATION_CAP", 3)
+    over = workflows.optimize(scenario)
+    assert over.degeneracy is None and over.exhaustive_reference is None
+    assert [p.objective for p in over.points] == [p.objective for p in result.points]
 
 
 def starts_with_warm(hf, m, seed, warm):
@@ -378,7 +394,7 @@ def test_iteration_cap_reports_unfinished_restarts(case_b_unlabeled):
 
 def test_descent_violation_is_a_typed_error(tmp_path, monkeypatch, capsys, case_a_hf):
     # a negative slack makes every step count as a rise in the objective
-    monkeypatch.setattr(importlib.import_module("obsthermo.optimize"), "_DESCENT_SLACK", -1.0)
+    monkeypatch.setattr(optmod, "_DESCENT_SLACK", -1.0)
     with pytest.raises(OptimizerError, match="restart 0: .* monotone descent violated"):
         optimize_soft(case_a_hf, 4.0, settings(2))
     rc = cli_main(["optimize", "--config", bundled_scenario_path("case_a"), "--out", str(tmp_path)])

@@ -18,9 +18,9 @@ from obsthermo import (
     build_chain,
     bundled_scenario,
     converged_tail,
-    cross_validate,
     history_future_joint,
     long_run_distribution,
+    max_abs_deviation,
     monte_carlo_check,
     window_joint,
     window_names,
@@ -28,15 +28,8 @@ from obsthermo import (
 from obsthermo.chain import window_alphabets
 from obsthermo.config import parse_scenario
 from obsthermo.joint import JointDistribution
-from obsthermo.oracle import (
-    MIN_REPLICAS,
-    _view_next_cells,
-    mixing_burn_in,
-    replica_layout,
-    sample_windows,
-    verdict,
-    windows_per_replica,
-)
+from obsthermo import oracle as oraclemod
+from obsthermo.oracle import _view_next_cells, replica_plan, sample_windows, verdict
 from obsthermo.process import question_law
 from obsthermo.workflows import analyze, scenario_window
 
@@ -63,11 +56,11 @@ def at_angle_scenario(theta: float):
     )
 
 
-def tree_tail(result, questions, window: int) -> JointDistribution:
+def tree_tail(joint, questions, window: int) -> JointDistribution:
     """The last window + 1 pairs of a tree's joint, summed out by a raw reshape as
     `converged_tail` does, under the window names."""
     k = len(questions)
-    tail = result.joint.table.reshape(-1, (2 * k) ** (window + 1)).sum(axis=0)
+    tail = joint.table.reshape(-1, (2 * k) ** (window + 1)).sum(axis=0)
     return JointDistribution(
         names=window_names(window),
         alphabets=window_alphabets(questions, window),
@@ -84,8 +77,8 @@ def single_question():
 def test_case_a_tree_only_constant_strings():
     questions, proc = single_question()
     res = brute_force_joint(questions, proc, MIXED_STATE, horizon=3)
-    assert res.leaf_count == 2**3
-    table = res.joint.marginal(("a1", "a2", "a3")).table
+    assert res.table.size == 2**3
+    table = res.marginal(("a1", "a2", "a3")).table
     assert table[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
     assert table[1, 1, 1] == pytest.approx(0.5, abs=1e-15)
     assert table.sum() == pytest.approx(1.0, abs=1e-12)
@@ -95,23 +88,29 @@ def test_case_a_tree_only_constant_strings():
 def test_case_b_tree_repeat_probability():
     questions, proc = case_b_questions()
     res = brute_force_joint(questions, proc, MIXED_STATE, horizon=2)
-    assert res.leaf_count == 4**2
-    pair = res.joint.marginal(("a1", "a2")).table
+    assert res.table.size == 4**2
+    pair = res.marginal(("a1", "a2")).table
     assert pair[0, 0] + pair[1, 1] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_case_b_tree_window_marginal():
     questions, proc = case_b_questions()
     res = brute_force_joint(questions, proc, MIXED_STATE, horizon=3)
-    pair = res.joint.marginal(("a1", "a2")).table
+    pair = res.marginal(("a1", "a2")).table
     assert pair[0, 0] == pytest.approx(3 / 8, abs=1e-12)
     assert pair[0, 1] == pytest.approx(1 / 8, abs=1e-12)
 
 
-def test_leaf_cap():
+def test_leaf_cap(monkeypatch):
     questions, proc = case_b_questions()
-    with pytest.raises(SizeCapError):
-        brute_force_joint(questions, proc, MIXED_STATE, horizon=5, leaf_cap=100)
+    with pytest.raises(SizeCapError, match="LEAF_CAP = 10000000"):
+        brute_force_joint(questions, proc, MIXED_STATE, horizon=12)  # 4^12 leaves
+    monkeypatch.setattr(oraclemod, "LEAF_CAP", 4**5)
+    assert brute_force_joint(questions, proc, MIXED_STATE, horizon=5).table.size == 4**5
+    with pytest.raises(SizeCapError, match="4096 leaves, over LEAF_CAP = 1024"):
+        brute_force_joint(questions, proc, MIXED_STATE, horizon=6)
+    with pytest.raises(SizeCapError, match="LEAF_CAP = 1024"):
+        converged_tail(questions, proc, MIXED_STATE, 4)  # cannot compare horizons 5 and 6
 
 
 def test_tail_alignment_and_cross_validation_case_a():
@@ -121,7 +120,7 @@ def test_tail_alignment_and_cross_validation_case_a():
     w = window_joint(kernel, lr, 1)
     res = brute_force_joint(questions, proc, MIXED_STATE, horizon=3)
     tail = tree_tail(res, questions, 1)
-    assert cross_validate(w, tail) <= 1e-10
+    assert max_abs_deviation(w, tail) <= 1e-10
 
 
 def test_tail_alignment_case_b_window2():
@@ -130,7 +129,7 @@ def test_tail_alignment_case_b_window2():
     lr = long_run_distribution(kernel, MIXED_STATE)
     w = window_joint(kernel, lr, 2)
     tail, horizon = converged_tail(questions, proc, MIXED_STATE, 2)
-    assert cross_validate(w, tail) <= 1e-10
+    assert max_abs_deviation(w, tail) <= 1e-10
     assert horizon >= 4
 
 
@@ -138,7 +137,7 @@ def test_identical_tables_zero_deviation():
     questions, proc = case_b_questions()
     res = brute_force_joint(questions, proc, MIXED_STATE, horizon=2)
     tail = tree_tail(res, questions, 1)
-    assert cross_validate(tail, tail) == 0.0
+    assert max_abs_deviation(tail, tail) == 0.0
 
 
 def test_corrupted_table_detected():
@@ -150,7 +149,7 @@ def test_corrupted_table_detected():
     bad_table[0, 0, 0, 0] += 1e-6  # same-question repeat cell, strictly positive
     bad_table[0, 0, 1, 0] -= 1e-6  # cross-question cell, strictly positive
     bad = JointDistribution(names=tail.names, alphabets=tail.alphabets, table=bad_table)
-    deviation = cross_validate(tail, bad)
+    deviation = max_abs_deviation(tail, bad)
     v = verdict("window_vs_oracle", "corrupted", deviation, 1e-10)
     assert not v["pass"]
     assert v["deviation"] >= 1e-6 - 1e-12
@@ -160,7 +159,7 @@ def test_cross_validate_variable_mismatch():
     questions, proc = case_b_questions()
     res = brute_force_joint(questions, proc, MIXED_STATE, horizon=2)
     with pytest.raises(ValidationError):
-        cross_validate(tree_tail(res, questions, 1), res.joint)
+        max_abs_deviation(tree_tail(res, questions, 1), res)
 
 
 def test_markov_identity_tail_matches_chain():
@@ -169,7 +168,7 @@ def test_markov_identity_tail_matches_chain():
     lr = long_run_distribution(kernel, MIXED_STATE)
     w = window_joint(kernel, lr, 2)
     tail, _ = converged_tail(questions, proc, MIXED_STATE, 2)
-    assert cross_validate(w, tail) <= 1e-10
+    assert max_abs_deviation(w, tail) <= 1e-10
 
 
 def test_periodic_enumeration_matches_degenerate_iid():
@@ -178,7 +177,7 @@ def test_periodic_enumeration_matches_degenerate_iid():
     degenerate = IIDProcess(labels=("Qz", "Qx"), weights=np.array([1.0, 0.0]))
     res_p = brute_force_joint(questions, periodic, MIXED_STATE, horizon=3)
     res_i = brute_force_joint(questions, degenerate, MIXED_STATE, horizon=3)
-    assert np.max(np.abs(res_p.joint.table - res_i.joint.table)) == 0.0
+    assert np.max(np.abs(res_p.table - res_i.table)) == 0.0
 
 
 def test_tree_two_levels_equal_the_start_law_times_the_kernel_bitwise():
@@ -193,7 +192,7 @@ def test_tree_two_levels_equal_the_start_law_times_the_kernel_bitwise():
         initial = BlochVector.from_array(r / np.linalg.norm(r) * rng.uniform())
         p_plus = np.array([born_probability(initial, q.axis) for q in questions])
         start = question_law(process)[-1][:, None] * np.stack([p_plus, 1.0 - p_plus], 1)
-        tree = brute_force_joint(questions, process, initial, 2).joint.table.reshape(2 * k, 2 * k)
+        tree = brute_force_joint(questions, process, initial, 2).table.reshape(2 * k, 2 * k)
         assert np.array_equal(tree, start.reshape(-1, 1) * build_chain(questions, process).matrix)
 
 
@@ -215,7 +214,7 @@ def test_monte_carlo_cells_and_the_exact_table_share_one_view_coding(name, label
 def test_eigenstate_start_tree():
     questions, proc = single_question()
     res = brute_force_joint(questions, proc, BlochVector(0, 0, 1), horizon=2)
-    assert res.joint.table[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert res.table[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_monte_carlo_nothing_strategy_exact_zero():
@@ -250,7 +249,7 @@ def test_monte_carlo_slow_mixing_chain_within_three_sigma():
     # the long run and missed the exact i_pred by 15 sigma
     scenario = at_angle_scenario(0.3)
     questions, proc = scenario.questions, scenario.process
-    assert mixing_burn_in(questions, proc) == 612
+    assert replica_plan(questions, proc, 10**5)[0] == 612
     exact = analyze(scenario).report
     report = monte_carlo_check(
         questions, proc, scenario.initial_state, window=2, strategy=scenario.strategy,
@@ -261,19 +260,24 @@ def test_monte_carlo_slow_mixing_chain_within_three_sigma():
 
 def test_burn_in_is_the_floor_on_fast_and_periodic_chains():
     questions, proc = case_b_questions()
-    assert mixing_burn_in(questions, proc) == 64  # |lambda*| = 0.5
-    assert mixing_burn_in(*single_question()) == 64  # reducible: no mode below 1
+    assert replica_plan(questions, proc, 2000)[0] == 64  # |lambda*| = 0.5
+    assert replica_plan(*single_question(), 2000)[0] == 64  # reducible: no mode below 1
     periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx"))
-    assert mixing_burn_in(questions, periodic) == 64
+    assert replica_plan(questions, periodic, 2000)[0] == 64
 
 
-def test_sample_windows_default_burn_in_is_the_derived_one():
-    questions, proc = two_questions_at_angle(0.3)
-    start = BlochVector(0, 0, 1)
-    derived = sample_windows(questions, proc, start, window=1, n=2000, seed=5)
-    explicit = sample_windows(questions, proc, start, window=1, n=2000, seed=5, burn_in=612)
-    assert derived.shape == (2000, 4)
-    assert np.array_equal(derived, explicit)
+def test_replica_plan_pins_burn_in_replicas_and_windows(case_a):
+    questions, proc = case_b_questions()  # IID Qz/Qx
+    assert replica_plan(questions, proc, 10**4) == (64, 157, 64)
+    assert replica_plan(questions, proc, 10**5) == (64, 1563, 64)
+    slow, slow_proc = two_questions_at_angle(0.3)
+    assert replica_plan(slow, slow_proc, 10**4)[0] == 612
+    slower, slower_proc = two_questions_at_angle(0.05)
+    assert replica_plan(slower, slower_proc, 10**5) == (22103, 100, 1000)
+    assert replica_plan(case_a.questions, case_a.process, 2000) == (64, 2000, 1)
+    periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx", "Qx"))
+    for n in (1000, 2000, 12345):
+        assert replica_plan(questions, periodic, n) == (64, n, 1)
 
 
 def test_monte_carlo_error_scales_with_sample_size():
@@ -310,9 +314,10 @@ def test_monte_carlo_very_slow_chain_within_three_sigma():
     assert abs(report.i_pred - exact.i_pred) <= 3.0 * report.se_i_pred
 
 
-def reference_windows(questions, process, initial, window, n, seed, burn_in):
+def reference_windows(questions, process, initial, window, n, seed):
     """One trajectory per window, burned in on its own, drawn with rng.choice."""
     k = len(questions)
+    burn_in = replica_plan(questions, process, n)[0]
     rng = np.random.Generator(np.random.Philox(key=seed))
     born = born_plus_matrix(questions)
     p0 = np.array([born_probability(initial, q.axis) for q in questions])
@@ -337,7 +342,7 @@ def reference_windows(questions, process, initial, window, n, seed, burn_in):
 def test_sample_windows_slide_inside_a_replica():
     questions, proc = case_b_questions()
     out = sample_windows(questions, proc, MIXED_STATE, window=2, n=10**4, seed=6)
-    replicas, per = replica_layout(10**4, windows_per_replica(questions, proc))
+    _, replicas, per = replica_plan(questions, proc, 10**4)
     assert (replicas, per) == (157, 64)
     assert out.shape == (10**4, 6) and out.dtype == np.uint8
     same_replica = np.arange(10**4 - 1) % per != per - 1
@@ -364,28 +369,26 @@ def test_sample_windows_one_trajectory_per_window_on_reducible_and_periodic_chai
         (three, absorbing, MIXED_STATE, 2),
     ]
     for seed, (qs, proc, start, w) in enumerate(cases):
-        assert windows_per_replica(qs, proc) == 1
-        burn_in = mixing_burn_in(qs, proc)
+        assert replica_plan(qs, proc, 2000)[1:] == (2000, 1)
         got = sample_windows(qs, proc, start, window=w, n=2000, seed=seed)
-        assert np.array_equal(got, reference_windows(qs, proc, start, w, 2000, seed, burn_in))
+        assert np.array_equal(got, reference_windows(qs, proc, start, w, 2000, seed))
 
 
 def test_windows_per_replica_only_on_mixing_kernels(case_a, case_b_bestcase):
     questions, proc = case_b_questions()
-    assert windows_per_replica(questions, proc) == mixing_burn_in(questions, proc) == 64
-    assert windows_per_replica(questions, proc, burn_in=500) == 500
-    assert windows_per_replica(case_a.questions, case_a.process) == 1  # reducible
-    assert windows_per_replica(case_b_bestcase.questions, case_b_bestcase.process) == 1
+    n = 10**5  # windows per replica are cut to n // MIN_REPLICAS = 1000, above every burn-in here
+    assert replica_plan(questions, proc, n) == (64, 1563, 64)  # a replica gives its burn-in
+    assert replica_plan(case_a.questions, case_a.process, n) == (64, n, 1)  # reducible
+    assert replica_plan(case_b_bestcase.questions, case_b_bestcase.process, n)[1:] == (n, 1)
     alternating = MarkovProcess(
         labels=("Qz", "Qx"), transition=np.array([[0.0, 1.0], [1.0, 0.0]]), initial=np.array([0.5, 0.5])
     )
-    assert windows_per_replica(questions, alternating) == 1  # periodic kernel
+    assert replica_plan(questions, alternating, n)[1:] == (n, 1)  # periodic kernel
     periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx"))
-    assert windows_per_replica(questions, periodic) == 1  # no kernel
-    assert replica_layout(10**5, 64) == (1563, 64)
-    assert replica_layout(10**4, 22103) == (MIN_REPLICAS, 100)
-    assert replica_layout(1001, 64) == (101, 10)
-    assert replica_layout(2000, 1) == (2000, 1)
+    assert replica_plan(questions, periodic, n)[1:] == (n, 1)  # no kernel
+    # at least MIN_REPLICAS = 100 replicas: the windows per replica shrink with n
+    assert replica_plan(questions, proc, 1001) == (64, 101, 10)
+    assert replica_plan(questions, proc, 10**4) == (64, 157, 64)
 
 
 def test_monte_carlo_report_records_its_replicas(case_a):

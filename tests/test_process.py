@@ -10,7 +10,7 @@ from obsthermo import (
     build_chain,
     sample_questions,
 )
-from obsthermo.process import question_law
+from obsthermo.process import _rng, question_law
 
 LABELS = ("Q1", "Q2")
 
@@ -117,3 +117,11 @@ def test_seed_outside_the_philox_key_range_rejected(seed):
     with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\*\*128\)"):
         sample_questions(iid_half(), 3, seed=seed)
     assert len(sample_questions(iid_half(), 3, seed=2**128 - 1)) == 3
+
+
+def test_derived_keys_wrap_at_the_philox_key_range():
+    # answers and the bootstrap draw from seed + offset mod 2**128; smaller seeds keep their key
+    for offset in (0x5EED, 0xB00):
+        assert np.array_equal(_rng(2**128 - 1, offset=offset).random(4), _rng(offset - 1).random(4))
+        plain = np.random.Generator(np.random.Philox(key=7 + offset))
+        assert np.array_equal(_rng(7, offset=offset).random(4), plain.random(4))

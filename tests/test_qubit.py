@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.spatial.transform import Rotation
 
 from obsthermo import (
     ANSWERS,
@@ -97,9 +96,21 @@ def test_two_outcome_normalization(state, axis):
     )
 
 
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """A uniformly random rotation: the Q of a Gaussian matrix's QR, with the signs
+    that make R's diagonal positive, and one column flipped if det Q = -1."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
 @given(states(), unit_vectors(), st.integers(0, 2**32 - 1))
 def test_rotation_covariance(state, axis, seed):
-    rot = Rotation.random(rng=np.random.default_rng(seed)).as_matrix()
+    rot = random_rotation(np.random.default_rng(seed))
+    assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
+    assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
     p = born_probability(state, axis)
     rotated = BlochVector.from_array(rot @ state.as_array())
     n = rot @ axis

@@ -22,7 +22,7 @@ from obsthermo import (
     sample_trajectory,
 )
 from obsthermo import process as procmod
-from obsthermo.oracle import mixing_burn_in, replica_layout, sample_windows, windows_per_replica
+from obsthermo.oracle import replica_plan, sample_windows
 
 from conftest import born_plus_matrix
 
@@ -136,9 +136,9 @@ def window_cases():
 def test_outputs_do_not_depend_on_the_block_size(name, monkeypatch):
     questions, process, initial, window = window_cases()[name]
     n, length = 3000, 5000
-    replicas, per = replica_layout(n, windows_per_replica(questions, process))
+    burn_in, replicas, per = replica_plan(questions, process, n)
     assert (per > 1) == (name == "mixing")
-    total = replicas * (mixing_burn_in(questions, process) + window + per)
+    total = replicas * (burn_in + window + per)
     runs = []
     for budget in (1, procmod._BLOCK_ENTRIES, max(total, length)):
         monkeypatch.setattr(procmod, "_BLOCK_ENTRIES", budget)

@@ -16,7 +16,6 @@ import pytest
 from obsthermo import bundled_scenario, degeneracy_report, exhaustive_best, history_future_joint
 from obsthermo.info import xlogx
 from obsthermo.optimize import HistoryFutureJoint
-from obsthermo.strategy import ENUMERATION_CAP
 from obsthermo.workflows import scenario_window
 
 optmod = importlib.import_module("obsthermo.optimize")
@@ -25,12 +24,12 @@ _LN2 = np.log(2.0)
 BUNDLED = ("case_a", "case_b_labeled", "case_b_unlabeled", "case_b_bestcase", "angle_sweep")
 
 
-def reference_scan(hf: HistoryFutureJoint, m: int, cap: int, map_block: int = 4096):
+def reference_scan(hf: HistoryFutureJoint, m: int, map_block: int = 4096):
     """(first map index, i_mem, i_pred) per block of m**r <= map_block maps."""
     n_hist, x = hf.table.shape
     total = m**n_hist
-    if total > cap:
-        raise optmod.SizeCapError(f"{total} deterministic maps exceed the cap {cap}")
+    if total > optmod.ENUMERATION_CAP:
+        raise optmod.SizeCapError(f"{total} deterministic maps exceed the cap")
 
     def term(h, d):  # history row h placed on memory row d
         t = np.zeros((m, x))
@@ -62,7 +61,7 @@ def reference_scan(hf: HistoryFutureJoint, m: int, cap: int, map_block: int = 40
 def streams(scan, hf, m):
     """Block starts and the concatenated i_mem and i_pred bytes of a scan."""
     firsts, mems, preds = [], [], []
-    for first, i_mem, i_pred in scan(hf, m, ENUMERATION_CAP):
+    for first, i_mem, i_pred in scan(hf, m):
         firsts.append(first)
         mems.append(i_mem)
         preds.append(i_pred)
