@@ -69,7 +69,7 @@ from .strategy import (
     memory_capacity_bits,
     strategy_summary,
 )
-from .workflows import AnalysisResult, OptimizeResult, analyze, optimize, sample, verify
+from .workflows import AnalysisResult, OptimizeResult, analyze, optimize, verify
 
 __version__ = "0.1.0"
 
@@ -127,7 +127,6 @@ __all__ = [
     "optimize_soft",
     "parse_scenario",
     "predictive_cap_check",
-    "sample",
     "sample_questions",
     "sample_trajectory",
     "scenario_to_json",

@@ -6,7 +6,6 @@ Their difference, the nostalgia, is the non-predictive share of the record and
 sets the bound: k_B T ln2 joules per nostalgic bit.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,26 +29,6 @@ class InfoReport:
     bound_bits: float
     memory_capacity_bits: float
     bound_joules: float | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "i_mem": _sig9(self.i_mem),
-            "i_pred": _sig9(self.i_pred),
-            "nostalgia": _sig9(self.nostalgia),
-            "bound_bits": _sig9(self.bound_bits),
-            "memory_capacity_bits": _sig9(self.memory_capacity_bits),
-        }
-        if self.bound_joules is not None:
-            out["bound_joules"] = _sig9(self.bound_joules)
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-
-def _sig9(x: float) -> float:
-    """Round to 9 significant digits so reports are bit-for-bit reproducible."""
-    return float(format(float(x), ".9g"))
 
 
 def evaluate(

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import process as procmod
 from .errors import SizeCapError, ValidationError
-from .joint import JointDistribution, write_joint_csv
-from .qubit import ANSWERS, BlochVector, Question, answer_to_bit, collapsed_states, outcome_table
+from .joint import JointDistribution
+from .qubit import ANSWERS, BlochVector, Question, collapsed_states, outcome_table
 
 KERNEL_TOL = 1e-12
 LONG_RUN_TOL = 1e-10
@@ -288,23 +288,6 @@ class Trajectory:
     seed: int
     initial: BlochVector
 
-    def __post_init__(self):
-        steps = tuple((str(q), int(a)) for q, a in self.steps)
-        if not steps:
-            raise ValidationError("trajectory must be non-empty")
-        for _, a in steps:
-            if a not in ANSWERS:
-                raise ValidationError(f"answers must be +1/-1, got {a!r}")
-        object.__setattr__(self, "steps", steps)
-
-    @classmethod
-    def _of_pairs(cls, steps: tuple, seed: int, initial: BlochVector) -> "Trajectory":
-        """A trajectory over a non-empty tuple of (str label, +1/-1) pairs, taken as it is."""
-        traj = cls.__new__(cls)
-        for name, value in (("steps", steps), ("seed", seed), ("initial", initial)):
-            object.__setattr__(traj, name, value)
-        return traj
-
     def __len__(self):
         return len(self.steps)
 
@@ -334,18 +317,5 @@ def sample_trajectory(
         a[t0:t1] = step(state, q[t0:t1], rng.random((t1 - t0, 1)))
         state = 2 * q[t1 - 1] + a[t1 - 1]
     answers = (1 - 2 * a[:, 0]).tolist()
-    return Trajectory._of_pairs(tuple(zip(map(str, labels), answers)), seed, initial)
+    return Trajectory(tuple(zip(map(str, labels), answers)), seed, initial)
 
-
-def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Columns t, question, answer with answers serialized as 1/0."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,question,answer\n")
-        for t, (q, a) in enumerate(trajectory.steps, start=1):
-            fh.write(f"{t},{q},{answer_to_bit(a)}\n")
-
-
-def write_window_joint_csv(window: JointDistribution, path) -> None:
-    """Window joint as CSV, answers serialized as 1/0."""
-    serializers = {n: answer_to_bit for n in window.names if n.startswith("a")}
-    write_joint_csv(window, path, serializers=serializers)

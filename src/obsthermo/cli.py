@@ -1,30 +1,34 @@
-"""Command-line entry point.
+"""Command-line entry point, and the one module that writes files.
 
 Subcommands: analyze, optimize, sample, verify.  Exit codes: 0 success,
 1 validation or size-cap error, 2 optimizer non-convergence or failure,
 3 verification failure.  All outputs are deterministic for a fixed config and seed.
+
+Every output is UTF-8 with LF line ends; numbers carry 9 significant digits
+(the `.9g` string in CSV, its float in JSON); answers +1/-1 are written 1/0;
+a view of k pairs is written oldest pair first, `Qz:1|Qx:0` labeled, `1|0`
+unlabeled.
 """
 
 import argparse
+import itertools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import workflows
-from .bound import _sig9
-from .chain import write_trajectory_csv, write_window_joint_csv
+from .chain import sample_trajectory
 from .config import load_scenario
 from .errors import OptimizerError, SizeCapError, ValidationError
-from .joint import write_joint_csv
-from .optimize import write_frontier_csv
-from .qubit import answer_to_bit
-from .strategy import write_kernel_csv
+from .strategy import WindowStrategy, view_alphabet
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_VERIFY_FAIL = 3
+
+_bit = {+1: "1", -1: "0"}.__getitem__  # answer -> bit
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,10 +59,63 @@ def _out_dir(args, scenario) -> Path:
     return path
 
 
-def _dump_json(data, path: Path) -> None:
+def _write_lines(path: Path, lines) -> None:
+    """Write each line and an LF, UTF-8; `lines` may be a generator."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def _g9(x) -> str:
+    """A number to 9 significant digits, as CSV text."""
+    return format(float(x), ".9g")
+
+
+def _sig9(x) -> float:
+    """A number to 9 significant digits, as a JSON float: reports are bit-for-bit reproducible."""
+    return float(_g9(x))
+
+
+def _dump_json(data, path: Path) -> None:
+    _write_lines(path, [json.dumps(data, sort_keys=True, indent=2)])
+
+
+def _view_symbol(view, labeled: bool) -> str:
+    if labeled:
+        return "|".join(f"{label}:{_bit(a)}" for label, a in view)
+    return "|".join(map(_bit, view))
+
+
+def _joint_lines(joint, encoders: dict):
+    """Header, then one row per cell in row-major order with its probability."""
+    yield ",".join([*joint.names, "probability"])
+    columns = [
+        [encoders.get(name, str)(sym) for sym in alphabet]
+        for name, alphabet in zip(joint.names, joint.alphabets)
+    ]
+    for cells, prob in zip(itertools.product(*columns), joint.table.ravel()):
+        yield ",".join([*cells, _g9(prob)])
+
+
+def _frontier_lines(points):
+    yield "beta,i_mem_bits,i_pred_bits,nostalgia_bits,objective,converged,iterations"
+    for p in points:
+        beta = p.beta if p.beta is not None else float("nan")
+        numbers = map(_g9, (beta, p.i_mem, p.i_pred, p.nostalgia, p.objective))
+        yield ",".join([*numbers, "true" if p.converged else "false", str(p.iterations)])
+
+
+def _kernel_lines(strategy, labels):
+    """Rows = views of the strategy's k pairs (canonical order), columns = memory symbols."""
+    yield (
+        "# kernel strategy; history rows canonical: pairs oldest to newest, "
+        "questions in scenario order, answers +1 then -1 (bits 1/0)"
+    )
+    yield f"# k={strategy.k} labeled={str(strategy.labeled).lower()} M={strategy.memory_size}"
+    yield ",".join(["history", *(f"m{i}" for i in range(strategy.memory_size))])
+    views = view_alphabet(labels, strategy.k, strategy.labeled)
+    for view, row in zip(views, strategy.assignment, strict=True):
+        yield ",".join([_view_symbol(view, strategy.labeled), *map(_g9, row)])
 
 
 def _cmd_analyze(args) -> int:
@@ -68,15 +125,16 @@ def _cmd_analyze(args) -> int:
     window = result.window  # the full window may exceed the entry cap: fail before any write
     if result.long_run.cesaro:
         print("note: periodic chain, long run is the Cesaro average", file=sys.stderr)
-    report = result.report.to_dict()
+    # bound_joules is None, and left out, when the scenario has no temperature
+    report = {k: _sig9(v) for k, v in asdict(result.report).items() if v is not None}
     _dump_json(report, out / f"{scenario.name}_report.json")
-    write_window_joint_csv(window, out / f"{scenario.name}_window_joint.csv")
+    answers = {name: _bit for name in window.names if name.startswith("a")}
+    _write_lines(out / f"{scenario.name}_window_joint.csv", _joint_lines(window, answers))
+    encoders = {"a+1": _bit}
+    if isinstance(scenario.strategy, WindowStrategy):
+        encoders["m"] = lambda view: _view_symbol(view, scenario.strategy.labeled)
     memory_joint = result.applied.marginal(["m", "q+1", "a+1"])
-    write_joint_csv(
-        memory_joint,
-        out / f"{scenario.name}_memory_joint.csv",
-        serializers={"a+1": answer_to_bit},
-    )
+    _write_lines(out / f"{scenario.name}_memory_joint.csv", _joint_lines(memory_joint, encoders))
     print(json.dumps(report, sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -87,9 +145,11 @@ def _cmd_optimize(args) -> int:
         scenario = replace(scenario, optimizer=replace(scenario.optimizer, seed=args.seed))
     out = _out_dir(args, scenario)
     result = workflows.optimize(scenario)
-    write_frontier_csv(result.points, out / f"{scenario.name}_frontier.csv")
+    _write_lines(out / f"{scenario.name}_frontier.csv", _frontier_lines(result.points))
     best = result.best
-    write_kernel_csv(best.strategy, scenario.labels, out / f"{scenario.name}_best_strategy.csv")
+    _write_lines(
+        out / f"{scenario.name}_best_strategy.csv", _kernel_lines(best.strategy, scenario.labels)
+    )
     if result.degeneracy is not None:
         payload = [
             {
@@ -121,9 +181,12 @@ def _cmd_sample(args) -> int:
     scenario = load_scenario(args.config)
     out = _out_dir(args, scenario)
     seed = args.seed if args.seed is not None else 0
-    traj = workflows.sample(scenario, length=args.length, seed=seed)
+    traj = sample_trajectory(
+        scenario.questions, scenario.process, scenario.initial_state, args.length, seed
+    )
     path = out / f"{scenario.name}_trajectory.csv"
-    write_trajectory_csv(traj, path)
+    rows = (f"{t},{q},{_bit(a)}" for t, (q, a) in enumerate(traj.steps, start=1))
+    _write_lines(path, itertools.chain(["t,question,answer"], rows))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -141,8 +204,7 @@ def _cmd_verify(args) -> int:
         line = json.dumps(row, sort_keys=True)
         lines.append(line)
         print(line)
-    with open(out / f"{scenario.name}_verify.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(out / f"{scenario.name}_verify.jsonl", lines)
     if not all(v["pass"] for v in verdicts):
         return EXIT_VERIFY_FAIL
     return EXIT_OK

@@ -85,11 +85,6 @@ class JointDistribution:
             table=np.transpose(self.table, perm),
         )
 
-    def configurations(self):
-        """Yield (symbols, probability) for every cell, row-major."""
-        for idx in np.ndindex(*self.table.shape):
-            yield tuple(self.alphabets[i][j] for i, j in enumerate(idx)), float(self.table[idx])
-
 
 def max_abs_deviation(a: JointDistribution, b: JointDistribution) -> float:
     """Largest per-entry difference between two joints over the same variables."""
@@ -100,15 +95,3 @@ def max_abs_deviation(a: JointDistribution, b: JointDistribution) -> float:
         raise ValidationError("alphabet mismatch between joints")
     return float(np.max(np.abs(a.table - b.table)))
 
-
-def write_joint_csv(joint: JointDistribution, path, serializers: dict | None = None) -> None:
-    """One row per configuration plus its probability; UTF-8, LF endings."""
-    serializers = serializers or {}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join([*joint.names, "probability"]) + "\n")
-        for symbols, prob in joint.configurations():
-            cells = [
-                str(serializers[name](sym)) if name in serializers else str(sym)
-                for name, sym in zip(joint.names, symbols)
-            ]
-            fh.write(",".join([*cells, format(prob, ".9g")]) + "\n")

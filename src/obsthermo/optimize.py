@@ -433,23 +433,3 @@ def degeneracy_report(hf: HistoryFutureJoint, memory_size: int) -> list:
             )
     return out
 
-
-def write_frontier_csv(points, path) -> None:
-    """Fixed header: beta,i_mem_bits,i_pred_bits,nostalgia_bits,objective,converged,iterations."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("beta,i_mem_bits,i_pred_bits,nostalgia_bits,objective,converged,iterations\n")
-        for p in points:
-            fh.write(
-                ",".join(
-                    [
-                        format(p.beta if p.beta is not None else float("nan"), ".9g"),
-                        format(p.i_mem, ".9g"),
-                        format(p.i_pred, ".9g"),
-                        format(p.nostalgia, ".9g"),
-                        format(p.objective, ".9g"),
-                        "true" if p.converged else "false",
-                        str(p.iterations),
-                    ]
-                )
-                + "\n"
-            )

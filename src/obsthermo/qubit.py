@@ -20,17 +20,8 @@ PURE_TOL = 1e-9
 AXIS_CONFIG_TOL = 1e-6
 _EIGEN_ROUNDING = 4 * np.finfo(float).eps  # |r.n| of n against itself stays within 2 eps of 1
 
-#: Measurement outcomes, canonical order.  Serialized externally as 1 / 0.
+#: Measurement outcomes, canonical order.  `cli` writes them as 1 / 0.
 ANSWERS = (+1, -1)
-
-
-def answer_to_bit(answer: int) -> int:
-    """Serialize an outcome: +1 -> 1, -1 -> 0."""
-    if answer == +1:
-        return 1
-    if answer == -1:
-        return 0
-    raise ValidationError(f"answer must be +1 or -1, got {answer!r}")
 
 
 @dataclass(frozen=True)

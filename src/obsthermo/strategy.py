@@ -18,7 +18,7 @@ import numpy as np
 from . import chain as chainmod
 from .errors import ValidationError
 from .joint import JointDistribution
-from .qubit import ANSWERS, answer_to_bit
+from .qubit import ANSWERS
 
 ROW_TOL = 1e-12
 
@@ -272,30 +272,3 @@ def strategy_summary(strategy: Strategy, num_questions: int | None = None) -> st
         cells.append("|".join(str(int(i)) for i in top))
     return f"kernel M={m} map=[{','.join(cells)}]"
 
-
-def _serialize_history_symbol(sym, labeled: bool) -> str:
-    if labeled:
-        return "|".join(f"{lab}:{answer_to_bit(a)}" for lab, a in sym)
-    return "|".join(str(answer_to_bit(a)) for a in sym)
-
-
-def write_kernel_csv(strategy: KernelStrategy, labels, path) -> None:
-    """Rows = history configurations (canonical order), columns = memory symbols."""
-    k = strategy.k
-    if k is None:
-        raise ValidationError("kernel CSV export needs an explicit view k")
-    symbols = view_alphabet(labels, k, strategy.labeled)
-    if len(symbols) != strategy.assignment.shape[0]:
-        raise ValidationError("kernel rows do not match the view alphabet for these questions")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "# kernel strategy; history rows canonical: pairs oldest to newest, "
-            "questions in scenario order, answers +1 then -1 (bits 1/0)\n"
-        )
-        fh.write(f"# k={k} labeled={str(strategy.labeled).lower()} M={strategy.memory_size}\n")
-        header = ["history"] + [f"m{i}" for i in range(strategy.memory_size)]
-        fh.write(",".join(header) + "\n")
-        for sym, row in zip(symbols, strategy.assignment):
-            cells = [_serialize_history_symbol(sym, strategy.labeled)]
-            cells += [format(v, ".9g") for v in row]
-            fh.write(",".join(cells) + "\n")

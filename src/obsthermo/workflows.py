@@ -1,4 +1,4 @@
-"""End-to-end workflows over a Scenario: analyze, optimize, sample, verify.
+"""End-to-end workflows over a Scenario: analyze, optimize, verify.
 
 These are the library-level operations behind the CLI; demos and tests call
 them directly.
@@ -116,13 +116,6 @@ def optimize(scenario: Scenario) -> OptimizeResult:
         )
     return OptimizeResult(
         points=points, best=best, degeneracy=degeneracy, exhaustive_reference=reference
-    )
-
-
-def sample(scenario: Scenario, length: int, seed: int) -> chainmod.Trajectory:
-    """One reproducible trajectory of question/answer pairs."""
-    return chainmod.sample_trajectory(
-        scenario.questions, scenario.process, scenario.initial_state, length, seed
     )
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -68,7 +67,6 @@ def test_temperature_scaling(case_b_window2):
 def test_bound_joules_only_with_temperature(case_b_window2):
     applied = apply_strategy(WindowStrategy(k=1), case_b_window2)
     assert evaluate(applied).bound_joules is None
-    assert "bound_joules" not in evaluate(applied).to_dict()
     assert evaluate(applied, temperature_kelvin=1.0).bound_joules is not None
 
 
@@ -83,19 +81,6 @@ def test_invalid_temperature(case_b_window2):
 def test_missing_memory_variable_rejected(case_b_window2):
     with pytest.raises(ValidationError):
         evaluate(case_b_window2)
-
-
-def test_report_json_fields(case_b_window2):
-    applied = apply_strategy(WindowStrategy(k=2, labeled=True), case_b_window2)
-    payload = json.loads(evaluate(applied, temperature_kelvin=300.0).to_json())
-    assert set(payload) == {
-        "i_mem",
-        "i_pred",
-        "nostalgia",
-        "bound_bits",
-        "bound_joules",
-        "memory_capacity_bits",
-    }
 
 
 def test_cap_check_case_a(case_a):

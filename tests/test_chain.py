@@ -21,7 +21,7 @@ from obsthermo import (
     window_names,
 )
 from obsthermo import chain as chainmod
-from obsthermo.chain import mixes, slowest_mode_modulus, write_trajectory_csv
+from obsthermo.chain import mixes, slowest_mode_modulus
 from obsthermo.joint import JointDistribution
 
 from conftest import case_b_questions, markov_identity_questions, two_questions_at_angle
@@ -264,16 +264,6 @@ def test_periodic_single_question_matches_degenerate_iid():
         [sample_trajectory(questions, degenerate, MIXED_STATE, 2, seed=s).answers()[0] == 1 for s in range(n)]
     )
     assert abs(f1 - 0.5) < 0.04 and abs(f2 - 0.5) < 0.04
-
-
-def test_trajectory_csv_deterministic(tmp_path):
-    questions, proc = case_b_questions()
-    for name in ("one.csv", "two.csv"):
-        traj = sample_trajectory(questions, proc, MIXED_STATE, 50, seed=21)
-        write_trajectory_csv(traj, tmp_path / name)
-    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
-    header = (tmp_path / "one.csv").read_text().splitlines()[0]
-    assert header == "t,question,answer"
 
 
 def test_markov_identity_long_run_uniform(case_b_bestcase):

@@ -113,8 +113,22 @@ def test_cli_analyze_deterministic(tmp_path):
     for fname in ("case_a_report.json", "case_a_window_joint.csv", "case_a_memory_joint.csv"):
         assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
     report = json.loads((out1 / "case_a_report.json").read_text())
+    assert set(report) == {
+        "i_mem",
+        "i_pred",
+        "nostalgia",
+        "bound_bits",
+        "bound_joules",
+        "memory_capacity_bits",
+    }
     assert report["bound_bits"] == 0.0
     assert report["bound_joules"] == 0.0
+    # without a temperature the report has no joules
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(minimal_config()))
+    assert cli_main(["analyze", "--config", str(path), "--out", str(tmp_path / "r3")]) == 0
+    report = json.loads((tmp_path / "r3" / "mini_report.json").read_text())
+    assert "bound_joules" not in report and "bound_bits" in report
 
 
 def test_cli_sample_reproducible(tmp_path):
@@ -128,6 +142,7 @@ def test_cli_sample_reproducible(tmp_path):
     a = (out1 / "case_b_labeled_trajectory.csv").read_bytes()
     b = (out2 / "case_b_labeled_trajectory.csv").read_bytes()
     assert a == b
+    assert a.decode().splitlines()[0] == "t,question,answer"
 
 
 def test_cli_sample_case_a_constant_answers(tmp_path):
@@ -154,6 +169,7 @@ def test_cli_optimize_writes_outputs(tmp_path):
     assert rc == 0
     frontier = (tmp_path / "case_a_frontier.csv").read_text().splitlines()
     assert frontier[0] == "beta,i_mem_bits,i_pred_bits,nostalgia_bits,objective,converged,iterations"
+    assert len(frontier) == 1 + len(bundled_scenario("case_a").optimizer.betas())
     degeneracy = json.loads((tmp_path / "case_a_degeneracy.json").read_text())
     kinds = {d["observer_like"] for d in degeneracy}
     assert kinds == {True, False}

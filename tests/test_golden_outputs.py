@@ -6,14 +6,19 @@ bundled configs.  A change that moves any output byte fails here; one that is
 meant to move them regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_outputs.py > tests/golden_outputs.json
+
+The same files are also parsed: every CSV must be well-formed.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from obsthermo.cli import main
 
@@ -36,13 +41,33 @@ def output_hashes(out: Path) -> dict:
     }
 
 
-def test_bundled_outputs_match_golden_hashes(tmp_path):
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("outputs")
+    return out, output_hashes(out)
+
+
+def test_bundled_outputs_match_golden_hashes(outputs):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    actual = output_hashes(tmp_path)
+    _, actual = outputs
     assert len(expected) == 40
     assert sorted(actual) == sorted(expected)
     changed = sorted(name for name in expected if actual[name] != expected[name])
     assert not changed, f"outputs differ from the golden hashes: {changed}"
+
+
+def test_every_csv_has_rows_of_its_header_width_and_answers_in_bits(outputs):
+    out, _ = outputs
+    csvs = sorted(out.glob("*.csv"))
+    assert len(csvs) == 5 * 5
+    for path in csvs:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
+        assert rows, path.name
+        answers = [i for i, name in enumerate(header) if name.startswith("a")]
+        for row in rows:
+            assert len(row) == len(header), f"{path.name}: {row}"
+            assert {row[i] for i in answers} <= {"0", "1"}, f"{path.name}: {row}"
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from obsthermo.optimize import (
     _initial_encoders,
     _point_from_encoder,
     _run_fixed_points,
-    write_frontier_csv,
 )
 from obsthermo.strategy import assignment_from_map, harden
 from obsthermo.workflows import scenario_window
@@ -218,15 +217,6 @@ def test_warm_start_is_used(case_b_hf_labeled):
         warm_starts=(warm,),
     )
     assert point.objective <= ref.objective + 1e-9
-
-
-def test_frontier_csv_header(tmp_path, case_a_hf):
-    points = sweep_beta(case_a_hf, settings(2, seed=7, beta_steps=3))
-    path = tmp_path / "frontier.csv"
-    write_frontier_csv(points, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "beta,i_mem_bits,i_pred_bits,nostalgia_bits,objective,converged,iterations"
-    assert len(lines) == 4
 
 
 def test_descent_holds_on_random_joints():

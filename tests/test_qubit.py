@@ -13,7 +13,7 @@ from obsthermo import (
     born_probability,
     collapse,
 )
-from obsthermo.qubit import answer_to_bit, collapsed_states, outcome_table
+from obsthermo.qubit import collapsed_states, outcome_table
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -144,10 +144,3 @@ def test_question_auto_normalizes_within_config_tolerance():
     assert np.linalg.norm(q.axis) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValidationError):
         Question(label="Q", axis=np.array([0.0, 0.0, 1.01]))
-
-
-def test_answer_serialization_round_trip():
-    assert answer_to_bit(+1) == 1 and answer_to_bit(-1) == 0
-    assert [ANSWERS[1 - answer_to_bit(a)] for a in ANSWERS] == list(ANSWERS)
-    with pytest.raises(ValidationError):
-        answer_to_bit(2)
