@@ -26,8 +26,6 @@ from .config import (
     bundled_scenario_path,
     load_scenario,
     parse_scenario,
-    scenario_to_json,
-    serialize_scenario,
 )
 from .errors import OptimizerError, SizeCapError, ValidationError
 from .info import (
@@ -129,8 +127,6 @@ __all__ = [
     "predictive_cap_check",
     "sample_questions",
     "sample_trajectory",
-    "scenario_to_json",
-    "serialize_scenario",
     "strategy_summary",
     "sweep_beta",
     "verify",

@@ -1,7 +1,7 @@
 """Command-line entry point, and the one module that writes files.
 
 Subcommands: analyze, optimize, sample, verify.  Exit codes: 0 success,
-1 validation or size-cap error, 2 optimizer non-convergence or failure,
+1 usage, validation or size-cap error, 2 optimizer non-convergence or failure,
 3 verification failure.  All outputs are deterministic for a fixed config and seed.
 
 Every output is UTF-8 with LF line ends; numbers carry 9 significant digits
@@ -31,21 +31,30 @@ EXIT_VERIFY_FAIL = 3
 _bit = {+1: "1", -1: "0"}.__getitem__  # answer -> bit
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors ending in EXIT_VALIDATION, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="obsthermo",
         description="Qubit question/answer chains, observer memories, dissipation bounds.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="scenario JSON path")
-    common.add_argument("--seed", type=int, default=None, help="override random seed")
     common.add_argument("--out", default=None, help="output directory")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="override random seed")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("analyze", parents=[common], help="exact InfoReport for the configured strategy")
-    sub.add_parser("optimize", parents=[common], help="beta sweep plus degeneracy report")
-    p_sample = sub.add_parser("sample", parents=[common], help="sample a trajectory CSV")
+    sub.add_parser("optimize", parents=[seeded], help="beta sweep plus degeneracy report")
+    p_sample = sub.add_parser("sample", parents=[seeded], help="sample a trajectory CSV")
     p_sample.add_argument("--length", type=int, required=True, help="number of interactions")
-    p_verify = sub.add_parser("verify", parents=[common], help="run all oracle cross-checks")
+    p_verify = sub.add_parser("verify", parents=[seeded], help="run all oracle cross-checks")
     p_verify.add_argument(
         "--mc-samples", type=int, default=workflows.DEFAULT_MC_SAMPLES, help="Monte Carlo sample count"
     )
@@ -53,14 +62,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(args, scenario) -> Path:
-    out = args.out or scenario.output or "out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; the first write creates it, so a failed run leaves none."""
+    return Path(args.out or scenario.output or "out")
 
 
 def _write_lines(path: Path, lines) -> None:
     """Write each line and an LF, UTF-8; `lines` may be a generator."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")

@@ -1,9 +1,10 @@
-"""Scenario configuration: JSON schema, validation with path-to-field messages,
-and canonical serialization.
+"""Scenario configuration: the JSON schema and its reader, with path-to-field
+messages.  This module reads scenarios and writes none.
 
 A scenario names its questions (labels and axes), the question schedule, the
 initial Bloch state, the analysis window, the memory strategy, and optional
-optimizer settings and temperature.  Unknown keys are rejected.
+optimizer settings (memory size, seed and history view) and temperature.
+Unknown keys are rejected.
 """
 
 import json
@@ -194,15 +195,7 @@ def _parse_strategy(data, where: str) -> Strategy:
 
 
 #: Optional optimizer keys and their checks; memory_size is required.
-_OPTIMIZER_FIELDS = {
-    "beta_min": _number,
-    "beta_max": _number,
-    "beta_steps": _integer,
-    "tolerance": _number,
-    "max_iterations": _integer,
-    "restarts": _integer,
-    "seed": _integer,
-}
+_OPTIMIZER_FIELDS = {"seed": _integer}
 _OPTIMIZER_KEYS = {"memory_size", "history", *_OPTIMIZER_FIELDS}
 
 
@@ -274,73 +267,6 @@ def parse_scenario(data: dict) -> Scenario:
     )
 
 
-def serialize_scenario(scenario: Scenario) -> dict:
-    """Canonical dict form; serialize(parse(x)) is a fixed point of parse."""
-    out = {
-        "name": scenario.name,
-        "questions": [
-            {"label": q.label, "axis": [float(v) for v in q.axis]} for q in scenario.questions
-        ],
-        "process": _serialize_process(scenario.process),
-        "initial_state": [float(v) for v in scenario.initial_state.as_array()],
-        "window": scenario.window,
-    }
-    if scenario.strategy is not None:
-        out["strategy"] = _serialize_strategy(scenario.strategy)
-    if scenario.optimizer is not None:
-        out["optimizer"] = _serialize_optimizer(scenario.optimizer)
-    if scenario.temperature_kelvin is not None:
-        out["temperature_kelvin"] = scenario.temperature_kelvin
-    if scenario.output is not None:
-        out["output"] = scenario.output
-    return out
-
-
-def _serialize_process(process: QuestionProcess) -> dict:
-    if isinstance(process, IIDProcess):
-        return {"type": "iid", "weights": [float(v) for v in process.weights]}
-    if isinstance(process, MarkovProcess):
-        return {
-            "type": "markov",
-            "transition": [[float(v) for v in row] for row in process.transition],
-            "initial": [float(v) for v in process.initial],
-        }
-    return {"type": "periodic", "sequence": list(process.sequence)}
-
-
-def _serialize_strategy(strategy: Strategy) -> dict:
-    if isinstance(strategy, WindowStrategy):
-        return {"type": "window", "k": strategy.k, "labeled": strategy.labeled}
-    if isinstance(strategy, NothingStrategy):
-        return {"type": "nothing"}
-    return {
-        "type": "kernel",
-        "assignment": [[float(v) for v in row] for row in strategy.assignment],
-        "k": strategy.k,
-        "labeled": strategy.labeled,
-    }
-
-
-def _serialize_optimizer(settings: OptimizerSettings) -> dict:
-    out = {
-        "memory_size": settings.memory_size,
-        "beta_min": settings.beta_min,
-        "beta_max": settings.beta_max,
-        "beta_steps": settings.beta_steps,
-        "tolerance": settings.tolerance,
-        "max_iterations": settings.max_iterations,
-        "restarts": settings.restarts,
-        "seed": settings.seed,
-    }
-    if settings.history_k is not None or not settings.history_labeled:
-        out["history"] = {"k": settings.history_k, "labeled": settings.history_labeled}
-    return out
-
-
-def scenario_to_json(scenario: Scenario) -> str:
-    return json.dumps(serialize_scenario(scenario), sort_keys=True, indent=2) + "\n"
-
-
 def load_scenario(path) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -363,14 +289,11 @@ BUNDLED_SCENARIOS = (
 
 def bundled_scenario(name: str) -> Scenario:
     """Load one of the scenarios shipped with the package."""
-    if name not in BUNDLED_SCENARIOS:
-        raise ValidationError(f"unknown bundled scenario {name!r}; have {BUNDLED_SCENARIOS}")
-    ref = resources.files("obsthermo").joinpath(f"scenarios/{name}.json")
-    return parse_scenario(json.loads(ref.read_text(encoding="utf-8")))
+    return load_scenario(bundled_scenario_path(name))
 
 
 def bundled_scenario_path(name: str) -> str:
-    """Filesystem path of a bundled scenario JSON (for CLI-level tests)."""
+    """Filesystem path of a bundled scenario JSON; an unknown name is a ValidationError."""
     if name not in BUNDLED_SCENARIOS:
         raise ValidationError(f"unknown bundled scenario {name!r}; have {BUNDLED_SCENARIOS}")
     ref = resources.files("obsthermo").joinpath(f"scenarios/{name}.json")

@@ -23,7 +23,6 @@ from .strategy import (
     assignment_from_map,
     deterministic_count,
     history_window,
-    view_alphabet,
     view_variables,
 )
 
@@ -34,19 +33,21 @@ _MAP_BLOCK = 4096  # most maps, and tail subsets, per block: bounds the gathered
 ENUMERATION_CAP = 10**6  # most deterministic maps an exhaustive scan enumerates
 TARGET_TOL = 1e-9  # slack under i_pred_target that "min_nostalgia_at_i_pred" still admits
 DEGENERACY_TOL = 1e-9  # most nostalgia of a map in the degeneracy report
+BETAS = np.geomspace(1.0, 8.0, 7)  # 1 (degenerate) to 8, twice the largest bundled critical beta
+RESTARTS = 8  # seeded starts per beta: one near-uniform, the rest near random hard maps
+TOLERANCE = 1e-9  # a restart stops once its objective moves by at most this much
+MAX_ITERATIONS = 10_000  # a restart still moving after this many updates reports converged=False
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs for the soft optimizer and its beta sweep."""
+    """What a scenario sets for the optimizer: memory size, seed and history view.
+
+    The beta schedule, restarts and stopping rule are the module constants
+    BETAS, RESTARTS, TOLERANCE and MAX_ITERATIONS.
+    """
 
     memory_size: int
-    beta_min: float = 1.0
-    beta_max: float = 8.0
-    beta_steps: int = 7
-    tolerance: float = 1e-9
-    max_iterations: int = 10_000
-    restarts: int = 8
     seed: int = 0
     history_k: int | None = None
     history_labeled: bool = True
@@ -54,21 +55,8 @@ class OptimizerSettings:
     def __post_init__(self):
         if self.memory_size < 1:
             raise ValidationError(f"memory_size must be >= 1, got {self.memory_size}")
-        if self.beta_min < 1.0:
-            raise ValidationError(f"beta_min must be >= 1, got {self.beta_min}")
-        if self.beta_max < self.beta_min:
-            raise ValidationError("beta_max must be >= beta_min")
-        if self.beta_steps < 1 or self.max_iterations < 1 or self.restarts < 1:
-            raise ValidationError("beta_steps, max_iterations and restarts must be >= 1")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be > 0")
         if not 0 <= self.seed < 2**128:
             raise ValidationError(f"seed must be in [0, 2**128), got {self.seed}")
-
-    def betas(self) -> np.ndarray:
-        if self.beta_steps == 1:
-            return np.array([self.beta_min])
-        return np.geomspace(self.beta_min, self.beta_max, self.beta_steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +64,6 @@ class HistoryFutureJoint:
     """A window joint grouped into (history view, next pair), as a 2-D table."""
 
     table: np.ndarray
-    history_symbols: tuple
-    future_symbols: tuple
     k: int
     labeled: bool
 
@@ -103,7 +89,7 @@ def history_future_joint(
     """Group a window joint into the optimizer's (H, X') form.
 
     The history view is the last k pairs (default: the full window), labels
-    kept or dropped; its symbols come out in the canonical kernel row order.
+    kept or dropped; its rows come out in the canonical kernel row order.
     """
     w = history_window(window)
     if k is None:
@@ -111,18 +97,8 @@ def history_future_joint(
     view_vars = view_variables(window, k, labeled)
     marg = window.marginal(tuple(view_vars) + chainmod.FUTURE_PAIR)
     marg = marg.reorder(tuple(view_vars) + chainmod.FUTURE_PAIR)
-    labels = window.alphabet(chainmod.FUTURE_PAIR[0])
-    n_future = 2 * len(labels)
-    table = marg.table.reshape(-1, n_future)
-    history_symbols = view_alphabet(labels, k, labeled)
-    future_symbols = tuple((lab, a) for lab in labels for a in (+1, -1))
-    return HistoryFutureJoint(
-        table=table,
-        history_symbols=history_symbols,
-        future_symbols=future_symbols,
-        k=k,
-        labeled=labeled,
-    )
+    n_future = 2 * len(window.alphabet(chainmod.FUTURE_PAIR[0]))
+    return HistoryFutureJoint(table=marg.table.reshape(-1, n_future), k=k, labeled=labeled)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,18 +144,17 @@ def _initial_encoders(n_hist: int, m: int, restarts: int, rng: np.random.Generat
     return np.stack(encs)
 
 
-def _run_fixed_points(
-    hf: HistoryFutureJoint, encs: np.ndarray, beta: float, settings: OptimizerSettings
-) -> tuple:
+def _run_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float) -> tuple:
     """Alternating minimization from an (R, H, M) stack of starts, all in one loop.
 
     Returns per-restart arrays (encoders, objectives, converged, iterations).
     Updates per iteration: p(m) <- sum_h p(h) p(m|h); p(x'|m) <- induced decoder;
     p(m|h) propto p(m) exp(-beta KL(p(x'|h) || p(x'|m))).  A restart leaves the
-    loop once its own |delta objective| <= tolerance.  The objective
-    I(M;H) - beta I(M;X') of every running restart is checked to be
-    non-increasing each iteration.  Each restart gets the same operations as a
-    loop run on it alone, so its numbers do not depend on the others in the stack.
+    loop once its own |delta objective| <= TOLERANCE, or unconverged after
+    MAX_ITERATIONS.  The objective I(M;H) - beta I(M;X') of every running
+    restart is checked to be non-increasing each iteration.  Each restart gets
+    the same operations as a loop run on it alone, so its numbers do not depend
+    on the others in the stack.
     """
     p_h = hf.history_marginal()
     cond = hf.future_conditionals()
@@ -207,7 +182,7 @@ def _run_fixed_points(
     converged = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=int)
     active = np.arange(n)
-    for it in range(1, settings.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         safe_pm = np.where(p_m > 0, p_m, 1.0)
         dec = p_mx / safe_pm[:, :, None]
         dec[p_m == 0] = uniform
@@ -229,7 +204,7 @@ def _run_fixed_points(
         encs[active] = enc
         objectives[active] = obj
         iterations[active] = it
-        done = np.abs(prev - obj) <= settings.tolerance
+        done = np.abs(prev - obj) <= TOLERANCE
         if done.any():
             converged[active[done]] = True
             keep = ~done
@@ -255,10 +230,10 @@ def optimize_soft(
     m = settings.memory_size
     n_hist = hf.num_histories
     rng = procmod._rng(settings.seed)
-    encs = _initial_encoders(n_hist, m, settings.restarts, rng)
+    encs = _initial_encoders(n_hist, m, RESTARTS, rng)
     if warm_starts:
         encs = np.concatenate([encs, np.asarray(warm_starts, dtype=float)])
-    encs, objectives, converged, iterations = _run_fixed_points(hf, encs, beta, settings)
+    encs, objectives, converged, iterations = _run_fixed_points(hf, encs, beta)
     best = 0
     for r in range(1, len(encs)):
         if objectives[r] < objectives[best] - 1e-15:
@@ -267,10 +242,10 @@ def optimize_soft(
 
 
 def sweep_beta(hf: HistoryFutureJoint, settings: OptimizerSettings) -> list:
-    """Frontier points over the geometric beta schedule, warm-started in order."""
+    """Frontier points over the beta schedule BETAS, warm-started in order."""
     points = []
     warm = ()
-    for beta in settings.betas():
+    for beta in BETAS:
         point = optimize_soft(hf, float(beta), settings, warm_starts=warm)
         points.append(point)
         warm = (point.strategy.assignment,)

@@ -16,8 +16,8 @@ from .config import Scenario
 from .errors import SizeCapError, ValidationError
 from .joint import JointDistribution, max_abs_deviation
 from .optimize import (
+    BETAS,
     FrontierPoint,
-    OptimizerSettings,
     degeneracy_report,
     exhaustive_best,
     history_future_joint,
@@ -89,7 +89,7 @@ class OptimizeResult:
 
 
 def optimize(scenario: Scenario) -> OptimizeResult:
-    """Sweep beta over the scenario's optimizer settings.
+    """Sweep beta over BETAS with the scenario's optimizer settings.
 
     When the deterministic-map space fits the enumeration cap, the degeneracy
     report and an exhaustive reference at the largest beta come along for free.
@@ -112,7 +112,7 @@ def optimize(scenario: Scenario) -> OptimizeResult:
         degeneracy = reference = None
     else:
         reference = exhaustive_best(
-            hf, settings.memory_size, objective="beta", beta=float(settings.betas()[-1])
+            hf, settings.memory_size, objective="beta", beta=float(BETAS[-1])
         )
     return OptimizeResult(
         points=points, best=best, degeneracy=degeneracy, exhaustive_reference=reference

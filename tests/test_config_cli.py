@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -12,12 +13,12 @@ from obsthermo import (
     bundled_scenario_path,
     optimize,
     parse_scenario,
-    scenario_to_json,
-    serialize_scenario,
     verify,
 )
 from obsthermo.cli import main as cli_main
 from obsthermo.optimize import OptimizerSettings
+
+optmod = importlib.import_module("obsthermo.optimize")  # the package's `optimize` is the workflow
 
 
 def minimal_config(**overrides):
@@ -36,14 +37,6 @@ def test_bundled_scenarios_parse():
     for name in BUNDLED_SCENARIOS:
         sc = bundled_scenario(name)
         assert sc.name == name
-
-
-def test_serialize_parse_round_trip_is_idempotent():
-    for name in BUNDLED_SCENARIOS:
-        sc = bundled_scenario(name)
-        once = scenario_to_json(sc)
-        twice = scenario_to_json(parse_scenario(json.loads(once)))
-        assert once == twice
 
 
 def test_unknown_scenario_key_rejected():
@@ -169,7 +162,7 @@ def test_cli_optimize_writes_outputs(tmp_path):
     assert rc == 0
     frontier = (tmp_path / "case_a_frontier.csv").read_text().splitlines()
     assert frontier[0] == "beta,i_mem_bits,i_pred_bits,nostalgia_bits,objective,converged,iterations"
-    assert len(frontier) == 1 + len(bundled_scenario("case_a").optimizer.betas())
+    assert len(frontier) == 1 + len(optmod.BETAS)
     degeneracy = json.loads((tmp_path / "case_a_degeneracy.json").read_text())
     kinds = {d["observer_like"] for d in degeneracy}
     assert kinds == {True, False}
@@ -316,24 +309,18 @@ def test_integral_floats_count_as_integers():
     assert type(sc.window) is int
 
 
-def test_cli_nonconvergence_exit_code(tmp_path):
+def test_cli_nonconvergence_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(optmod, "BETAS", np.geomspace(4.0, 8.0, 2))
+    monkeypatch.setattr(optmod, "MAX_ITERATIONS", 1)
+    monkeypatch.setattr(optmod, "TOLERANCE", 1e-15)
+    monkeypatch.setattr(optmod, "RESTARTS", 2)
     cfg = minimal_config(
         questions=[
             {"label": "Qz", "axis": [0.0, 0.0, 1.0]},
             {"label": "Qx", "axis": [1.0, 0.0, 0.0]},
         ],
         process={"type": "iid", "weights": [0.5, 0.5]},
-        optimizer={
-            "memory_size": 4,
-            "beta_min": 4.0,
-            "beta_max": 8.0,
-            "beta_steps": 2,
-            "max_iterations": 1,
-            "tolerance": 1e-15,
-            "restarts": 2,
-            "seed": 0,
-            "history": {"k": 1, "labeled": True},
-        },
+        optimizer={"memory_size": 4, "seed": 0, "history": {"k": 1, "labeled": True}},
     )
     path = tmp_path / "hard.json"
     path.write_text(json.dumps(cfg))
@@ -360,15 +347,6 @@ def test_cli_missing_config_file(tmp_path):
     assert rc == 1
 
 
-def test_serialization_preserves_field_values():
-    sc = bundled_scenario("case_b_bestcase")
-    data = serialize_scenario(sc)
-    assert data["process"]["type"] == "markov"
-    assert data["process"]["transition"] == [[1.0, 0.0], [0.0, 1.0]]
-    assert data["strategy"] == {"type": "window", "k": 2, "labeled": False}
-    assert data["optimizer"]["history"] == {"k": 1, "labeled": False}
-
-
 def _two_question_config(**overrides):
     return minimal_config(
         questions=[
@@ -387,7 +365,7 @@ def test_optimize_history_beyond_window_rejected(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(cfg))
     assert cli_main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_analyze_beyond_the_entry_cap_writes_nothing(tmp_path, capsys):
@@ -398,4 +376,65 @@ def test_cli_analyze_beyond_the_entry_cap_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["analyze", "--config", str(path), "--out", str(out)]) == 1
     assert "size cap" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        pytest.param("analyze", {"strategy": None}, id="analyze-no-strategy"),
+        pytest.param("optimize", {}, id="optimize-no-optimizer"),
+        pytest.param("analyze", {"window": 11}, id="analyze-beyond-the-entry-cap"),
+    ],
+)
+def test_cli_failed_subcommand_leaves_no_out_directory(tmp_path, capsys, command, config):
+    path = tmp_path / "failing.json"
+    path.write_text(json.dumps(_two_question_config(**config)))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(("invalid input: scenario.", "size cap exceeded:"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["analyze"], id="missing-config"),
+        pytest.param(["sample", "--config", "c.json", "--length", "x"], id="non-integer-length"),
+        pytest.param(["analyze", "--config", "c.json", "--seed", "3"], id="analyze-seed"),
+        pytest.param(["fit", "--config", "c.json"], id="unknown-subcommand"),
+    ],
+)
+def test_cli_usage_errors_exit_1_with_the_usage_message(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: obsthermo") and "error: " in err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["analyze", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--config" in out and "--seed" not in out
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("beta_min", 1.0),
+        ("beta_max", 8.0),
+        ("beta_steps", 7),
+        ("tolerance", 1e-9),
+        ("max_iterations", 10_000),
+        ("restarts", 8),
+    ],
+)
+def test_cli_optimizer_constants_are_not_config_keys(tmp_path, capsys, key, value):
+    path = tmp_path / "knob.json"
+    path.write_text(json.dumps(minimal_config(optimizer={"memory_size": 2, key: value})))
+    assert cli_main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: scenario.optimizer: unknown keys ['{key}']")

@@ -1,5 +1,4 @@
 import importlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,15 +62,13 @@ def case_b_hf_unlabeled():
     return history_future_joint(window, k=1, labeled=False)
 
 
-def settings(m, seed=0, **kw):
-    return OptimizerSettings(memory_size=m, seed=seed, **kw)
+def settings(m, seed=0):
+    return OptimizerSettings(memory_size=m, seed=seed)
 
 
 def test_history_future_shapes(case_b_hf_labeled, case_b_hf_unlabeled):
     assert case_b_hf_labeled.table.shape == (4, 4)
     assert case_b_hf_unlabeled.table.shape == (2, 4)
-    assert case_b_hf_labeled.history_symbols[0] == (("Qz", 1),)
-    assert case_b_hf_unlabeled.history_symbols == ((1,), (-1,))
     assert case_b_hf_labeled.table.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -102,14 +99,16 @@ def test_memory_size_one_is_trivial(case_b_hf_labeled):
 
 
 def test_beta_below_one_rejected(case_a_hf):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="beta must be >= 1"):
         optimize_soft(case_a_hf, 0.5, settings(2))
-    with pytest.raises(ValidationError):
-        OptimizerSettings(memory_size=2, beta_min=0.5)
+    with pytest.raises(ValidationError, match="beta must be >= 1"):
+        optimize_soft(case_a_hf, np.nextafter(1.0, 0.0), settings(2))
 
 
-def test_sweep_i_pred_monotone_and_saturates(case_b_hf_labeled):
-    points = sweep_beta(case_b_hf_labeled, settings(4, seed=3, beta_max=16.0, beta_steps=9))
+def test_sweep_i_pred_monotone_and_saturates(case_b_hf_labeled, monkeypatch):
+    monkeypatch.setattr(optmod, "BETAS", np.geomspace(1.0, 16.0, 9))
+    points = sweep_beta(case_b_hf_labeled, settings(4, seed=3))
+    assert [p.beta for p in points] == np.geomspace(1.0, 16.0, 9).tolist()
     ipreds = [p.i_pred for p in points]
     for a, b in zip(ipreds, ipreds[1:]):
         assert b >= a - 1e-6
@@ -207,15 +206,12 @@ def test_hardening_consistency(case_a_hf):
     assert abs(hard_point.i_pred - point.i_pred) < 1e-6
 
 
-def test_warm_start_is_used(case_b_hf_labeled):
+def test_warm_start_is_used(case_b_hf_labeled, monkeypatch):
     ref = exhaustive_best(case_b_hf_labeled, 4, objective="beta", beta=8.0)
     warm = ref.strategy.assignment
-    point = optimize_soft(
-        case_b_hf_labeled,
-        8.0,
-        settings(4, seed=9, restarts=1, max_iterations=50),
-        warm_starts=(warm,),
-    )
+    monkeypatch.setattr(optmod, "RESTARTS", 1)
+    monkeypatch.setattr(optmod, "MAX_ITERATIONS", 50)
+    point = optimize_soft(case_b_hf_labeled, 8.0, settings(4, seed=9), warm_starts=(warm,))
     assert point.objective <= ref.objective + 1e-9
 
 
@@ -227,13 +223,7 @@ def test_descent_holds_on_random_joints():
     rng = np.random.default_rng(11)
     for trial in range(25):
         t = rng.dirichlet(np.ones(12)).reshape(3, 4)
-        hf = HistoryFutureJoint(
-            table=t,
-            history_symbols=((0,), (1,), (2,)),
-            future_symbols=(("Q", 1), ("Q", -1), ("R", 1), ("R", -1)),
-            k=1,
-            labeled=False,
-        )
+        hf = HistoryFutureJoint(table=t, k=1, labeled=False)
         for beta in (1.0, 2.0, 8.0):
             point = optimize_soft(hf, beta, settings(2, seed=trial))
             assert point.i_pred <= point.i_mem + 1e-10
@@ -246,13 +236,7 @@ SCAN_SHAPES = ((2, 1), (1, 3), (3, 2), (5, 3), (4, 5), (13, 2))
 
 def random_hf(n_hist, seed, n_future=4):
     table = np.random.default_rng(seed).dirichlet(np.ones(n_hist * n_future))
-    return HistoryFutureJoint(
-        table=table.reshape(n_hist, n_future),
-        history_symbols=tuple((h,) for h in range(n_hist)),
-        future_symbols=tuple(range(n_future)),
-        k=1,
-        labeled=False,
-    )
+    return HistoryFutureJoint(table=table.reshape(n_hist, n_future), k=1, labeled=False)
 
 
 def brute_force_points(hf, m):
@@ -357,28 +341,28 @@ def batch_cases(case_b_unlabeled):
 
 
 def test_batched_restarts_equal_each_restart_alone(case_b_unlabeled):
-    for hf, beta, starts, opt in batch_cases(case_b_unlabeled):
-        encs, objectives, converged, iterations = _run_fixed_points(hf, starts, beta, opt)
+    for hf, beta, starts, _ in batch_cases(case_b_unlabeled):
+        encs, objectives, converged, iterations = _run_fixed_points(hf, starts, beta)
         assert encs.shape == starts.shape
         assert len(set(iterations.tolist())) > 1  # restarts leave the loop at different times
         for r in range(len(starts)):
-            enc1, obj1, conv1, its1 = _run_fixed_points(hf, starts[r : r + 1], beta, opt)
+            enc1, obj1, conv1, its1 = _run_fixed_points(hf, starts[r : r + 1], beta)
             assert enc1[0].tobytes() == encs[r].tobytes()
             assert obj1[0].tobytes() == objectives[r].tobytes()
             assert conv1[0] == converged[r]
             assert its1[0] == iterations[r]
 
 
-def test_iteration_cap_reports_unfinished_restarts(case_b_unlabeled):
+def test_iteration_cap_reports_unfinished_restarts(case_b_unlabeled, monkeypatch):
+    monkeypatch.setattr(optmod, "MAX_ITERATIONS", 3)
     for index, (hf, beta, starts, opt) in enumerate(batch_cases(case_b_unlabeled)):
-        capped = replace(opt, max_iterations=3)
-        _, _, converged, iterations = _run_fixed_points(hf, starts, beta, capped)
+        _, _, converged, iterations = _run_fixed_points(hf, starts, beta)
         assert np.all(iterations[~converged] == 3)
         assert np.all((iterations[converged] >= 1) & (iterations[converged] <= 3))
         if index == 0:
             # at the critical beta some restarts are still far from settled
             assert not converged.all()
-            point = optimize_soft(hf, beta, capped)
+            point = optimize_soft(hf, beta, opt)
             assert not point.converged and point.iterations == 3
 
 

@@ -69,7 +69,7 @@ def streams(scan, hf, m):
 
 
 def table_hf(table: np.ndarray) -> HistoryFutureJoint:
-    return HistoryFutureJoint(table=table, history_symbols=(), future_symbols=(), k=1, labeled=True)
+    return HistoryFutureJoint(table=table, k=1, labeled=True)
 
 
 def random_tables():

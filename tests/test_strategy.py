@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -35,6 +36,8 @@ from obsthermo.optimize import HistoryFutureJoint, history_future_joint
 from obsthermo.strategy import assignment_from_map, deterministic_count, harden
 
 from conftest import case_b_questions, enumerate_deterministic, two_questions_at_angle
+
+optmod = importlib.import_module("obsthermo.optimize")  # the package's `optimize` is the workflow
 
 H_CASE_B_PAIR = 3.0 - 0.75 * math.log2(3.0)
 
@@ -231,13 +234,13 @@ def test_k_window_routes_match_the_full_window(name, monkeypatch):
         return hf
 
     monkeypatch.setattr(workflows, "history_future_joint", spy)
+    monkeypatch.setattr(optmod, "BETAS", np.array([1.0]))
+    monkeypatch.setattr(optmod, "RESTARTS", 1)
     for k, labeled in AGREEMENT_VIEWS:
-        settings = OptimizerSettings(
-            memory_size=2, beta_steps=1, restarts=1, history_k=k, history_labeled=labeled
-        )
+        settings = OptimizerSettings(memory_size=2, history_k=k, history_labeled=labeled)
         optimize(dataclasses.replace(base, optimizer=settings))
         expected = history_future_joint(full, k=k, labeled=labeled)
-        assert built[-1].history_symbols == expected.history_symbols
+        assert built[-1].table.shape == expected.table.shape
         assert np.max(np.abs(built[-1].table - expected.table)) <= 1e-12
 
 
@@ -287,13 +290,7 @@ def test_enumeration_counts():
 
 
 def test_enumeration_cap():
-    hf = HistoryFutureJoint(
-        table=np.full((30, 4), 1 / 120),
-        history_symbols=tuple((h,) for h in range(30)),
-        future_symbols=tuple(range(4)),
-        k=1,
-        labeled=False,
-    )
+    hf = HistoryFutureJoint(table=np.full((30, 4), 1 / 120), k=1, labeled=False)
     with pytest.raises(SizeCapError, match="soft optimizer"):
         exhaustive_best(hf, 4, objective="max_i_pred")  # 4^30 maps
 
