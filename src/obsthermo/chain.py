@@ -20,6 +20,7 @@ from .qubit import ANSWERS, BlochVector, Question, collapsed_states, outcome_tab
 
 KERNEL_TOL = 1e-12
 LONG_RUN_TOL = 1e-10
+STATIONARY_TOL = 1e-15  # a law whose one-step change stays below this is stationary
 WINDOW_ENTRY_CAP = 10**7
 _UNIT_TOL = 1e-9  # eigenvalues this close to a unit-modulus value count as on it
 
@@ -226,20 +227,26 @@ def _cesaro_limit(matrix: np.ndarray, mu0: np.ndarray) -> np.ndarray:
     return mu
 
 
+def start_law(kernel: ChainKernel, initial: BlochVector) -> np.ndarray:
+    """Law of the first chain state: the one-step law of a fresh start at `initial`."""
+    start = procmod.question_law(kernel.process)[-1:]
+    return step_law(start, initial.as_array()[None], [q.axis for q in kernel.questions])[0]
+
+
 def long_run_distribution(kernel: ChainKernel, initial: BlochVector) -> LongRunResult:
     """Limit of the chain distribution started from the induced initial law.
 
     Reducible chains (e.g. a single question) get the initial-condition-induced
-    limit, not an arbitrary stationary vector.  When the power iteration does
-    not settle, the result is the Cesaro average; it is flagged only if the
-    chain is genuinely periodic, not merely slow to mix.
+    limit, not an arbitrary stationary vector.  The power iteration stops once
+    a step moves the law by less than STATIONARY_TOL.  When it does not settle,
+    the result is the Cesaro average; it is flagged only if the chain is
+    genuinely periodic, not merely slow to mix.
     """
-    start = procmod.question_law(kernel.process)[-1:]
-    mu0 = mu = step_law(start, initial.as_array()[None], [q.axis for q in kernel.questions])[0]
+    mu0 = mu = start_law(kernel, initial)
     mat = kernel.matrix
     for _ in range(10_000):
         nxt = mu @ mat
-        if np.max(np.abs(nxt - mu)) < 1e-15:
+        if np.max(np.abs(nxt - mu)) < STATIONARY_TOL:
             return LongRunResult(distribution=nxt, cesaro=False)
         mu = nxt
     return LongRunResult(distribution=_cesaro_limit(mat, mu0), cesaro=_is_periodic(kernel))

@@ -9,8 +9,11 @@ It shares only the one-step physics with the chain module: the Born table
 long-run or window algebra, so agreement between the two certifies both.
 
 Monte Carlo draws its windows from the replica trajectories of
-`replica_plan`, the one place that reads the kernel's spectrum: how long a
-replica burns in and how many sliding windows it gives.  Caps, tolerances
+`replica_plan`, the one place that reads the kernel: how long a replica
+burns in and how many sliding windows it gives.  The spectrum bounds the
+burn-in; a replica that gives one window burns in only until its own law,
+the start law pushed through the kernel, is stationary.  The plan never
+reads the long-run solve that Monte Carlo checks.  Caps, tolerances
 and counts are module constants, each read where it applies: LEAF_CAP bounds
 the tree, TAIL_TOL ends `converged_tail`, MIN_BURN_IN, BURN_IN_TOL and
 MIN_REPLICAS shape the plan, and N_BOOTSTRAP counts the bootstrap resamples.
@@ -121,23 +124,47 @@ def verdict(check: str, scenario: str, deviation: float, tolerance: float) -> di
     }
 
 
-def replica_plan(questions, process, n: int) -> tuple:
+def _stationary_burn_in(kernel, initial: BlochVector, bound: int) -> int:
+    """First t < bound at which the law mu_t of a replica's step t is stationary, else bound.
+
+    mu_0 is `chain.start_law`, and mu_(t+1) = mu_t P.  mu_t counts as stationary
+    once one more step moves it by less than STATIONARY_TOL, the long run's
+    own test; every later step then has the same law.
+    """
+    mu = chainmod.start_law(kernel, initial)
+    for t in range(bound):
+        nxt = mu @ kernel.matrix
+        if np.max(np.abs(nxt - mu)) < chainmod.STATIONARY_TOL:
+            return t
+        mu = nxt
+    return bound
+
+
+def replica_plan(questions, process, initial: BlochVector, n: int) -> tuple:
     """(burn-in, replicas R, windows L per replica) with which Monte Carlo draws n windows.
 
-    The burn-in is max(MIN_BURN_IN, ceil(ln BURN_IN_TOL / ln lam)) steps, where
-    lam is the chain kernel's `slowest_mode_modulus`: after that many steps the
-    slowest decaying mode has shrunk by BURN_IN_TOL (Levin, Peres & Wilmer,
-    Markov Chains and Mixing Times, ch. 4).  Only this length comes from the
-    kernel; the windows are still simulated from the Born rule.
+    The spectral burn-in is max(MIN_BURN_IN, ceil(ln BURN_IN_TOL / ln lam))
+    steps, where lam is the chain kernel's `slowest_mode_modulus`: after that
+    many steps the slowest decaying mode has shrunk by BURN_IN_TOL (Levin,
+    Peres & Wilmer, Markov Chains and Mixing Times, ch. 4).
 
-    L is the burn-in when the kernel `mixes`: a replica then has forgotten its
-    start and its next windows all follow the long run.  It is cut to
-    n // MIN_REPLICAS so that at least MIN_REPLICAS replicas carry the
+    L is the spectral burn-in when the kernel `mixes`: a replica then has
+    forgotten its start and its next windows all follow the long run.  It is
+    cut to n // MIN_REPLICAS so that at least MIN_REPLICAS replicas carry the
     bootstrap.  L is 1 otherwise: on a reducible kernel a trajectory never
     leaves the class it lands in, on a periodic one it keeps its phase, so each
-    window needs its own replica.  A periodic schedule has no time-homogeneous
-    kernel: it burns in MIN_BURN_IN steps and gives one window per replica.
-    R = ceil(n / L), and the last replica may give fewer.
+    window needs its own replica.  R = ceil(n / L), and the last replica may
+    give fewer.
+
+    A plan with L > 1 burns in the spectral burn-in.  With L = 1 the burn-in
+    is exact: the first step, at most the spectral burn-in, at which the law
+    of a replica started from `initial` is stationary, so that every window
+    has the long-run law.  It is 0 on an identity kernel, where every state is
+    absorbing; a start that keeps its phase on a periodic kernel never gets
+    there.  The plan reads only the kernel and the one-step law, never the
+    long-run solve, and the windows are still simulated from the Born rule.
+    A periodic schedule has no time-homogeneous kernel: it burns in
+    MIN_BURN_IN steps and gives one window per replica.
     """
     burn_in, per = MIN_BURN_IN, 1
     if not isinstance(process, procmod.PeriodicProcess):
@@ -147,6 +174,8 @@ def replica_plan(questions, process, n: int) -> tuple:
             burn_in = max(MIN_BURN_IN, math.ceil(math.log(BURN_IN_TOL) / math.log(lam)))
         if chainmod.mixes(kernel):
             per = max(1, min(burn_in, n // MIN_REPLICAS))
+        if per == 1:
+            burn_in = _stationary_burn_in(kernel, initial, burn_in)
     return burn_in, -(-n // per), per
 
 
@@ -157,17 +186,22 @@ def sample_windows(
     window: int,
     n: int,
     seed: int,
+    *,
+    plan: tuple | None = None,
 ) -> np.ndarray:
     """Draw n (window+1)-pair windows from R replica trajectories.
 
     The replicas start from `initial` and run through the sampler's question
     and answer steps, b = max(1, process._BLOCK_ENTRIES // R) steps at a time;
     no output depends on b.  Each discards its burn-in and then gives L
-    consecutive sliding windows, as `replica_plan` sets out.  Replicas are
-    i.i.d.; windows inside one are not, so errors must resample whole
-    replicas.  Where L = 1 (reducible or periodic chains) R = n, every window
-    has its own trajectory, the samples are i.i.d. and plain bootstrap errors
-    are valid.
+    consecutive sliding windows, as `replica_plan` sets out; `plan` is that
+    plan when the caller has already built it.  Replicas are i.i.d.; windows
+    inside one are not, so errors must resample whole replicas.  Where L = 1
+    (reducible or periodic chains) R = n, every window has its own
+    trajectory, the samples are i.i.d. and plain bootstrap errors are valid.
+    A burn-in of 0 keeps the first step: its uniforms come first in the
+    stream, so on an identity kernel the windows equal those after any longer
+    burn-in.
 
     Returns an (n, 2*(window+1)) index array aligned with
     chain.window_names(window), in the smallest integer dtype that holds the
@@ -175,7 +209,13 @@ def sample_windows(
     order, so row i+1's first 2*window columns are row i's last 2*window.
     """
     questions = chainmod.check_process_labels(questions, process)
-    burn_in, replicas, per = replica_plan(questions, process, n)
+    if window < 1:
+        raise ValidationError(f"window must be >= 1, got {window}")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if plan is None:
+        plan = replica_plan(questions, process, initial, n)
+    burn_in, replicas, per = plan
     k = len(questions)
     rng = procmod._rng(seed)
     next_questions = procmod.question_step(process)
@@ -215,7 +255,9 @@ class MonteCarloReport:
     """Plug-in estimates of the info quantities with replica bootstrap errors.
 
     `replicas` trajectories each discarded `burn_in` steps and gave
-    `windows_per_replica` windows (the last replica may give fewer).
+    `windows_per_replica` windows (the last replica may give fewer).  With
+    one window per replica the burn-in ends where a replica's law is
+    stationary, so it is 0 on an identity kernel.
     """
 
     n: int
@@ -261,8 +303,9 @@ def monte_carlo_check(
     if n < 10**3:
         raise ValidationError(f"need at least 1000 samples, got {n}")
     questions = tuple(questions)
-    burn_in, replicas, per = replica_plan(questions, process, n)
-    samples = sample_windows(questions, process, initial, window, n, seed)
+    plan = replica_plan(questions, process, initial, n)
+    burn_in, replicas, per = plan
+    samples = sample_windows(questions, process, initial, window, n, seed, plan=plan)
     labels = tuple(q.label for q in questions)
     k, labeled, encoder, _ = view_encoder(strategy, labels, window)
     views, nexts = encoder.shape[0], 2 * len(questions)

@@ -31,7 +31,7 @@ from obsthermo.joint import JointDistribution
 from obsthermo import oracle as oraclemod
 from obsthermo.oracle import _view_next_cells, replica_plan, sample_windows, verdict
 from obsthermo.process import question_law
-from obsthermo.workflows import analyze, scenario_window
+from obsthermo.workflows import WINDOW_ORACLE_TOL, analyze, scenario_window
 
 from conftest import (
     born_plus_matrix,
@@ -66,6 +66,16 @@ def tree_tail(joint, questions, window: int) -> JointDistribution:
         alphabets=window_alphabets(questions, window),
         table=tail.reshape((k, 2) * (window + 1)),
     )
+
+
+ONE_PHASE_ALTERNATING = MarkovProcess(  # Qz, Qx, Qz, ... from Qz
+    labels=("Qz", "Qx"), transition=np.array([[0.0, 1.0], [1.0, 0.0]]), initial=np.array([1.0, 0.0])
+)
+ABSORBING = MarkovProcess(  # Qz repeats forever once asked
+    labels=("Qz", "Qx", "Qy"),
+    transition=np.array([[1.0, 0.0, 0.0], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]]),
+    initial=np.array([0.2, 0.4, 0.4]),
+)
 
 
 def single_question():
@@ -249,7 +259,7 @@ def test_monte_carlo_slow_mixing_chain_within_three_sigma():
     # the long run and missed the exact i_pred by 15 sigma
     scenario = at_angle_scenario(0.3)
     questions, proc = scenario.questions, scenario.process
-    assert replica_plan(questions, proc, 10**5)[0] == 612
+    assert replica_plan(questions, proc, scenario.initial_state, 10**5)[0] == 612
     exact = analyze(scenario).report
     report = monte_carlo_check(
         questions, proc, scenario.initial_state, window=2, strategy=scenario.strategy,
@@ -260,24 +270,40 @@ def test_monte_carlo_slow_mixing_chain_within_three_sigma():
 
 def test_burn_in_is_the_floor_on_fast_and_periodic_chains():
     questions, proc = case_b_questions()
-    assert replica_plan(questions, proc, 2000)[0] == 64  # |lambda*| = 0.5
-    assert replica_plan(*single_question(), 2000)[0] == 64  # reducible: no mode below 1
+    assert replica_plan(questions, proc, MIXED_STATE, 2000)[0] == 64  # |lambda*| = 0.5
+    # a one-phase start on a periodic kernel: no mode below 1, and never stationary
+    assert replica_plan(questions, ONE_PHASE_ALTERNATING, MIXED_STATE, 2000)[0] == 64
     periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx"))
-    assert replica_plan(questions, periodic, 2000)[0] == 64
+    assert replica_plan(questions, periodic, MIXED_STATE, 2000)[0] == 64
+
+
+def test_one_window_replicas_burn_in_until_their_law_is_stationary(case_a, case_b_bestcase):
+    # identity kernels: every state is absorbing, so the start law is already the long run
+    for questions, proc in (
+        (case_a.questions, case_a.process),
+        (case_b_bestcase.questions, case_b_bestcase.process),
+        markov_identity_questions(),
+    ):
+        for start in (MIXED_STATE, BlochVector(0.6, 0.0, 0.8)):
+            assert replica_plan(questions, proc, start, 2000) == (0, 2000, 1)
+    # Qz absorbs the others; the law is not stationary before the spectral bound
+    three = case_b_questions()[0] + (Question(label="Qy", axis=np.array([0.0, 1.0, 0.0])),)
+    assert replica_plan(three, ABSORBING, MIXED_STATE, 2000) == (88, 2000, 1)
 
 
 def test_replica_plan_pins_burn_in_replicas_and_windows(case_a):
     questions, proc = case_b_questions()  # IID Qz/Qx
-    assert replica_plan(questions, proc, 10**4) == (64, 157, 64)
-    assert replica_plan(questions, proc, 10**5) == (64, 1563, 64)
+    assert replica_plan(questions, proc, MIXED_STATE, 10**4) == (64, 157, 64)
+    assert replica_plan(questions, proc, MIXED_STATE, 10**5) == (64, 1563, 64)
+    plus_z = BlochVector(0.0, 0.0, 1.0)
     slow, slow_proc = two_questions_at_angle(0.3)
-    assert replica_plan(slow, slow_proc, 10**4)[0] == 612
+    assert replica_plan(slow, slow_proc, plus_z, 10**4)[0] == 612
     slower, slower_proc = two_questions_at_angle(0.05)
-    assert replica_plan(slower, slower_proc, 10**5) == (22103, 100, 1000)
-    assert replica_plan(case_a.questions, case_a.process, 2000) == (64, 2000, 1)
+    assert replica_plan(slower, slower_proc, plus_z, 10**5) == (22103, 100, 1000)
+    assert replica_plan(case_a.questions, case_a.process, MIXED_STATE, 2000) == (0, 2000, 1)
     periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx", "Qx"))
     for n in (1000, 2000, 12345):
-        assert replica_plan(questions, periodic, n) == (64, n, 1)
+        assert replica_plan(questions, periodic, MIXED_STATE, n) == (64, n, 1)
 
 
 def test_monte_carlo_error_scales_with_sample_size():
@@ -314,10 +340,12 @@ def test_monte_carlo_very_slow_chain_within_three_sigma():
     assert abs(report.i_pred - exact.i_pred) <= 3.0 * report.se_i_pred
 
 
-def reference_windows(questions, process, initial, window, n, seed):
-    """One trajectory per window, burned in on its own, drawn with rng.choice."""
+def reference_windows(questions, process, initial, window, n, seed, burn_in=None):
+    """One trajectory per window, burned in on its own (by default as long as the
+    plan says), drawn with rng.choice."""
     k = len(questions)
-    burn_in = replica_plan(questions, process, n)[0]
+    if burn_in is None:
+        burn_in = replica_plan(questions, process, initial, n)[0]
     rng = np.random.Generator(np.random.Philox(key=seed))
     born = born_plus_matrix(questions)
     p0 = np.array([born_probability(initial, q.axis) for q in questions])
@@ -342,7 +370,7 @@ def reference_windows(questions, process, initial, window, n, seed):
 def test_sample_windows_slide_inside_a_replica():
     questions, proc = case_b_questions()
     out = sample_windows(questions, proc, MIXED_STATE, window=2, n=10**4, seed=6)
-    _, replicas, per = replica_plan(questions, proc, 10**4)
+    _, replicas, per = replica_plan(questions, proc, MIXED_STATE, 10**4)
     assert (replicas, per) == (157, 64)
     assert out.shape == (10**4, 6) and out.dtype == np.uint8
     same_replica = np.arange(10**4 - 1) % per != per - 1
@@ -357,38 +385,76 @@ def test_sample_windows_one_trajectory_per_window_on_reducible_and_periodic_chai
     questions, _ = case_b_questions()
     periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx", "Qx"))
     three = questions + (Question(label="Qy", axis=np.array([0.0, 1.0, 0.0])),)
-    absorbing = MarkovProcess(  # Qz repeats forever once asked
-        labels=("Qz", "Qx", "Qy"),
-        transition=np.array([[1.0, 0.0, 0.0], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]]),
-        initial=np.array([0.2, 0.4, 0.4]),
-    )
     cases = [
         (case_a.questions, case_a.process, case_a.initial_state, case_a.window),
         (case_b_bestcase.questions, case_b_bestcase.process, MIXED_STATE, case_b_bestcase.window),
         (questions, periodic, BlochVector(0.6, 0.0, 0.8), 2),
-        (three, absorbing, MIXED_STATE, 2),
+        (three, ABSORBING, MIXED_STATE, 2),
     ]
     for seed, (qs, proc, start, w) in enumerate(cases):
-        assert replica_plan(qs, proc, 2000)[1:] == (2000, 1)
+        assert replica_plan(qs, proc, start, 2000)[1:] == (2000, 1)
         got = sample_windows(qs, proc, start, window=w, n=2000, seed=seed)
         assert np.array_equal(got, reference_windows(qs, proc, start, w, 2000, seed))
+
+
+def test_zero_burn_in_windows_equal_those_after_64_steps(case_a, case_b_bestcase):
+    # on an identity kernel the first step's uniforms fix every later answer
+    for scenario in (case_a, case_b_bestcase):
+        qs, proc, start = scenario.questions, scenario.process, scenario.initial_state
+        w = scenario.window
+        for n in (2000, 10**4):
+            assert replica_plan(qs, proc, start, n) == (0, n, 1)
+            for seed in (0, 7, 101, 105):
+                got = sample_windows(qs, proc, start, window=w, n=n, seed=seed)
+                expected = reference_windows(qs, proc, start, w, n, seed, burn_in=64)
+                assert np.array_equal(got, expected)
+
+
+def test_tree_tail_after_a_zero_burn_in_is_the_long_run(case_a, case_b_bestcase):
+    # the tree from the true start, read where a zero burn-in starts its window
+    cases = [
+        (case_a.questions, case_a.process, case_a.initial_state, case_a.window),
+        (case_b_bestcase.questions, case_b_bestcase.process, case_b_bestcase.initial_state, 2),
+        (*markov_identity_questions(), BlochVector(0.6, 0.0, 0.8), 2),
+    ]
+    for questions, proc, start, w in cases:
+        burn_in = replica_plan(questions, proc, start, 2000)[0]
+        assert burn_in == 0
+        kernel = build_chain(questions, proc)
+        exact = window_joint(kernel, long_run_distribution(kernel, start), w)
+        tree = brute_force_joint(questions, proc, start, horizon=burn_in + w + 1)
+        assert max_abs_deviation(exact, tree_tail(tree, questions, w)) <= WINDOW_ORACLE_TOL
+
+
+def test_sample_windows_rejects_bad_sizes():
+    questions, proc = case_b_questions()
+    for n, window, match in (
+        (0, 2, "n must be >= 1, got 0"),
+        (-5, 2, "n must be >= 1, got -5"),
+        (2000, -1, "window must be >= 1, got -1"),
+        (2000, 0, "window must be >= 1, got 0"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            sample_windows(questions, proc, MIXED_STATE, window=window, n=n, seed=0)
 
 
 def test_windows_per_replica_only_on_mixing_kernels(case_a, case_b_bestcase):
     questions, proc = case_b_questions()
     n = 10**5  # windows per replica are cut to n // MIN_REPLICAS = 1000, above every burn-in here
-    assert replica_plan(questions, proc, n) == (64, 1563, 64)  # a replica gives its burn-in
-    assert replica_plan(case_a.questions, case_a.process, n) == (64, n, 1)  # reducible
-    assert replica_plan(case_b_bestcase.questions, case_b_bestcase.process, n)[1:] == (n, 1)
+    # a replica gives its burn-in
+    assert replica_plan(questions, proc, MIXED_STATE, n) == (64, 1563, 64)
+    assert replica_plan(case_a.questions, case_a.process, MIXED_STATE, n) == (0, n, 1)  # reducible
+    bestcase = case_b_bestcase.questions, case_b_bestcase.process
+    assert replica_plan(*bestcase, MIXED_STATE, n) == (0, n, 1)
     alternating = MarkovProcess(
         labels=("Qz", "Qx"), transition=np.array([[0.0, 1.0], [1.0, 0.0]]), initial=np.array([0.5, 0.5])
     )
-    assert replica_plan(questions, alternating, n)[1:] == (n, 1)  # periodic kernel
+    assert replica_plan(questions, alternating, MIXED_STATE, n)[1:] == (n, 1)  # periodic kernel
     periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx"))
-    assert replica_plan(questions, periodic, n)[1:] == (n, 1)  # no kernel
+    assert replica_plan(questions, periodic, MIXED_STATE, n)[1:] == (n, 1)  # no kernel
     # at least MIN_REPLICAS = 100 replicas: the windows per replica shrink with n
-    assert replica_plan(questions, proc, 1001) == (64, 101, 10)
-    assert replica_plan(questions, proc, 10**4) == (64, 157, 64)
+    assert replica_plan(questions, proc, MIXED_STATE, 1001) == (64, 101, 10)
+    assert replica_plan(questions, proc, MIXED_STATE, 10**4) == (64, 157, 64)
 
 
 def test_monte_carlo_report_records_its_replicas(case_a):
@@ -403,7 +469,7 @@ def test_monte_carlo_report_records_its_replicas(case_a):
         case_a.questions, case_a.process, case_a.initial_state, window=1,
         strategy=case_a.strategy, n=2000, seed=1,
     )
-    assert (report.burn_in, report.replicas, report.windows_per_replica) == (64, 2000, 1)
+    assert (report.burn_in, report.replicas, report.windows_per_replica) == (0, 2000, 1)
 
 
 @pytest.mark.parametrize("name", ["case_b_unlabeled", "angle_0.3"])
@@ -459,7 +525,7 @@ def test_monte_carlo_check_builds_the_kernel_once_per_plan(monkeypatch):
     monte_carlo_check(
         questions, proc, MIXED_STATE, window=2, strategy=WindowStrategy(k=2), n=2000, seed=1
     )
-    assert len(builds) == 2  # monte_carlo_check's plan, then sample_windows' own
+    assert len(builds) == 1  # monte_carlo_check's plan, handed to sample_windows
     builds.clear()
     sample_windows(questions, proc, MIXED_STATE, window=2, n=2000, seed=1)
     assert len(builds) == 1

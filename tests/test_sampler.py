@@ -136,7 +136,7 @@ def window_cases():
 def test_outputs_do_not_depend_on_the_block_size(name, monkeypatch):
     questions, process, initial, window = window_cases()[name]
     n, length = 3000, 5000
-    burn_in, replicas, per = replica_plan(questions, process, n)
+    burn_in, replicas, per = replica_plan(questions, process, initial, n)
     assert (per > 1) == (name == "mixing")
     total = replicas * (burn_in + window + per)
     runs = []
