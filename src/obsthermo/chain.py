@@ -227,29 +227,42 @@ def _cesaro_limit(matrix: np.ndarray, mu0: np.ndarray) -> np.ndarray:
     return mu
 
 
-def start_law(kernel: ChainKernel, initial: BlochVector) -> np.ndarray:
+def _start_law(kernel: ChainKernel, initial: BlochVector) -> np.ndarray:
     """Law of the first chain state: the one-step law of a fresh start at `initial`."""
     start = procmod.question_law(kernel.process)[-1:]
     return step_law(start, initial.as_array()[None], [q.axis for q in kernel.questions])[0]
+
+
+def settle(kernel: ChainKernel, initial: BlochVector, limit: int) -> tuple:
+    """(t, law): the first step t < limit at which the chain law is stationary, or (limit, law).
+
+    The law mu_0 is that of the first chain state of a start at `initial`, and
+    mu_(t+1) = mu_t P.  mu_t counts as stationary once one more step moves it
+    by less than STATIONARY_TOL; the law returned is then mu_(t+1), else mu_limit.
+    """
+    mu = _start_law(kernel, initial)
+    for t in range(limit):
+        nxt = mu @ kernel.matrix
+        if np.max(np.abs(nxt - mu)) < STATIONARY_TOL:
+            return t, nxt
+        mu = nxt
+    return limit, mu
 
 
 def long_run_distribution(kernel: ChainKernel, initial: BlochVector) -> LongRunResult:
     """Limit of the chain distribution started from the induced initial law.
 
     Reducible chains (e.g. a single question) get the initial-condition-induced
-    limit, not an arbitrary stationary vector.  The power iteration stops once
-    a step moves the law by less than STATIONARY_TOL.  When it does not settle,
-    the result is the Cesaro average; it is flagged only if the chain is
-    genuinely periodic, not merely slow to mix.
+    limit, not an arbitrary stationary vector.  The power iteration `settle`s
+    within 10,000 steps or the result is the Cesaro average; it is flagged only
+    if the chain is genuinely periodic, not merely slow to mix.
     """
-    mu0 = mu = start_law(kernel, initial)
-    mat = kernel.matrix
-    for _ in range(10_000):
-        nxt = mu @ mat
-        if np.max(np.abs(nxt - mu)) < STATIONARY_TOL:
-            return LongRunResult(distribution=nxt, cesaro=False)
-        mu = nxt
-    return LongRunResult(distribution=_cesaro_limit(mat, mu0), cesaro=_is_periodic(kernel))
+    limit = 10_000
+    steps, mu = settle(kernel, initial, limit)
+    if steps < limit:
+        return LongRunResult(distribution=mu, cesaro=False)
+    mu0 = _start_law(kernel, initial)
+    return LongRunResult(distribution=_cesaro_limit(kernel.matrix, mu0), cesaro=_is_periodic(kernel))
 
 
 def window_alphabets(questions, window: int) -> tuple:

@@ -12,11 +12,12 @@ Monte Carlo draws its windows from the replica trajectories of
 `replica_plan`, the one place that reads the kernel: how long a replica
 burns in and how many sliding windows it gives.  The spectrum bounds the
 burn-in; a replica that gives one window burns in only until its own law,
-the start law pushed through the kernel, is stationary.  The plan never
-reads the long-run solve that Monte Carlo checks.  Caps, tolerances
-and counts are module constants, each read where it applies: LEAF_CAP bounds
-the tree, TAIL_TOL ends `converged_tail`, MIN_BURN_IN, BURN_IN_TOL and
-MIN_REPLICAS shape the plan, and N_BOOTSTRAP counts the bootstrap resamples.
+the start law pushed through the kernel by `chain.settle`, is stationary.
+The plan never reads the long-run distribution that Monte Carlo checks.
+Caps, tolerances and counts are module constants, each read where it
+applies: LEAF_CAP bounds the tree, TAIL_TOL ends `converged_tail`,
+MIN_BURN_IN, BURN_IN_TOL and MIN_REPLICAS shape the plan, and N_BOOTSTRAP
+counts the bootstrap resamples.
 """
 
 import itertools
@@ -124,22 +125,6 @@ def verdict(check: str, scenario: str, deviation: float, tolerance: float) -> di
     }
 
 
-def _stationary_burn_in(kernel, initial: BlochVector, bound: int) -> int:
-    """First t < bound at which the law mu_t of a replica's step t is stationary, else bound.
-
-    mu_0 is `chain.start_law`, and mu_(t+1) = mu_t P.  mu_t counts as stationary
-    once one more step moves it by less than STATIONARY_TOL, the long run's
-    own test; every later step then has the same law.
-    """
-    mu = chainmod.start_law(kernel, initial)
-    for t in range(bound):
-        nxt = mu @ kernel.matrix
-        if np.max(np.abs(nxt - mu)) < chainmod.STATIONARY_TOL:
-            return t
-        mu = nxt
-    return bound
-
-
 def replica_plan(questions, process, initial: BlochVector, n: int) -> tuple:
     """(burn-in, replicas R, windows L per replica) with which Monte Carlo draws n windows.
 
@@ -158,11 +143,11 @@ def replica_plan(questions, process, initial: BlochVector, n: int) -> tuple:
 
     A plan with L > 1 burns in the spectral burn-in.  With L = 1 the burn-in
     is exact: the first step, at most the spectral burn-in, at which the law
-    of a replica started from `initial` is stationary, so that every window
-    has the long-run law.  It is 0 on an identity kernel, where every state is
-    absorbing; a start that keeps its phase on a periodic kernel never gets
-    there.  The plan reads only the kernel and the one-step law, never the
-    long-run solve, and the windows are still simulated from the Born rule.
+    of a replica started from `initial` is stationary (`chain.settle`), so
+    that every window has the long-run law.  It is 0 on an identity kernel,
+    where every state is absorbing; a start that keeps its phase on a periodic
+    kernel never gets there.  The plan never reads the long-run distribution,
+    and the windows are still simulated from the Born rule.
     A periodic schedule has no time-homogeneous kernel: it burns in
     MIN_BURN_IN steps and gives one window per replica.
     """
@@ -175,7 +160,7 @@ def replica_plan(questions, process, initial: BlochVector, n: int) -> tuple:
         if chainmod.mixes(kernel):
             per = max(1, min(burn_in, n // MIN_REPLICAS))
         if per == 1:
-            burn_in = _stationary_burn_in(kernel, initial, burn_in)
+            burn_in = chainmod.settle(kernel, initial, burn_in)[0]
     return burn_in, -(-n // per), per
 
 
@@ -186,19 +171,17 @@ def sample_windows(
     window: int,
     n: int,
     seed: int,
-    *,
-    plan: tuple | None = None,
 ) -> np.ndarray:
     """Draw n (window+1)-pair windows from R replica trajectories.
 
     The replicas start from `initial` and run through the sampler's question
     and answer steps, b = max(1, process._BLOCK_ENTRIES // R) steps at a time;
     no output depends on b.  Each discards its burn-in and then gives L
-    consecutive sliding windows, as `replica_plan` sets out; `plan` is that
-    plan when the caller has already built it.  Replicas are i.i.d.; windows
-    inside one are not, so errors must resample whole replicas.  Where L = 1
-    (reducible or periodic chains) R = n, every window has its own
-    trajectory, the samples are i.i.d. and plain bootstrap errors are valid.
+    consecutive sliding windows, as `replica_plan` sets out.  Replicas are
+    i.i.d.; windows inside one are not, so errors must resample whole
+    replicas.  Where L = 1 (reducible or periodic chains) R = n, every window
+    has its own trajectory, the samples are i.i.d. and plain bootstrap errors
+    are valid.
     A burn-in of 0 keeps the first step: its uniforms come first in the
     stream, so on an identity kernel the windows equal those after any longer
     burn-in.
@@ -213,9 +196,7 @@ def sample_windows(
         raise ValidationError(f"window must be >= 1, got {window}")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    if plan is None:
-        plan = replica_plan(questions, process, initial, n)
-    burn_in, replicas, per = plan
+    burn_in, replicas, per = replica_plan(questions, process, initial, n)
     k = len(questions)
     rng = procmod._rng(seed)
     next_questions = procmod.question_step(process)
@@ -303,9 +284,8 @@ def monte_carlo_check(
     if n < 10**3:
         raise ValidationError(f"need at least 1000 samples, got {n}")
     questions = tuple(questions)
-    plan = replica_plan(questions, process, initial, n)
-    burn_in, replicas, per = plan
-    samples = sample_windows(questions, process, initial, window, n, seed, plan=plan)
+    burn_in, replicas, per = replica_plan(questions, process, initial, n)
+    samples = sample_windows(questions, process, initial, window, n, seed)
     labels = tuple(q.label for q in questions)
     k, labeled, encoder, _ = view_encoder(strategy, labels, window)
     views, nexts = encoder.shape[0], 2 * len(questions)

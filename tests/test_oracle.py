@@ -525,7 +525,7 @@ def test_monte_carlo_check_builds_the_kernel_once_per_plan(monkeypatch):
     monte_carlo_check(
         questions, proc, MIXED_STATE, window=2, strategy=WindowStrategy(k=2), n=2000, seed=1
     )
-    assert len(builds) == 1  # monte_carlo_check's plan, handed to sample_windows
+    assert len(builds) == 2  # monte_carlo_check's plan, then sample_windows' own
     builds.clear()
     sample_windows(questions, proc, MIXED_STATE, window=2, n=2000, seed=1)
     assert len(builds) == 1
