@@ -29,6 +29,8 @@ from .strategy import (
 _LN2 = np.log(2.0)
 _DESCENT_SLACK = 1e-12
 _LOG_FLOOR = 1e-300  # decoder entries floored inside logs; rows renormalized each iteration
+_CHUNK_CAP = 256  # most fixed-point steps whose objectives are computed together
+_CHUNK_ENTRIES = 2**17  # most entries in a chunk's (steps, R, ...) buffers: 1 MiB of floats
 _MAP_BLOCK = 4096  # most maps, and tail subsets, per block: bounds the gathered (maps, M, X') terms
 ENUMERATION_CAP = 10**6  # most deterministic maps an exhaustive scan enumerates
 TARGET_TOL = 1e-9  # slack under i_pred_target that "min_nostalgia_at_i_pred" still admits
@@ -149,40 +151,51 @@ def _run_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float) -> 
 
     Returns per-restart arrays (encoders, objectives, converged, iterations).
     Updates per iteration: p(m) <- sum_h p(h) p(m|h); p(x'|m) <- induced decoder;
-    p(m|h) propto p(m) exp(-beta KL(p(x'|h) || p(x'|m))).  A restart leaves the
-    loop once its own |delta objective| <= TOLERANCE, or unconverged after
-    MAX_ITERATIONS.  The objective I(M;H) - beta I(M;X') of every running
-    restart is checked to be non-increasing each iteration.  Each restart gets
-    the same operations as a loop run on it alone, so its numbers do not depend
-    on the others in the stack.
+    p(m|h) propto p(m) exp(-beta KL(p(x'|h) || p(x'|m))).  A restart stops at
+    its first iteration with |delta objective| <= TOLERANCE, keeping that
+    iteration's encoder, objective and count, or unconverged after
+    MAX_ITERATIONS.  Its objective I(M;H) - beta I(M;X') is checked to be
+    non-increasing at every iteration up to and including its stop.
+
+    The update never reads the objective, so the loop runs in chunks: the
+    running restarts take a chunk's updates one after another, storing each
+    step's p(m|h), p(m) and p(m, x') in (steps, R, ...) buffers, and then all
+    the chunk's objectives are computed as one (steps * R) stack.  A restart
+    that stops inside a chunk still takes the chunk's later updates; their
+    results are dropped, and it leaves the stack before the next chunk.
+    Chunks hold 1, 2, 4, ... steps up to _CHUNK_CAP, fewer near MAX_ITERATIONS
+    and when the buffers would pass _CHUNK_ENTRIES.  So a run that stops
+    early wastes few updates, and a long one computes its objectives a few
+    hundred at a time, in a bounded amount of memory.
+
+    Every update and every objective is computed as a loop run on that
+    restart alone would compute it, one update and one objective per
+    iteration: the same operations on the same operands, stacked only along
+    the leading axis of C-contiguous arrays.  So the numbers, and the
+    iteration a descent error names, do not depend on the chunks or on the
+    other restarts in the stack.
     """
     p_h = hf.history_marginal()
     cond = hf.future_conditionals()
     cond_self = xlogx(cond).sum(axis=1)[:, None]  # sum_x p(x|h) ln p(x|h), in nats
-    uniform = 1.0 / hf.table.shape[1]
+    n_hist, n_future = hf.table.shape
+    uniform = 1.0 / n_future
     # the H and X' marginals do not depend on the encoder
     h_sum = xlogx(p_h).sum()
     x_sum = xlogx(hf.table.sum(axis=0)).sum()
 
-    def marginals_and_objectives(e: np.ndarray) -> tuple:
-        """p(m), p(m, x') and the objective of each encoder in the stack."""
-        p_m = p_h @ e
-        p_mx = e.transpose(0, 2, 1) @ hf.table
+    def objectives_of(e: np.ndarray, p_m: np.ndarray, p_mx: np.ndarray) -> np.ndarray:
+        """The objective of each encoder in the stack, given its p(m) and p(m, x')."""
         m_sum = xlogx(p_m).sum(axis=1)
         i_mem = (xlogx(p_h[:, None] * e).reshape(len(e), -1).sum(axis=1) - h_sum - m_sum) / _LN2
         i_pred = (xlogx(p_mx).reshape(len(e), -1).sum(axis=1) - m_sum - x_sum) / _LN2
         # max(0, .) as `x if x > 0 else 0.0`, so -0.0 and nan clamp to +0.0
         i_mem = np.where(i_mem > 0.0, i_mem, 0.0)
         i_pred = np.where(i_pred > 0.0, i_pred, 0.0)
-        return p_m, p_mx, i_mem - beta * i_pred
+        return i_mem - beta * i_pred
 
-    encs = np.array(encs, dtype=float)
-    n = len(encs)
-    p_m, p_mx, objectives = marginals_and_objectives(encs)
-    converged = np.zeros(n, dtype=bool)
-    iterations = np.zeros(n, dtype=int)
-    active = np.arange(n)
-    for it in range(1, MAX_ITERATIONS + 1):
+    def update(p_m: np.ndarray, p_mx: np.ndarray, enc: np.ndarray) -> None:
+        """Write the next encoder of each restart into `enc`."""
         safe_pm = np.where(p_m > 0, p_m, 1.0)
         dec = p_mx / safe_pm[:, :, None]
         dec[p_m == 0] = uniform
@@ -190,28 +203,56 @@ def _run_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float) -> 
         cross = cond @ np.log(np.maximum(dec, _LOG_FLOOR)).transpose(0, 2, 1)  # (R, H, M)
         logits = np.log(np.maximum(p_m, _LOG_FLOOR))[:, None, :] - beta * (cond_self - cross)
         logits -= logits.max(axis=2, keepdims=True)
-        enc = np.exp(logits)
+        np.exp(logits, out=enc)
         enc /= enc.sum(axis=2, keepdims=True)
-        p_m, p_mx, obj = marginals_and_objectives(enc)
-        prev = objectives[active]
-        rising = np.flatnonzero(obj > prev + _DESCENT_SLACK)
+
+    encs = np.array(encs, dtype=float)
+    n, _, m = encs.shape
+    p_m = p_h @ encs
+    p_mx = encs.transpose(0, 2, 1) @ hf.table
+    objectives = objectives_of(encs, p_m, p_mx)
+    converged = np.zeros(n, dtype=bool)
+    iterations = np.zeros(n, dtype=int)
+    active = np.arange(n)
+    step_entries = n_hist * m + m * n_future + m  # one restart's p(m|h), p(m) and p(m, x')
+    done_steps, chunk = 0, 1
+    while active.size and done_steps < MAX_ITERATIONS:
+        r = active.size
+        budget = max(1, _CHUNK_ENTRIES // (r * step_entries))
+        steps = min(chunk, MAX_ITERATIONS - done_steps, budget)
+        enc_buf = np.empty((steps, r, n_hist, m))
+        pm_buf = np.empty((steps, r, m))
+        pmx_buf = np.empty((steps, r, m, n_future))
+        for s in range(steps):
+            update(p_m, p_mx, enc_buf[s])
+            p_m = np.matmul(p_h, enc_buf[s], out=pm_buf[s])
+            p_mx = np.matmul(enc_buf[s].transpose(0, 2, 1), hf.table, out=pmx_buf[s])
+        obj = objectives_of(
+            enc_buf.reshape(-1, n_hist, m), pm_buf.reshape(-1, m), pmx_buf.reshape(-1, m, n_future)
+        ).reshape(steps, r)
+        before = np.concatenate([objectives[active][None], obj[:-1]])  # each step's previous
+        done = np.abs(before - obj) <= TOLERANCE
+        stopped = done.any(axis=0)
+        stop = np.where(stopped, done.argmax(axis=0), steps - 1)  # each restart's last step
+        ran = np.arange(steps)[:, None] <= stop
+        rising = np.argwhere((obj > before + _DESCENT_SLACK) & ran)
         if rising.size:
-            j = rising[0]
+            s, j = rising[0]  # the earliest iteration, then the first restart
             raise OptimizerError(
-                f"restart {active[j]}: objective increased from {float(prev[j])!r} "
-                f"to {float(obj[j])!r} at iteration {it}; monotone descent violated"
+                f"restart {active[j]}: objective increased from {float(before[s, j])!r} "
+                f"to {float(obj[s, j])!r} at iteration {done_steps + s + 1}; "
+                "monotone descent violated"
             )
-        encs[active] = enc
-        objectives[active] = obj
-        iterations[active] = it
-        done = np.abs(prev - obj) <= TOLERANCE
-        if done.any():
-            converged[active[done]] = True
-            keep = ~done
-            active = active[keep]
-            if not active.size:
-                break
-            p_m, p_mx = p_m[keep], p_mx[keep]
+        rows = np.arange(r)
+        encs[active] = enc_buf[stop, rows]
+        objectives[active] = obj[stop, rows]
+        iterations[active] = done_steps + stop + 1
+        converged[active[stopped]] = True
+        done_steps += steps
+        chunk = min(2 * chunk, _CHUNK_CAP)
+        keep = ~stopped
+        active = active[keep]
+        p_m, p_mx = p_m[keep], p_mx[keep]
     return encs, objectives, converged, iterations
 
 
