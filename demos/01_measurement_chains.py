@@ -37,17 +37,17 @@ print(f"asking Qz next:  P(+1) = {born_probability(state, qz.axis)} (coin flip)"
 
 print("\n== the induced chain ==")
 process = IIDProcess(labels=("Qz", "Qx"), weights=np.array([0.5, 0.5]))
-kernel = build_chain((qz, qx), process)
+chain = build_chain((qz, qx), process)
 print("states:", state_symbols((qz, qx)))
-print(np.array_str(kernel.matrix, precision=3))
+print(np.array_str(chain.matrix, precision=3))
 
-long_run = long_run_distribution(kernel, MIXED_STATE)
+long_run = long_run_distribution(chain, MIXED_STATE)
 print(f"long run distribution: {long_run.distribution} (cesaro={long_run.cesaro})")
 
-window = window_joint(kernel, long_run, 1)
+window = window_joint(chain, long_run, 1)
 pair = window.marginal(("a0", "a+1")).table
 print(f"P(next answer repeats the last) = {pair[0, 0] + pair[1, 1]}  (1/2 + 1/2 * 1/2)")
 
 print("\n== a sampled answer string ==")
-traj = sample_trajectory((qz, qx), process, MIXED_STATE, length=20, seed=42)
+traj = sample_trajectory(chain, MIXED_STATE, length=20, seed=42)
 print(" ".join(f"{q}:{'+' if a > 0 else '-'}" for q, a in traj.steps))

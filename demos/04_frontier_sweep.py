@@ -7,8 +7,9 @@ harden onto the deterministic optimum, certified here against exhaustive
 enumeration.
 """
 
-from obsthermo import bundled_scenario, optimize
+from obsthermo import bundled_scenario
 from obsthermo.strategy import harden, strategy_summary
+from obsthermo.workflows import optimize
 
 for name in ("case_a", "case_b_labeled"):
     scenario = bundled_scenario(name)

@@ -18,7 +18,7 @@ from obsthermo.workflows import scenario_window
 scenario = bundled_scenario("case_b_labeled")
 
 print("== exact chain vs brute-force tree ==")
-_, _, window = scenario_window(scenario)
+chain, _, window = scenario_window(scenario)
 tail, horizon = converged_tail(
     scenario.questions, scenario.process, scenario.initial_state, scenario.window
 )
@@ -33,13 +33,7 @@ print("\n== Monte Carlo cross-check ==")
 exact = analyze(scenario).report
 for n in (10**4, 10**5, 10**6):
     mc = monte_carlo_check(
-        scenario.questions,
-        scenario.process,
-        scenario.initial_state,
-        scenario.window,
-        scenario.strategy,
-        n=n,
-        seed=7,
+        chain, scenario.initial_state, scenario.window, scenario.strategy, n=n, seed=7
     )
     pull = abs(mc.i_pred - exact.i_pred) / mc.se_i_pred
     print(

@@ -10,7 +10,7 @@ certify every exact number.
 
 from .bound import BOLTZMANN_J_PER_K, CapCheckResult, InfoReport, evaluate, predictive_cap_check
 from .chain import (
-    ChainKernel,
+    Chain,
     LongRunResult,
     Trajectory,
     build_chain,
@@ -67,7 +67,7 @@ from .strategy import (
     memory_capacity_bits,
     strategy_summary,
 )
-from .workflows import AnalysisResult, OptimizeResult, analyze, optimize, verify
+from .workflows import AnalysisResult, OptimizeResult, analyze, verify
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,7 @@ __all__ = [
     "BUNDLED_SCENARIOS",
     "BlochVector",
     "CapCheckResult",
-    "ChainKernel",
+    "Chain",
     "FrontierPoint",
     "HistoryFutureJoint",
     "IIDProcess",
@@ -121,7 +121,6 @@ __all__ = [
     "memory_capacity_bits",
     "monte_carlo_check",
     "mutual_information",
-    "optimize",
     "optimize_soft",
     "parse_scenario",
     "predictive_cap_check",

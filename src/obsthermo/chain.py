@@ -43,23 +43,14 @@ def window_names(window: int) -> tuple:
     return tuple(names)
 
 
-def _check_questions(questions) -> tuple:
-    questions = tuple(questions)
-    if not questions:
-        raise ValidationError("need at least one question")
-    labels = [q.label for q in questions]
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"question labels must be unique within a scenario, got {labels}")
-    return questions
-
-
 def check_process_labels(questions, process: procmod.QuestionProcess) -> tuple:
     """The questions as a tuple, once the schedule lists their labels in their order.
 
     Kernels, samplers and the oracle tree read a scheduled question's position
-    in `process.labels` as its index into `questions`.
+    in `process.labels` as its index into `questions`.  A valid schedule's
+    labels are non-empty and unique, so matching them makes the questions so.
     """
-    questions = _check_questions(questions)
+    questions = tuple(questions)
     labels = tuple(q.label for q in questions)
     if tuple(process.labels) != labels:
         raise ValidationError(f"process labels {process.labels} do not match questions {labels}")
@@ -108,53 +99,80 @@ def answer_step(questions, initial: BlochVector):
 
 
 @dataclass(frozen=True, eq=False)
-class ChainKernel:
-    """Row-stochastic transition matrix over chain states, with its question set."""
+class Chain:
+    """The measurement chain of a schedule over its questions, checked once.
+
+    The constructor checks that the schedule lists the question labels in
+    their order.  The kernel `matrix` and what is read from its spectrum
+    (`eigenvalues`, `slowest_mode`, `mixes`, `periodic`) are each computed on
+    first access and kept.
+
+    A periodic schedule builds a chain that the samplers run on, but it has
+    no time-homogeneous kernel: reading its `matrix`, or anything read from
+    it, raises ValidationError.  Its exact numbers come from time-unrolled
+    enumeration (see obsthermo.oracle).
+    """
 
     questions: tuple
     process: procmod.QuestionProcess
-    matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        rows = mat.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > KERNEL_TOL:
+        object.__setattr__(self, "questions", check_process_labels(self.questions, self.process))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Row-stochastic P((q',a') | (q,a)) = P_proc(q'|q) * Born(a' | collapse(q,a), axis(q'))."""
+        if isinstance(self.process, procmod.PeriodicProcess):
+            raise ValidationError(
+                "periodic schedules have no time-homogeneous kernel; "
+                "use oracle.brute_force_joint for time-unrolled enumeration"
+            )
+        axes = [q.axis for q in self.questions]
+        # row s: the law after question s // 2
+        law = np.repeat(procmod.question_law(self.process)[:-1], 2, axis=0)
+        mat = step_law(law, collapsed_states(axes), axes)
+        if np.max(np.abs(mat.sum(axis=1) - 1.0)) > KERNEL_TOL:
             raise ValidationError(f"kernel rows must sum to 1 within {KERNEL_TOL}")
-        mat = mat.copy()
         mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def num_states(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_questions(self) -> int:
-        return len(self.questions)
+        return mat
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """The matrix's eigenvalues, computed once for `mixes`, `slowest_mode_modulus`
-        and the long run's periodicity flag."""
-        return np.linalg.eigvals(self.matrix)
+        vals = np.linalg.eigvals(self.matrix)
+        vals.flags.writeable = False  # shared by every reader, like `matrix`
+        return vals
+
+    @cached_property
+    def slowest_mode(self) -> float:
+        """Largest eigenvalue modulus below 1 (0.0 when there is none).
+
+        Stationary and periodic modes, within the unit tolerance of modulus 1,
+        are left out: what remains sets how fast the chain forgets its start.
+        """
+        moduli = np.abs(self.eigenvalues)
+        inner = moduli[moduli < 1.0 - _UNIT_TOL]
+        return float(inner.max()) if inner.size else 0.0
+
+    @cached_property
+    def mixes(self) -> bool:
+        """True when 1 is the only eigenvalue of modulus 1.
+
+        Then the chain has one recurrent class and it is aperiodic: every start
+        converges to the same long run, and one trajectory forgets where it began.
+        """
+        return int(np.sum(np.abs(self.eigenvalues) >= 1.0 - _UNIT_TOL)) == 1
+
+    @cached_property
+    def periodic(self) -> bool:
+        """True when an eigenvalue of modulus 1 other than 1 exists."""
+        vals = self.eigenvalues
+        on_circle = np.abs(np.abs(vals) - 1.0) < _UNIT_TOL
+        return bool(np.any(on_circle & (np.abs(vals - 1.0) >= _UNIT_TOL)))
 
 
-def build_chain(questions, process: procmod.QuestionProcess) -> ChainKernel:
-    """Kernel P((q',a') | (q,a)) = P_proc(q'|q) * Born(a' | collapse(q,a), axis(q')).
-
-    Only IID and Markov schedules define a time-homogeneous kernel; periodic
-    schedules must go through time-unrolled enumeration (see obsthermo.oracle).
-    """
-    if isinstance(process, procmod.PeriodicProcess):
-        raise ValidationError(
-            "periodic schedules have no time-homogeneous kernel; "
-            "use oracle.brute_force_joint for time-unrolled enumeration"
-        )
-    questions = check_process_labels(questions, process)
-    axes = [q.axis for q in questions]
-    law = np.repeat(procmod.question_law(process)[:-1], 2, axis=0)  # row s: after question s // 2
-    mat = step_law(law, collapsed_states(axes), axes)
-    return ChainKernel(questions=questions, process=process, matrix=mat)
+def build_chain(questions, process: procmod.QuestionProcess) -> Chain:
+    """The chain of `process` over `questions`; see `Chain`."""
+    return Chain(questions, process)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,34 +196,6 @@ class LongRunResult:
         object.__setattr__(self, "distribution", mu)
 
 
-def _is_periodic(kernel: ChainKernel) -> bool:
-    """True when the kernel has an eigenvalue of modulus 1 other than 1."""
-    vals = kernel.eigenvalues
-    on_circle = np.abs(np.abs(vals) - 1.0) < _UNIT_TOL
-    return bool(np.any(on_circle & (np.abs(vals - 1.0) >= _UNIT_TOL)))
-
-
-def mixes(kernel: ChainKernel) -> bool:
-    """True when 1 is the kernel's only eigenvalue of modulus 1.
-
-    Then the chain has one recurrent class and it is aperiodic: every start
-    converges to the same long run, and one trajectory forgets where it began.
-    """
-    moduli = np.abs(kernel.eigenvalues)
-    return int(np.sum(moduli >= 1.0 - _UNIT_TOL)) == 1
-
-
-def slowest_mode_modulus(kernel: ChainKernel) -> float:
-    """Largest eigenvalue modulus of the kernel below 1 (0.0 when there is none).
-
-    Stationary and periodic modes, within the unit tolerance of modulus 1, are
-    left out: what remains sets how fast the chain forgets its start.
-    """
-    moduli = np.abs(kernel.eigenvalues)
-    inner = moduli[moduli < 1.0 - _UNIT_TOL]
-    return float(inner.max()) if inner.size else 0.0
-
-
 def _cesaro_limit(matrix: np.ndarray, mu0: np.ndarray) -> np.ndarray:
     """Exact Cesaro limit of mu0 P^t via the spectral projector at eigenvalue 1.
 
@@ -227,29 +217,29 @@ def _cesaro_limit(matrix: np.ndarray, mu0: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _start_law(kernel: ChainKernel, initial: BlochVector) -> np.ndarray:
+def _start_law(chain: Chain, initial: BlochVector) -> np.ndarray:
     """Law of the first chain state: the one-step law of a fresh start at `initial`."""
-    start = procmod.question_law(kernel.process)[-1:]
-    return step_law(start, initial.as_array()[None], [q.axis for q in kernel.questions])[0]
+    start = procmod.question_law(chain.process)[-1:]
+    return step_law(start, initial.as_array()[None], [q.axis for q in chain.questions])[0]
 
 
-def settle(kernel: ChainKernel, initial: BlochVector, limit: int) -> tuple:
+def settle(chain: Chain, initial: BlochVector, limit: int) -> tuple:
     """(t, law): the first step t < limit at which the chain law is stationary, or (limit, law).
 
     The law mu_0 is that of the first chain state of a start at `initial`, and
     mu_(t+1) = mu_t P.  mu_t counts as stationary once one more step moves it
     by less than STATIONARY_TOL; the law returned is then mu_(t+1), else mu_limit.
     """
-    mu = _start_law(kernel, initial)
+    mu = _start_law(chain, initial)
     for t in range(limit):
-        nxt = mu @ kernel.matrix
+        nxt = mu @ chain.matrix
         if np.max(np.abs(nxt - mu)) < STATIONARY_TOL:
             return t, nxt
         mu = nxt
     return limit, mu
 
 
-def long_run_distribution(kernel: ChainKernel, initial: BlochVector) -> LongRunResult:
+def long_run_distribution(chain: Chain, initial: BlochVector) -> LongRunResult:
     """Limit of the chain distribution started from the induced initial law.
 
     Reducible chains (e.g. a single question) get the initial-condition-induced
@@ -258,11 +248,11 @@ def long_run_distribution(kernel: ChainKernel, initial: BlochVector) -> LongRunR
     if the chain is genuinely periodic, not merely slow to mix.
     """
     limit = 10_000
-    steps, mu = settle(kernel, initial, limit)
+    steps, mu = settle(chain, initial, limit)
     if steps < limit:
         return LongRunResult(distribution=mu, cesaro=False)
-    mu0 = _start_law(kernel, initial)
-    return LongRunResult(distribution=_cesaro_limit(kernel.matrix, mu0), cesaro=_is_periodic(kernel))
+    mu0 = _start_law(chain, initial)
+    return LongRunResult(distribution=_cesaro_limit(chain.matrix, mu0), cesaro=chain.periodic)
 
 
 def window_alphabets(questions, window: int) -> tuple:
@@ -274,7 +264,7 @@ def window_alphabets(questions, window: int) -> tuple:
     return tuple(alphabets)
 
 
-def window_joint(kernel: ChainKernel, long_run: LongRunResult, window: int) -> JointDistribution:
+def window_joint(chain: Chain, long_run: LongRunResult, window: int) -> JointDistribution:
     """Exact joint over w history pairs plus the next pair, at the long run.
 
     Variables are named q-w+1, a-w+1, ..., q0, a0, q+1, a+1; the table has
@@ -282,20 +272,19 @@ def window_joint(kernel: ChainKernel, long_run: LongRunResult, window: int) -> J
     """
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
-    n = kernel.num_states
-    entries = n ** (window + 1)
+    k = len(chain.questions)
+    entries = (2 * k) ** (window + 1)
     if entries > WINDOW_ENTRY_CAP:
         raise SizeCapError(
             f"window joint needs {entries} entries, over WINDOW_ENTRY_CAP = {WINDOW_ENTRY_CAP}"
         )
     table = long_run.distribution.copy()
     for _ in range(window):
-        table = table[..., None] * kernel.matrix
-    k = kernel.num_questions
+        table = table[..., None] * chain.matrix
     table = table.reshape((k, 2) * (window + 1))
     return JointDistribution(
         names=window_names(window),
-        alphabets=window_alphabets(kernel.questions, window),
+        alphabets=window_alphabets(chain.questions, window),
         table=table,
     )
 
@@ -318,16 +307,14 @@ class Trajectory:
         return [q for q, _ in self.steps]
 
 
-def sample_trajectory(
-    questions, process: procmod.QuestionProcess, initial: BlochVector, length: int, seed: int
-) -> Trajectory:
+def sample_trajectory(chain: Chain, initial: BlochVector, length: int, seed: int) -> Trajectory:
     """Simulate the measurement chain on one path: questions from
     `process.sample_questions`, Born answers from `answer_step` block by
     block, fed from their own Philox stream.  Reproducible for a given seed."""
-    questions = _check_questions(questions)
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
-    labels = procmod.sample_questions(process, length, seed)
+    questions = chain.questions
+    labels = procmod.sample_questions(chain.process, length, seed)
     label_to_idx = {q.label: i for i, q in enumerate(questions)}
     q = np.fromiter(map(label_to_idx.__getitem__, labels), np.intp, length)[:, None]
     rng = procmod._rng(seed, offset=0x5EED)  # decouple answer draws from question draws

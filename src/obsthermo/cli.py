@@ -18,7 +18,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import workflows
-from .chain import sample_trajectory
+from .chain import build_chain, sample_trajectory
 from .config import load_scenario
 from .errors import OptimizerError, SizeCapError, ValidationError
 from .strategy import WindowStrategy, view_alphabet
@@ -189,9 +189,8 @@ def _cmd_sample(args) -> int:
     scenario = load_scenario(args.config)
     out = _out_dir(args, scenario)
     seed = args.seed if args.seed is not None else 0
-    traj = sample_trajectory(
-        scenario.questions, scenario.process, scenario.initial_state, args.length, seed
-    )
+    chain = build_chain(scenario.questions, scenario.process)
+    traj = sample_trajectory(chain, scenario.initial_state, args.length, seed)
     path = out / f"{scenario.name}_trajectory.csv"
     rows = (f"{t},{q},{_bit(a)}" for t, (q, a) in enumerate(traj.steps, start=1))
     _write_lines(path, itertools.chain(["t,question,answer"], rows))

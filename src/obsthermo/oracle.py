@@ -8,12 +8,14 @@ It shares only the one-step physics with the chain module: the Born table
 `chain.step_law` that multiplies them.  It shares none of the kernel,
 long-run or window algebra, so agreement between the two certifies both.
 
-Monte Carlo draws its windows from the replica trajectories of
-`replica_plan`, the one place that reads the kernel: how long a replica
-burns in and how many sliding windows it gives.  The spectrum bounds the
-burn-in; a replica that gives one window burns in only until its own law,
-the start law pushed through the kernel by `chain.settle`, is stationary.
-The plan never reads the long-run distribution that Monte Carlo checks.
+Monte Carlo takes the scenario's `chain.Chain` and draws its windows from
+the replica trajectories of `replica_plan`, the one place that reads the
+kernel: how long a replica burns in and how many sliding windows it gives.
+The plan reads the chain's cached spectrum, which bounds the burn-in; a
+replica that gives one window burns in only until its own law, the start
+law pushed through the kernel by `chain.settle`, is stationary.  The plan
+never reads the long-run distribution that Monte Carlo checks, and
+`sample_windows` returns it with the windows it drew.
 Caps, tolerances and counts are module constants, each read where it
 applies: LEAF_CAP bounds the tree, TAIL_TOL ends `converged_tail`,
 MIN_BURN_IN, BURN_IN_TOL and MIN_REPLICAS shape the plan, and N_BOOTSTRAP
@@ -125,15 +127,15 @@ def verdict(check: str, scenario: str, deviation: float, tolerance: float) -> di
     }
 
 
-def replica_plan(questions, process, initial: BlochVector, n: int) -> tuple:
+def replica_plan(chain: chainmod.Chain, initial: BlochVector, n: int) -> tuple:
     """(burn-in, replicas R, windows L per replica) with which Monte Carlo draws n windows.
 
     The spectral burn-in is max(MIN_BURN_IN, ceil(ln BURN_IN_TOL / ln lam))
-    steps, where lam is the chain kernel's `slowest_mode_modulus`: after that
-    many steps the slowest decaying mode has shrunk by BURN_IN_TOL (Levin,
+    steps, where lam is the chain's cached `slowest_mode`: after that many
+    steps the slowest decaying mode has shrunk by BURN_IN_TOL (Levin,
     Peres & Wilmer, Markov Chains and Mixing Times, ch. 4).
 
-    L is the spectral burn-in when the kernel `mixes`: a replica then has
+    L is the spectral burn-in when the chain `mixes`: a replica then has
     forgotten its start and its next windows all follow the long run.  It is
     cut to n // MIN_REPLICAS so that at least MIN_REPLICAS replicas carry the
     bootstrap.  L is 1 otherwise: on a reducible kernel a trajectory never
@@ -152,27 +154,22 @@ def replica_plan(questions, process, initial: BlochVector, n: int) -> tuple:
     MIN_BURN_IN steps and gives one window per replica.
     """
     burn_in, per = MIN_BURN_IN, 1
-    if not isinstance(process, procmod.PeriodicProcess):
-        kernel = chainmod.build_chain(questions, process)
-        lam = chainmod.slowest_mode_modulus(kernel)
+    if not isinstance(chain.process, procmod.PeriodicProcess):
+        lam = chain.slowest_mode
         if lam != 0.0:
             burn_in = max(MIN_BURN_IN, math.ceil(math.log(BURN_IN_TOL) / math.log(lam)))
-        if chainmod.mixes(kernel):
+        if chain.mixes:
             per = max(1, min(burn_in, n // MIN_REPLICAS))
         if per == 1:
-            burn_in = chainmod.settle(kernel, initial, burn_in)[0]
+            burn_in = chainmod.settle(chain, initial, burn_in)[0]
     return burn_in, -(-n // per), per
 
 
 def sample_windows(
-    questions,
-    process,
-    initial: BlochVector,
-    window: int,
-    n: int,
-    seed: int,
-) -> np.ndarray:
-    """Draw n (window+1)-pair windows from R replica trajectories.
+    chain: chainmod.Chain, initial: BlochVector, window: int, n: int, seed: int
+) -> tuple:
+    """(windows, plan): n (window+1)-pair windows drawn from R replica trajectories,
+    and the `replica_plan` (burn-in, R, L) that drew them.
 
     The replicas start from `initial` and run through the sampler's question
     and answer steps, b = max(1, process._BLOCK_ENTRIES // R) steps at a time;
@@ -186,17 +183,17 @@ def sample_windows(
     stream, so on an identity kernel the windows equal those after any longer
     burn-in.
 
-    Returns an (n, 2*(window+1)) index array aligned with
+    The windows are an (n, 2*(window+1)) index array aligned with
     chain.window_names(window), in the smallest integer dtype that holds the
     question count.  Rows r*L to r*L + L - 1 are replica r's windows in time
     order, so row i+1's first 2*window columns are row i's last 2*window.
     """
-    questions = chainmod.check_process_labels(questions, process)
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    burn_in, replicas, per = replica_plan(questions, process, initial, n)
+    plan = burn_in, replicas, per = replica_plan(chain, initial, n)
+    questions, process = chain.questions, chain.process
     k = len(questions)
     rng = procmod._rng(seed)
     next_questions = procmod.question_step(process)
@@ -228,7 +225,7 @@ def sample_windows(
     out = np.empty((replicas, per, width), dtype=kept.dtype)
     for c in range(width):  # a replica's window j starts at its kept pair j
         out[:, :, c] = kept[:, c : c + 2 * per : 2]
-    return out.reshape(-1, width)[:n]
+    return out.reshape(-1, width)[:n], plan
 
 
 @dataclass(frozen=True)
@@ -264,8 +261,7 @@ def _view_next_cells(samples: np.ndarray, num_questions: int, k: int, labeled: b
 
 
 def monte_carlo_check(
-    questions,
-    process,
+    chain: chainmod.Chain,
     initial: BlochVector,
     window: int,
     strategy: Strategy,
@@ -277,15 +273,15 @@ def monte_carlo_check(
     Counts only the (view, next pair) cells of `strategy.view_encoder`: the
     memory reads the window through its view, so the plug-in I(M; window)
     equals I(M; view).  The errors come from a replica bootstrap: the
-    replicas of `sample_windows` are resampled whole, N_BOOTSTRAP times from
-    a seeded generator.  With one window per replica this is the ordinary
-    bootstrap, drawn over the cells.  All replicates are scored at once.
+    replicas that `sample_windows` drew, as its plan sets them out, are
+    resampled whole, N_BOOTSTRAP times from a seeded generator.  With one
+    window per replica this is the ordinary bootstrap, drawn over the cells.
+    All replicates are scored at once.
     """
     if n < 10**3:
         raise ValidationError(f"need at least 1000 samples, got {n}")
-    questions = tuple(questions)
-    burn_in, replicas, per = replica_plan(questions, process, initial, n)
-    samples = sample_windows(questions, process, initial, window, n, seed)
+    samples, (burn_in, replicas, per) = sample_windows(chain, initial, window, n, seed)
+    questions = chain.questions
     labels = tuple(q.label for q in questions)
     k, labeled, encoder, _ = view_encoder(strategy, labels, window)
     views, nexts = encoder.shape[0], 2 * len(questions)

@@ -32,15 +32,15 @@ DEFAULT_MC_SAMPLES = 10_000
 
 
 def scenario_window(scenario: Scenario, k: int | None = None):
-    """(kernel, long-run result, window joint over the last k pairs) for a scenario.
+    """(chain, long-run result, window joint over the last k pairs) for a scenario.
 
     k defaults to the scenario's window w.  The long run is invariant under
     the kernel, so the k-pair window is exactly the marginal of the w-pair one.
     """
-    kernel = chainmod.build_chain(scenario.questions, scenario.process)
-    long_run = chainmod.long_run_distribution(kernel, scenario.initial_state)
-    window = chainmod.window_joint(kernel, long_run, scenario.window if k is None else k)
-    return kernel, long_run, window
+    chain = chainmod.build_chain(scenario.questions, scenario.process)
+    long_run = chainmod.long_run_distribution(chain, scenario.initial_state)
+    window = chainmod.window_joint(chain, long_run, scenario.window if k is None else k)
+    return chain, long_run, window
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,14 +57,14 @@ class AnalysisResult:
     view: JointDistribution
     applied: JointDistribution
     long_run: chainmod.LongRunResult
-    kernel: chainmod.ChainKernel
+    chain: chainmod.Chain
     w: int
 
     @cached_property
     def window(self) -> JointDistribution:
         if self.w == history_window(self.view):
             return self.view
-        return chainmod.window_joint(self.kernel, self.long_run, self.w)
+        return chainmod.window_joint(self.chain, self.long_run, self.w)
 
 
 def analyze(scenario: Scenario) -> AnalysisResult:
@@ -72,11 +72,11 @@ def analyze(scenario: Scenario) -> AnalysisResult:
     if scenario.strategy is None:
         raise ValidationError("scenario.strategy: required for analyze")
     k = view_encoder(scenario.strategy, scenario.labels, scenario.window)[0]
-    kernel, long_run, view = scenario_window(scenario, k)
+    chain, long_run, view = scenario_window(scenario, k)
     applied = apply_strategy(scenario.strategy, view)
     report = boundmod.evaluate(applied, temperature_kelvin=scenario.temperature_kelvin)
     return AnalysisResult(
-        report=report, view=view, applied=applied, long_run=long_run, kernel=kernel, w=scenario.window
+        report=report, view=view, applied=applied, long_run=long_run, chain=chain, w=scenario.window
     )
 
 
@@ -124,10 +124,10 @@ def verify(
 ) -> list:
     """Run every oracle check against the chain pipeline; returns verdict dicts."""
     verdicts = []
-    kernel, long_run, window = scenario_window(scenario)
+    chain, long_run, window = scenario_window(scenario)
     name = scenario.name
 
-    row_dev = float(abs(kernel.matrix.sum(axis=1) - 1.0).max())
+    row_dev = float(abs(chain.matrix.sum(axis=1) - 1.0).max())
     verdicts.append(oraclemod.verdict("kernel_rows_stochastic", name, row_dev, 1e-12))
 
     mass_dev = float(abs(long_run.distribution.sum() - 1.0))
@@ -141,7 +141,7 @@ def verify(
 
     if scenario.window >= 2:
         # dropping the oldest pair of a w-window leaves exactly the (w-1)-window names
-        smaller = chainmod.window_joint(kernel, long_run, scenario.window - 1)
+        smaller = chainmod.window_joint(chain, long_run, scenario.window - 1)
         dropped = window.marginal(chainmod.window_names(scenario.window)[2:])
         dev = max_abs_deviation(dropped, smaller)
         verdicts.append(oraclemod.verdict("window_consistency", name, dev, CONSISTENCY_TOL))
@@ -169,8 +169,7 @@ def verify(
         verdicts.append(oraclemod.verdict("data_processing", name, dev, 1e-10))
 
         mc = oraclemod.monte_carlo_check(
-            scenario.questions,
-            scenario.process,
+            chain,
             scenario.initial_state,
             scenario.window,
             scenario.strategy,

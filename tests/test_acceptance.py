@@ -29,13 +29,12 @@ from obsthermo import (
     max_abs_deviation,
     memory_capacity_bits,
     monte_carlo_check,
-    optimize,
     optimize_soft,
     predictive_cap_check,
     window_joint,
 )
 from obsthermo.optimize import OptimizerSettings
-from obsthermo.workflows import scenario_window
+from obsthermo.workflows import optimize, scenario_window
 
 from conftest import two_questions_at_angle
 
@@ -187,10 +186,10 @@ def test_criterion_12_monte_carlo_consistency():
     n = 10**6
     for name in BUNDLED_SCENARIOS:
         scenario = bundled_scenario(name)
-        exact = analyze(scenario).report
+        result = analyze(scenario)
+        exact = result.report
         mc = monte_carlo_check(
-            scenario.questions,
-            scenario.process,
+            result.chain,
             scenario.initial_state,
             scenario.window,
             scenario.strategy,

@@ -21,7 +21,6 @@ from obsthermo import (
     window_names,
 )
 from obsthermo import chain as chainmod
-from obsthermo.chain import mixes, slowest_mode_modulus
 from obsthermo.joint import JointDistribution
 
 from conftest import case_b_questions, markov_identity_questions, two_questions_at_angle
@@ -81,8 +80,9 @@ def test_cross_question_repeat_probability(theta):
 def test_periodic_process_refused_with_pointer_to_enumeration():
     questions, _ = single_question()
     proc = PeriodicProcess(labels=("Qz",), sequence=("Qz",))
+    chain = build_chain(questions, proc)  # the samplers run on a periodic chain
     with pytest.raises(ValidationError, match="enumeration"):
-        build_chain(questions, proc)
+        chain.matrix
 
 
 def test_long_run_single_question_mixed_start():
@@ -136,7 +136,7 @@ def test_long_run_slow_aperiodic_chain_not_flagged_periodic():
 
 
 def test_kernel_spectrum_is_computed_once(monkeypatch):
-    # the periodicity flag, `mixes` and `slowest_mode_modulus` read one eigenvalue cache
+    # `periodic`, `mixes` and `slowest_mode` read one eigenvalue cache
     calls = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
@@ -146,8 +146,8 @@ def test_kernel_spectrum_is_computed_once(monkeypatch):
     )
     kernel = build_chain(questions, alternate)
     assert long_run_distribution(kernel, BlochVector(0, 0, 1)).cesaro
-    assert not mixes(kernel)
-    assert slowest_mode_modulus(kernel) == pytest.approx(0.0, abs=1e-12)
+    assert kernel.periodic and not kernel.mixes
+    assert kernel.slowest_mode == pytest.approx(0.0, abs=1e-12)
     assert len(calls) == 1
 
 
@@ -213,13 +213,13 @@ def test_window_size_cap_names_requirement(monkeypatch):
 
 def test_trajectory_case_a_eigenstate_start_constant():
     questions, proc = single_question()
-    traj = sample_trajectory(questions, proc, BlochVector(0, 0, 1), 5, seed=7)
+    traj = sample_trajectory(build_chain(questions, proc), BlochVector(0, 0, 1), 5, seed=7)
     assert list(traj.answers()) == [1, 1, 1, 1, 1]
 
 
 def test_trajectory_case_b_repeat_rate():
     questions, proc = case_b_questions()
-    traj = sample_trajectory(questions, proc, MIXED_STATE, 10**6, seed=123)
+    traj = sample_trajectory(build_chain(questions, proc), MIXED_STATE, 10**6, seed=123)
     a = traj.answers()
     repeat = (a[1:] == a[:-1]).mean()
     assert abs(repeat - 0.75) < 0.002  # 1/2 * 1 + 1/2 * 1/2
@@ -231,7 +231,7 @@ def test_plugin_i_pred_from_trajectory_windows():
     from obsthermo import WindowStrategy, apply_strategy, evaluate
 
     questions, proc = case_b_questions()
-    traj = sample_trajectory(questions, proc, MIXED_STATE, 2 * 10**5, seed=31)
+    traj = sample_trajectory(build_chain(questions, proc), MIXED_STATE, 2 * 10**5, seed=31)
     emp = window_frequencies(traj, questions, 2)
     report = evaluate(apply_strategy(WindowStrategy(k=2, labeled=True), emp))
     assert abs(report.i_pred - 0.5) < 0.01
@@ -240,7 +240,7 @@ def test_plugin_i_pred_from_trajectory_windows():
 def test_trajectory_conditionals_match_kernel():
     questions, proc = case_b_questions()
     kernel = build_chain(questions, proc)
-    traj = sample_trajectory(questions, proc, MIXED_STATE, 2 * 10**5, seed=9)
+    traj = sample_trajectory(kernel, MIXED_STATE, 2 * 10**5, seed=9)
     emp = window_frequencies(traj, questions, 1)
     # empirical transition from (Qz, +): compare against the kernel row
     cond = emp.table[0, 0] / emp.table[0, 0].sum()
@@ -251,17 +251,18 @@ def test_periodic_single_question_matches_degenerate_iid():
     questions, _ = case_b_questions()
     periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz",))
     degenerate = IIDProcess(labels=("Qz", "Qx"), weights=np.array([1.0, 0.0]))
-    t1 = sample_trajectory(questions, periodic, MIXED_STATE, 100, seed=5)
-    t2 = sample_trajectory(questions, degenerate, MIXED_STATE, 100, seed=5)
+    periodic, degenerate = build_chain(questions, periodic), build_chain(questions, degenerate)
+    t1 = sample_trajectory(periodic, MIXED_STATE, 100, seed=5)
+    t2 = sample_trajectory(degenerate, MIXED_STATE, 100, seed=5)
     assert t1.labels() == t2.labels()
     # within a trajectory the answer repeats, so the law only shows across
     # trajectories: the first answer is a fair coin under both schedules
     n = 2000
     f1 = np.mean(
-        [sample_trajectory(questions, periodic, MIXED_STATE, 2, seed=s).answers()[0] == 1 for s in range(n)]
+        [sample_trajectory(periodic, MIXED_STATE, 2, seed=s).answers()[0] == 1 for s in range(n)]
     )
     f2 = np.mean(
-        [sample_trajectory(questions, degenerate, MIXED_STATE, 2, seed=s).answers()[0] == 1 for s in range(n)]
+        [sample_trajectory(degenerate, MIXED_STATE, 2, seed=s).answers()[0] == 1 for s in range(n)]
     )
     assert abs(f1 - 0.5) < 0.04 and abs(f2 - 0.5) < 0.04
 

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import json
 
 import numpy as np
@@ -11,14 +10,13 @@ from obsthermo import (
     analyze,
     bundled_scenario,
     bundled_scenario_path,
-    optimize,
     parse_scenario,
     verify,
 )
+import obsthermo.optimize as optmod
 from obsthermo.cli import main as cli_main
 from obsthermo.optimize import OptimizerSettings
-
-optmod = importlib.import_module("obsthermo.optimize")  # the package's `optimize` is the workflow
+from obsthermo.workflows import optimize
 
 
 def minimal_config(**overrides):

@@ -9,7 +9,6 @@ errors: the updates the chunked loop runs past a restart's stop must stay as
 silent as the one-step loop.
 """
 
-import importlib
 import warnings
 
 import numpy as np
@@ -27,13 +26,13 @@ from obsthermo import (
     long_run_distribution,
     window_joint,
 )
+import obsthermo.optimize as optmod
 from obsthermo.info import xlogx
 from obsthermo.optimize import HistoryFutureJoint, _initial_encoders, _run_fixed_points
 from obsthermo.workflows import scenario_window
 
 from test_optimize import batch_cases
 
-optmod = importlib.import_module("obsthermo.optimize")
 
 BUNDLED = ("case_a", "case_b_labeled", "case_b_unlabeled", "case_b_bestcase", "angle_sweep")
 

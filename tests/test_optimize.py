@@ -1,4 +1,4 @@
-import importlib
+import inspect
 
 import numpy as np
 import pytest
@@ -21,6 +21,8 @@ from obsthermo import (
     window_joint,
     workflows,
 )
+import obsthermo
+import obsthermo.optimize as optmod
 from obsthermo.cli import main as cli_main
 from obsthermo.optimize import (
     HistoryFutureJoint,
@@ -33,9 +35,13 @@ from obsthermo.workflows import scenario_window
 
 from conftest import case_b_questions, enumerate_deterministic
 
-optmod = importlib.import_module("obsthermo.optimize")  # the package's `optimize` is the workflow
 
 IPRED_UNLABELED = 0.18872187554086717  # 1 - Hb(1/4)
+
+
+def test_the_package_attribute_optimize_is_the_submodule():
+    # the workflow lives in obsthermo.workflows, so it no longer shadows the module
+    assert obsthermo.optimize is optmod and inspect.ismodule(optmod)
 
 
 @pytest.fixture(scope="module")

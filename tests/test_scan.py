@@ -7,18 +7,16 @@ than all at once, with the same additions, so that a block of one map with
 thousands of memory rows fits in memory.
 """
 
-import importlib
 import itertools
 
 import numpy as np
 import pytest
 
+import obsthermo.optimize as optmod
 from obsthermo import bundled_scenario, degeneracy_report, exhaustive_best, history_future_joint
 from obsthermo.info import xlogx
 from obsthermo.optimize import HistoryFutureJoint
 from obsthermo.workflows import scenario_window
-
-optmod = importlib.import_module("obsthermo.optimize")
 
 _LN2 = np.log(2.0)
 BUNDLED = ("case_a", "case_b_labeled", "case_b_unlabeled", "case_b_bestcase", "angle_sweep")

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import math
 
 import numpy as np
@@ -27,17 +26,16 @@ from obsthermo import (
     long_run_distribution,
     memory_capacity_bits,
     mutual_information,
-    optimize,
     strategy_summary,
     window_joint,
     workflows,
 )
+import obsthermo.optimize as optmod
 from obsthermo.optimize import HistoryFutureJoint, history_future_joint
 from obsthermo.strategy import assignment_from_map, deterministic_count, harden
 
 from conftest import case_b_questions, enumerate_deterministic, two_questions_at_angle
 
-optmod = importlib.import_module("obsthermo.optimize")  # the package's `optimize` is the workflow
 
 H_CASE_B_PAIR = 3.0 - 0.75 * math.log2(3.0)
 
@@ -238,7 +236,7 @@ def test_k_window_routes_match_the_full_window(name, monkeypatch):
     monkeypatch.setattr(optmod, "RESTARTS", 1)
     for k, labeled in AGREEMENT_VIEWS:
         settings = OptimizerSettings(memory_size=2, history_k=k, history_labeled=labeled)
-        optimize(dataclasses.replace(base, optimizer=settings))
+        workflows.optimize(dataclasses.replace(base, optimizer=settings))
         expected = history_future_joint(full, k=k, labeled=labeled)
         assert built[-1].table.shape == expected.table.shape
         assert np.max(np.abs(built[-1].table - expected.table)) <= 1e-12
