@@ -8,13 +8,12 @@ import numpy as np
 
 from obsthermo import (
     BlochVector,
+    Chain,
     IIDProcess,
     MIXED_STATE,
     Question,
     born_probability,
-    build_chain,
     collapse,
-    long_run_distribution,
     sample_trajectory,
     window_joint,
 )
@@ -37,17 +36,17 @@ print(f"asking Qz next:  P(+1) = {born_probability(state, qz.axis)} (coin flip)"
 
 print("\n== the induced chain ==")
 process = IIDProcess(labels=("Qz", "Qx"), weights=np.array([0.5, 0.5]))
-chain = build_chain((qz, qx), process)
+chain = Chain((qz, qx), process, MIXED_STATE)  # the schedule, its questions and the start
 print("states:", state_symbols((qz, qx)))
 print(np.array_str(chain.matrix, precision=3))
 
-long_run = long_run_distribution(chain, MIXED_STATE)
+long_run = chain.long_run
 print(f"long run distribution: {long_run.distribution} (cesaro={long_run.cesaro})")
 
-window = window_joint(chain, long_run, 1)
+window = window_joint(chain, 1)
 pair = window.marginal(("a0", "a+1")).table
 print(f"P(next answer repeats the last) = {pair[0, 0] + pair[1, 1]}  (1/2 + 1/2 * 1/2)")
 
 print("\n== a sampled answer string ==")
-traj = sample_trajectory(chain, MIXED_STATE, length=20, seed=42)
+traj = sample_trajectory(chain, length=20, seed=42)
 print(" ".join(f"{q}:{'+' if a > 0 else '-'}" for q, a in traj.steps))

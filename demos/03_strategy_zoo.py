@@ -20,8 +20,8 @@ from obsthermo import (
 from obsthermo.workflows import scenario_window
 
 scenario = bundled_scenario("case_b_labeled")
-chain, long_run, _ = scenario_window(scenario)
-window = window_joint(chain, long_run, 3)
+chain, _ = scenario_window(scenario)
+window = window_joint(chain, 3)
 
 strategies = [
     NothingStrategy(),

@@ -18,7 +18,7 @@ from obsthermo.workflows import scenario_window
 scenario = bundled_scenario("case_b_labeled")
 
 print("== exact chain vs brute-force tree ==")
-chain, _, window = scenario_window(scenario)
+chain, window = scenario_window(scenario)  # the chain carries the scenario's start
 tail, horizon = converged_tail(
     scenario.questions, scenario.process, scenario.initial_state, scenario.window
 )
@@ -32,9 +32,7 @@ print(f"tree P(a1=a2) = {pair[0, 0] + pair[1, 1]} over {joint.table.size} leaves
 print("\n== Monte Carlo cross-check ==")
 exact = analyze(scenario).report
 for n in (10**4, 10**5, 10**6):
-    mc = monte_carlo_check(
-        chain, scenario.initial_state, scenario.window, scenario.strategy, n=n, seed=7
-    )
+    mc = monte_carlo_check(chain, scenario.window, scenario.strategy, n=n, seed=7)
     pull = abs(mc.i_pred - exact.i_pred) / mc.se_i_pred
     print(
         f"N={n:>8d}: i_pred = {mc.i_pred:.6f} +/- {mc.se_i_pred:.6f} "

@@ -13,7 +13,6 @@ from .chain import (
     Chain,
     LongRunResult,
     Trajectory,
-    build_chain,
     long_run_distribution,
     sample_trajectory,
     window_joint,
@@ -104,7 +103,6 @@ __all__ = [
     "apply_strategy",
     "born_probability",
     "brute_force_joint",
-    "build_chain",
     "bundled_scenario",
     "bundled_scenario_path",
     "collapse",

@@ -43,7 +43,7 @@ def evaluate(
     history = [n for n in joint_with_memory.names if n not in needed]
     if not history:
         raise ValidationError("joint has no history block")
-    if temperature_kelvin is not None and temperature_kelvin <= 0:
+    if temperature_kelvin is not None and not temperature_kelvin > 0:
         raise ValidationError(f"temperature must be > 0 K, got {temperature_kelvin}")
 
     i_mem = info.mutual_information(joint_with_memory, [MEMORY_VAR], history)

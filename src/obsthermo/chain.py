@@ -16,7 +16,7 @@ import numpy as np
 from . import process as procmod
 from .errors import SizeCapError, ValidationError
 from .joint import JointDistribution
-from .qubit import ANSWERS, BlochVector, Question, collapsed_states, outcome_table
+from .qubit import ANSWERS, BlochVector, collapsed_states, outcome_table
 
 KERNEL_TOL = 1e-12
 LONG_RUN_TOL = 1e-10
@@ -62,28 +62,26 @@ def state_symbols(questions) -> list:
     return [(q.label, a) for q in questions for a in ANSWERS]
 
 
-def step_law(law: np.ndarray, states: np.ndarray, axes) -> np.ndarray:
+def step_law(law: np.ndarray, born: np.ndarray) -> np.ndarray:
     """(n, 2K) law of the next chain state from n qubit states: the one-step law.
 
-    Row i is law[i, q] times the Born factor of answer a for states[i] along
-    axes[q], at column 2q + (0 if a == +1 else 1); `law` holds rows of
-    `process.question_law`.
+    Row i is law[i, q] times born[i, q, a], the Born factor of answer a for
+    qubit state i along question q (`qubit.outcome_table`), at column
+    2q + (0 if a == +1 else 1); `law` holds rows of `process.question_law`.
     """
-    return (law[:, :, None] * outcome_table(states, axes)).reshape(len(law), -1)
+    return (law[:, :, None] * born).reshape(len(law), -1)
 
 
-def answer_step(questions, initial: BlochVector):
+def answer_step(chain: "Chain"):
     """The sampler's Born answer step: a function (prev, q, u) -> (b, R) answers, 0 for +1.
 
     `prev` holds the chain state of each of R paths before the block, 2K for
-    a fresh start from `initial`; `q` and `u` are the block's (b, R) questions
-    and uniforms.  An answer is +1 when u < P(+1).  The first is a direct
-    lookup, the later ones {+,-} -> {+,-} maps of the answer before.
+    a fresh start from the chain's `initial`; `q` and `u` are the block's
+    (b, R) questions and uniforms.  An answer is +1 when u < P(+1).  The first
+    is a direct lookup, the later ones {+,-} -> {+,-} maps of the answer before.
     """
-    k = len(questions)
-    axes = [q.axis for q in questions]
-    born = outcome_table(np.vstack([collapsed_states(axes), initial.as_array()]), axes)
-    born = born[:, :, 0].ravel()
+    k = len(chain.questions)
+    born = chain.born[:, :, 0].ravel()
     rows = np.array([[0], [k]])  # born[2 q_prev + a_prev, q] for a_prev = 0, 1
 
     def step(prev, q, u):
@@ -100,12 +98,15 @@ def answer_step(questions, initial: BlochVector):
 
 @dataclass(frozen=True, eq=False)
 class Chain:
-    """The measurement chain of a schedule over its questions, checked once.
+    """The measurement chain of a schedule over its questions from a start, checked once.
 
-    The constructor checks that the schedule lists the question labels in
-    their order.  The kernel `matrix` and what is read from its spectrum
-    (`eigenvalues`, `slowest_mode`, `mixes`, `periodic`) are each computed on
-    first access and kept.
+    A Markov chain is its kernel together with its initial law, and on a
+    reducible kernel the long run depends on that law, so the chain carries
+    the qubit's `initial` state.  The constructor checks that the schedule
+    lists the question labels in their order.  Each of the following is
+    computed on first access and kept: the `born` table, the kernel `matrix`,
+    what is read from its spectrum (`eigenvalues`, `slowest_mode`, `mixes`,
+    `periodic`), the `start_law` and the `long_run`.
 
     A periodic schedule builds a chain that the samplers run on, but it has
     no time-homogeneous kernel: reading its `matrix`, or anything read from
@@ -115,9 +116,19 @@ class Chain:
 
     questions: tuple
     process: procmod.QuestionProcess
+    initial: BlochVector
 
     def __post_init__(self):
         object.__setattr__(self, "questions", check_process_labels(self.questions, self.process))
+
+    @cached_property
+    def born(self) -> np.ndarray:
+        """(2K + 1, K, 2) Born table of every state a measurement starts from:
+        chain state s in row s (`collapsed_states`), the start `initial` in row 2K."""
+        axes = [q.axis for q in self.questions]
+        table = outcome_table(np.vstack([collapsed_states(axes), self.initial.as_array()]), axes)
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -127,14 +138,25 @@ class Chain:
                 "periodic schedules have no time-homogeneous kernel; "
                 "use oracle.brute_force_joint for time-unrolled enumeration"
             )
-        axes = [q.axis for q in self.questions]
         # row s: the law after question s // 2
         law = np.repeat(procmod.question_law(self.process)[:-1], 2, axis=0)
-        mat = step_law(law, collapsed_states(axes), axes)
-        if np.max(np.abs(mat.sum(axis=1) - 1.0)) > KERNEL_TOL:
+        mat = step_law(law, self.born[:-1])
+        if not np.max(np.abs(mat.sum(axis=1) - 1.0)) <= KERNEL_TOL:
             raise ValidationError(f"kernel rows must sum to 1 within {KERNEL_TOL}")
         mat.flags.writeable = False
         return mat
+
+    @cached_property
+    def start_law(self) -> np.ndarray:
+        """Law of the first chain state: the one-step law of a fresh start at `initial`."""
+        law = step_law(procmod.question_law(self.process)[-1:], self.born[-1:])[0]
+        law.flags.writeable = False
+        return law
+
+    @cached_property
+    def long_run(self) -> "LongRunResult":
+        """The chain's `long_run_distribution`."""
+        return long_run_distribution(self)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -170,11 +192,6 @@ class Chain:
         return bool(np.any(on_circle & (np.abs(vals - 1.0) >= _UNIT_TOL)))
 
 
-def build_chain(questions, process: procmod.QuestionProcess) -> Chain:
-    """The chain of `process` over `questions`; see `Chain`."""
-    return Chain(questions, process)
-
-
 @dataclass(frozen=True, eq=False)
 class LongRunResult:
     """Long-run distribution over chain states, from a given start.
@@ -188,7 +205,7 @@ class LongRunResult:
 
     def __post_init__(self):
         mu = np.asarray(self.distribution, dtype=float)
-        if abs(mu.sum() - 1.0) > LONG_RUN_TOL:
+        if not abs(mu.sum() - 1.0) <= LONG_RUN_TOL:
             raise ValidationError(f"long-run mass {mu.sum()!r} differs from 1 beyond {LONG_RUN_TOL}")
         mu = np.clip(mu, 0.0, None)
         mu = mu / mu.sum()
@@ -217,20 +234,14 @@ def _cesaro_limit(matrix: np.ndarray, mu0: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _start_law(chain: Chain, initial: BlochVector) -> np.ndarray:
-    """Law of the first chain state: the one-step law of a fresh start at `initial`."""
-    start = procmod.question_law(chain.process)[-1:]
-    return step_law(start, initial.as_array()[None], [q.axis for q in chain.questions])[0]
-
-
-def settle(chain: Chain, initial: BlochVector, limit: int) -> tuple:
+def settle(chain: Chain, limit: int) -> tuple:
     """(t, law): the first step t < limit at which the chain law is stationary, or (limit, law).
 
-    The law mu_0 is that of the first chain state of a start at `initial`, and
-    mu_(t+1) = mu_t P.  mu_t counts as stationary once one more step moves it
-    by less than STATIONARY_TOL; the law returned is then mu_(t+1), else mu_limit.
+    The law mu_0 is the chain's `start_law`, and mu_(t+1) = mu_t P.  mu_t
+    counts as stationary once one more step moves it by less than
+    STATIONARY_TOL; the law returned is then mu_(t+1), else mu_limit.
     """
-    mu = _start_law(chain, initial)
+    mu = chain.start_law
     for t in range(limit):
         nxt = mu @ chain.matrix
         if np.max(np.abs(nxt - mu)) < STATIONARY_TOL:
@@ -239,8 +250,8 @@ def settle(chain: Chain, initial: BlochVector, limit: int) -> tuple:
     return limit, mu
 
 
-def long_run_distribution(chain: Chain, initial: BlochVector) -> LongRunResult:
-    """Limit of the chain distribution started from the induced initial law.
+def long_run_distribution(chain: Chain) -> LongRunResult:
+    """Limit of the chain distribution from its `start_law`; read it as `chain.long_run`.
 
     Reducible chains (e.g. a single question) get the initial-condition-induced
     limit, not an arbitrary stationary vector.  The power iteration `settle`s
@@ -248,11 +259,11 @@ def long_run_distribution(chain: Chain, initial: BlochVector) -> LongRunResult:
     if the chain is genuinely periodic, not merely slow to mix.
     """
     limit = 10_000
-    steps, mu = settle(chain, initial, limit)
+    steps, mu = settle(chain, limit)
     if steps < limit:
         return LongRunResult(distribution=mu, cesaro=False)
-    mu0 = _start_law(chain, initial)
-    return LongRunResult(distribution=_cesaro_limit(chain.matrix, mu0), cesaro=chain.periodic)
+    mu = _cesaro_limit(chain.matrix, chain.start_law)
+    return LongRunResult(distribution=mu, cesaro=chain.periodic)
 
 
 def window_alphabets(questions, window: int) -> tuple:
@@ -264,8 +275,8 @@ def window_alphabets(questions, window: int) -> tuple:
     return tuple(alphabets)
 
 
-def window_joint(chain: Chain, long_run: LongRunResult, window: int) -> JointDistribution:
-    """Exact joint over w history pairs plus the next pair, at the long run.
+def window_joint(chain: Chain, window: int) -> JointDistribution:
+    """Exact joint over w history pairs plus the next pair, at the chain's long run.
 
     Variables are named q-w+1, a-w+1, ..., q0, a0, q+1, a+1; the table has
     (2K)^(w+1) entries, at most WINDOW_ENTRY_CAP.
@@ -278,7 +289,7 @@ def window_joint(chain: Chain, long_run: LongRunResult, window: int) -> JointDis
         raise SizeCapError(
             f"window joint needs {entries} entries, over WINDOW_ENTRY_CAP = {WINDOW_ENTRY_CAP}"
         )
-    table = long_run.distribution.copy()
+    table = chain.long_run.distribution.copy()
     for _ in range(window):
         table = table[..., None] * chain.matrix
     table = table.reshape((k, 2) * (window + 1))
@@ -307,7 +318,7 @@ class Trajectory:
         return [q for q, _ in self.steps]
 
 
-def sample_trajectory(chain: Chain, initial: BlochVector, length: int, seed: int) -> Trajectory:
+def sample_trajectory(chain: Chain, length: int, seed: int) -> Trajectory:
     """Simulate the measurement chain on one path: questions from
     `process.sample_questions`, Born answers from `answer_step` block by
     block, fed from their own Philox stream.  Reproducible for a given seed."""
@@ -319,10 +330,10 @@ def sample_trajectory(chain: Chain, initial: BlochVector, length: int, seed: int
     q = np.fromiter(map(label_to_idx.__getitem__, labels), np.intp, length)[:, None]
     rng = procmod._rng(seed, offset=0x5EED)  # decouple answer draws from question draws
     a = np.empty_like(q)
-    step, state = answer_step(questions, initial), np.full(1, 2 * len(questions))
+    step, state = answer_step(chain), np.full(1, 2 * len(questions))
     for t0, t1 in procmod.blocks(0, length, 1):
         a[t0:t1] = step(state, q[t0:t1], rng.random((t1 - t0, 1)))
         state = 2 * q[t1 - 1] + a[t1 - 1]
     answers = (1 - 2 * a[:, 0]).tolist()
-    return Trajectory(tuple(zip(map(str, labels), answers)), seed, initial)
+    return Trajectory(tuple(zip(map(str, labels), answers)), seed, chain.initial)
 

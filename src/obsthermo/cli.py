@@ -18,7 +18,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import workflows
-from .chain import build_chain, sample_trajectory
+from .chain import Chain, sample_trajectory
 from .config import load_scenario
 from .errors import OptimizerError, SizeCapError, ValidationError
 from .strategy import WindowStrategy, view_alphabet
@@ -131,7 +131,7 @@ def _cmd_analyze(args) -> int:
     out = _out_dir(args, scenario)
     result = workflows.analyze(scenario)
     window = result.window  # the full window may exceed the entry cap: fail before any write
-    if result.long_run.cesaro:
+    if result.chain.long_run.cesaro:
         print("note: periodic chain, long run is the Cesaro average", file=sys.stderr)
     # bound_joules is None, and left out, when the scenario has no temperature
     report = {k: _sig9(v) for k, v in asdict(result.report).items() if v is not None}
@@ -189,8 +189,8 @@ def _cmd_sample(args) -> int:
     scenario = load_scenario(args.config)
     out = _out_dir(args, scenario)
     seed = args.seed if args.seed is not None else 0
-    chain = build_chain(scenario.questions, scenario.process)
-    traj = sample_trajectory(chain, scenario.initial_state, args.length, seed)
+    chain = Chain(scenario.questions, scenario.process, scenario.initial_state)
+    traj = sample_trajectory(chain, args.length, seed)
     path = out / f"{scenario.name}_trajectory.csv"
     rows = (f"{t},{q},{_bit(a)}" for t, (q, a) in enumerate(traj.steps, start=1))
     _write_lines(path, itertools.chain(["t,question,answer"], rows))

@@ -35,7 +35,7 @@ class JointDistribution:
         if table.min(initial=0.0) < -MASS_TOL:
             raise ValidationError(f"negative probability {table.min()!r} in table")
         mass = float(table.sum())
-        if abs(mass - 1.0) > MASS_TOL:
+        if not abs(mass - 1.0) <= MASS_TOL:
             raise ValidationError(f"table mass {mass!r} differs from 1 by more than {MASS_TOL}")
         table = np.clip(table, 0.0, None)
         table.flags.writeable = False

@@ -27,7 +27,7 @@ from .strategy import (
 )
 
 _LN2 = np.log(2.0)
-_DESCENT_SLACK = 1e-12
+_DESCENT_SLACK = 1e-12  # per unit of beta: the objective's rounding grows with beta * i_pred
 _LOG_FLOOR = 1e-300  # decoder entries floored inside logs; rows renormalized each iteration
 _CHUNK_CAP = 256  # most fixed-point steps whose objectives are computed together
 _CHUNK_ENTRIES = 2**17  # most entries in a chunk's (steps, R, ...) buffers: 1 MiB of floats
@@ -155,7 +155,8 @@ def _run_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float) -> 
     its first iteration with |delta objective| <= TOLERANCE, keeping that
     iteration's encoder, objective and count, or unconverged after
     MAX_ITERATIONS.  Its objective I(M;H) - beta I(M;X') is checked to be
-    non-increasing at every iteration up to and including its stop.
+    non-increasing, within rounding of _DESCENT_SLACK * beta, at every
+    iteration up to and including its stop.
 
     The update never reads the objective, so the loop runs in chunks: the
     running restarts take a chunk's updates one after another, storing each
@@ -235,7 +236,7 @@ def _run_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float) -> 
         stopped = done.any(axis=0)
         stop = np.where(stopped, done.argmax(axis=0), steps - 1)  # each restart's last step
         ran = np.arange(steps)[:, None] <= stop
-        rising = np.argwhere((obj > before + _DESCENT_SLACK) & ran)
+        rising = np.argwhere((obj > before + _DESCENT_SLACK * beta) & ran)
         if rising.size:
             s, j = rising[0]  # the earliest iteration, then the first restart
             raise OptimizerError(
@@ -266,7 +267,7 @@ def optimize_soft(
 
     The seeded restarts and the warm starts run as one stack; ties go to the
     earliest restart."""
-    if beta < 1.0:
+    if not beta >= 1.0:
         raise ValidationError(f"beta must be >= 1, got {beta}")
     m = settings.memory_size
     n_hist = hf.num_histories

@@ -8,14 +8,14 @@ It shares only the one-step physics with the chain module: the Born table
 `chain.step_law` that multiplies them.  It shares none of the kernel,
 long-run or window algebra, so agreement between the two certifies both.
 
-Monte Carlo takes the scenario's `chain.Chain` and draws its windows from
-the replica trajectories of `replica_plan`, the one place that reads the
-kernel: how long a replica burns in and how many sliding windows it gives.
-The plan reads the chain's cached spectrum, which bounds the burn-in; a
-replica that gives one window burns in only until its own law, the start
-law pushed through the kernel by `chain.settle`, is stationary.  The plan
-never reads the long-run distribution that Monte Carlo checks, and
-`sample_windows` returns it with the windows it drew.
+Monte Carlo takes the scenario's `chain.Chain`, which carries the start,
+and draws its windows from the replica trajectories of `replica_plan`, the
+one place that reads the kernel: how long a replica burns in and how many
+sliding windows it gives.  The plan reads the chain's cached spectrum, which
+bounds the burn-in; a replica that gives one window burns in only until its
+own law, the chain's start law pushed through the kernel by `chain.settle`,
+is stationary.  The plan never reads the long-run distribution that Monte
+Carlo checks, and `sample_windows` returns it with the windows it drew.
 Caps, tolerances and counts are module constants, each read where it
 applies: LEAF_CAP bounds the tree, TAIL_TOL ends `converged_tail`,
 MIN_BURN_IN, BURN_IN_TOL and MIN_REPLICAS shape the plan, and N_BOOTSTRAP
@@ -33,7 +33,7 @@ from . import info
 from . import process as procmod
 from .errors import SizeCapError, ValidationError
 from .joint import JointDistribution
-from .qubit import ANSWERS, BlochVector, collapsed_states
+from .qubit import ANSWERS, BlochVector, collapsed_states, outcome_table
 from .strategy import Strategy, view_encoder, view_index
 from .strategy import apply_strategy  # noqa: F401  unused; perfbench/selftest.py expects this import site
 
@@ -59,7 +59,7 @@ def _tree_levels(questions, process, initial: BlochVector):
     probs, states, prev = np.ones(1), initial.as_array()[None], np.full(1, k)
     for t in itertools.count():
         law = procmod.question_law(process, t)[prev]
-        probs = (probs[:, None] * chainmod.step_law(law, states, axes)).reshape(-1)
+        probs = (probs[:, None] * chainmod.step_law(law, outcome_table(states, axes))).reshape(-1)
         yield probs
         copies = probs.size // (2 * k)
         states, prev = np.tile(pairs, (copies, 1)), np.tile(last, copies)
@@ -127,7 +127,7 @@ def verdict(check: str, scenario: str, deviation: float, tolerance: float) -> di
     }
 
 
-def replica_plan(chain: chainmod.Chain, initial: BlochVector, n: int) -> tuple:
+def replica_plan(chain: chainmod.Chain, n: int) -> tuple:
     """(burn-in, replicas R, windows L per replica) with which Monte Carlo draws n windows.
 
     The spectral burn-in is max(MIN_BURN_IN, ceil(ln BURN_IN_TOL / ln lam))
@@ -145,11 +145,12 @@ def replica_plan(chain: chainmod.Chain, initial: BlochVector, n: int) -> tuple:
 
     A plan with L > 1 burns in the spectral burn-in.  With L = 1 the burn-in
     is exact: the first step, at most the spectral burn-in, at which the law
-    of a replica started from `initial` is stationary (`chain.settle`), so
-    that every window has the long-run law.  It is 0 on an identity kernel,
-    where every state is absorbing; a start that keeps its phase on a periodic
-    kernel never gets there.  The plan never reads the long-run distribution,
-    and the windows are still simulated from the Born rule.
+    of a replica started from the chain's own start is stationary
+    (`chain.settle`), so that every window has the long-run law.  It is 0 on
+    an identity kernel, where every state is absorbing; a start that keeps
+    its phase on a periodic kernel never gets there.  The plan never reads
+    the long-run distribution, and the windows are still simulated from the
+    Born rule.
     A periodic schedule has no time-homogeneous kernel: it burns in
     MIN_BURN_IN steps and gives one window per replica.
     """
@@ -161,20 +162,18 @@ def replica_plan(chain: chainmod.Chain, initial: BlochVector, n: int) -> tuple:
         if chain.mixes:
             per = max(1, min(burn_in, n // MIN_REPLICAS))
         if per == 1:
-            burn_in = chainmod.settle(chain, initial, burn_in)[0]
+            burn_in = chainmod.settle(chain, burn_in)[0]
     return burn_in, -(-n // per), per
 
 
-def sample_windows(
-    chain: chainmod.Chain, initial: BlochVector, window: int, n: int, seed: int
-) -> tuple:
+def sample_windows(chain: chainmod.Chain, window: int, n: int, seed: int) -> tuple:
     """(windows, plan): n (window+1)-pair windows drawn from R replica trajectories,
     and the `replica_plan` (burn-in, R, L) that drew them.
 
-    The replicas start from `initial` and run through the sampler's question
-    and answer steps, b = max(1, process._BLOCK_ENTRIES // R) steps at a time;
-    no output depends on b.  Each discards its burn-in and then gives L
-    consecutive sliding windows, as `replica_plan` sets out.  Replicas are
+    The replicas start from the chain's `initial` and run through the
+    sampler's question and answer steps, b = max(1, process._BLOCK_ENTRIES // R)
+    steps at a time; no output depends on b.  Each discards its burn-in and
+    then gives L consecutive sliding windows, as `replica_plan` sets out.  Replicas are
     i.i.d.; windows inside one are not, so errors must resample whole
     replicas.  Where L = 1 (reducible or periodic chains) R = n, every window
     has its own trajectory, the samples are i.i.d. and plain bootstrap errors
@@ -192,12 +191,12 @@ def sample_windows(
         raise ValidationError(f"window must be >= 1, got {window}")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    plan = burn_in, replicas, per = replica_plan(chain, initial, n)
+    plan = burn_in, replicas, per = replica_plan(chain, n)
     questions, process = chain.questions, chain.process
     k = len(questions)
     rng = procmod._rng(seed)
     next_questions = procmod.question_step(process)
-    next_answers = chainmod.answer_step(questions, initial)
+    next_answers = chainmod.answer_step(chain)
     # one Philox stream, per step R question uniforms and then R answer uniforms; no question
     # uniforms for K = 1, nor after step 0 on periodic or one-question i.i.d. schedules
     periodic = isinstance(process, procmod.PeriodicProcess)
@@ -261,12 +260,7 @@ def _view_next_cells(samples: np.ndarray, num_questions: int, k: int, labeled: b
 
 
 def monte_carlo_check(
-    chain: chainmod.Chain,
-    initial: BlochVector,
-    window: int,
-    strategy: Strategy,
-    n: int,
-    seed: int,
+    chain: chainmod.Chain, window: int, strategy: Strategy, n: int, seed: int
 ) -> MonteCarloReport:
     """Monte Carlo estimate of an InfoReport's information terms, with bootstrap errors.
 
@@ -280,7 +274,7 @@ def monte_carlo_check(
     """
     if n < 10**3:
         raise ValidationError(f"need at least 1000 samples, got {n}")
-    samples, (burn_in, replicas, per) = sample_windows(chain, initial, window, n, seed)
+    samples, (burn_in, replicas, per) = sample_windows(chain, window, n, seed)
     questions = chain.questions
     labels = tuple(q.label for q in questions)
     k, labeled, encoder, _ = view_encoder(strategy, labels, window)

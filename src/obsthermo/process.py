@@ -35,7 +35,7 @@ def _check_prob_vector(vec, size: int, where: str) -> np.ndarray:
         raise ValidationError(f"{where}: expected {size} entries, got shape {arr.shape}")
     if np.any(arr < 0):
         raise ValidationError(f"{where}: entries must be >= 0")
-    if abs(arr.sum() - 1.0) > PROB_TOL:
+    if not abs(arr.sum() - 1.0) <= PROB_TOL:
         raise ValidationError(f"{where}: entries sum to {arr.sum()!r}, not 1 within {PROB_TOL}")
     arr.flags.writeable = False
     return arr

@@ -71,7 +71,7 @@ def _unit_axis(axis, tol: float = UNIT_TOL) -> np.ndarray:
     if arr.shape != (3,):
         raise ValidationError(f"axis needs 3 components, got shape {arr.shape}")
     n = float(np.linalg.norm(arr))
-    if abs(n - 1.0) > tol:
+    if not abs(n - 1.0) <= tol:
         raise ValidationError(f"axis norm {n!r} is not 1 within {tol}")
     return arr / n
 

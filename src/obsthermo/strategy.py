@@ -61,7 +61,7 @@ class KernelStrategy:
         if np.any(arr < 0):
             raise ValidationError("kernel assignment entries must be >= 0")
         rows = arr.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > ROW_TOL:
+        if not np.max(np.abs(rows - 1.0)) <= ROW_TOL:
             raise ValidationError(f"kernel assignment rows must sum to 1 within {ROW_TOL}")
         arr = arr.copy()
         arr.flags.writeable = False

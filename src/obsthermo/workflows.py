@@ -32,15 +32,14 @@ DEFAULT_MC_SAMPLES = 10_000
 
 
 def scenario_window(scenario: Scenario, k: int | None = None):
-    """(chain, long-run result, window joint over the last k pairs) for a scenario.
+    """(chain, window joint over the last k pairs) for a scenario.
 
-    k defaults to the scenario's window w.  The long run is invariant under
-    the kernel, so the k-pair window is exactly the marginal of the w-pair one.
+    The chain starts at the scenario's initial state.  k defaults to the
+    scenario's window w.  The long run is invariant under the kernel, so the
+    k-pair window is exactly the marginal of the w-pair one.
     """
-    chain = chainmod.build_chain(scenario.questions, scenario.process)
-    long_run = chainmod.long_run_distribution(chain, scenario.initial_state)
-    window = chainmod.window_joint(chain, long_run, scenario.window if k is None else k)
-    return chain, long_run, window
+    chain = chainmod.Chain(scenario.questions, scenario.process, scenario.initial_state)
+    return chain, chainmod.window_joint(chain, scenario.window if k is None else k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,12 +50,12 @@ class AnalysisResult:
     builds, and `applied` spans it: I(M; w-pair history) = I(M; view).
     `window`, the scenario's full w-pair window, is built on first access
     (it is `view` when k = w), so its entry cap binds only code that reads it.
+    Both are read at the `chain`'s one long run.
     """
 
     report: boundmod.InfoReport
     view: JointDistribution
     applied: JointDistribution
-    long_run: chainmod.LongRunResult
     chain: chainmod.Chain
     w: int
 
@@ -64,7 +63,7 @@ class AnalysisResult:
     def window(self) -> JointDistribution:
         if self.w == history_window(self.view):
             return self.view
-        return chainmod.window_joint(self.chain, self.long_run, self.w)
+        return chainmod.window_joint(self.chain, self.w)
 
 
 def analyze(scenario: Scenario) -> AnalysisResult:
@@ -72,12 +71,10 @@ def analyze(scenario: Scenario) -> AnalysisResult:
     if scenario.strategy is None:
         raise ValidationError("scenario.strategy: required for analyze")
     k = view_encoder(scenario.strategy, scenario.labels, scenario.window)[0]
-    chain, long_run, view = scenario_window(scenario, k)
+    chain, view = scenario_window(scenario, k)
     applied = apply_strategy(scenario.strategy, view)
     report = boundmod.evaluate(applied, temperature_kelvin=scenario.temperature_kelvin)
-    return AnalysisResult(
-        report=report, view=view, applied=applied, long_run=long_run, chain=chain, w=scenario.window
-    )
+    return AnalysisResult(report=report, view=view, applied=applied, chain=chain, w=scenario.window)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +99,7 @@ def optimize(scenario: Scenario) -> OptimizeResult:
         raise ValidationError(
             f"optimizer.history.k={k} outside the scenario's history window w={scenario.window}"
         )
-    _, _, window = scenario_window(scenario, k)
+    _, window = scenario_window(scenario, k)
     hf = history_future_joint(window, k=k, labeled=settings.history_labeled)
     points = tuple(sweep_beta(hf, settings))
     best = min(points, key=lambda p: p.objective)
@@ -124,13 +121,13 @@ def verify(
 ) -> list:
     """Run every oracle check against the chain pipeline; returns verdict dicts."""
     verdicts = []
-    chain, long_run, window = scenario_window(scenario)
+    chain, window = scenario_window(scenario)
     name = scenario.name
 
     row_dev = float(abs(chain.matrix.sum(axis=1) - 1.0).max())
     verdicts.append(oraclemod.verdict("kernel_rows_stochastic", name, row_dev, 1e-12))
 
-    mass_dev = float(abs(long_run.distribution.sum() - 1.0))
+    mass_dev = float(abs(chain.long_run.distribution.sum() - 1.0))
     verdicts.append(oraclemod.verdict("long_run_mass", name, mass_dev, 1e-10))
 
     tail, _horizon = oraclemod.converged_tail(
@@ -141,14 +138,14 @@ def verify(
 
     if scenario.window >= 2:
         # dropping the oldest pair of a w-window leaves exactly the (w-1)-window names
-        smaller = chainmod.window_joint(chain, long_run, scenario.window - 1)
+        smaller = chainmod.window_joint(chain, scenario.window - 1)
         dropped = window.marginal(chainmod.window_names(scenario.window)[2:])
         dev = max_abs_deviation(dropped, smaller)
         verdicts.append(oraclemod.verdict("window_consistency", name, dev, CONSISTENCY_TOL))
 
     future = window.marginal(chainmod.FUTURE_PAIR)
     future_flat = future.table.reshape(-1)
-    dev = float(abs(future_flat - long_run.distribution).max())
+    dev = float(abs(future_flat - chain.long_run.distribution).max())
     verdicts.append(oraclemod.verdict("future_marginal_is_long_run", name, dev, 1e-10))
 
     if isinstance(scenario.process, procmod.IIDProcess):
@@ -169,12 +166,7 @@ def verify(
         verdicts.append(oraclemod.verdict("data_processing", name, dev, 1e-10))
 
         mc = oraclemod.monte_carlo_check(
-            chain,
-            scenario.initial_state,
-            scenario.window,
-            scenario.strategy,
-            n=mc_samples,
-            seed=seed,
+            chain, scenario.window, scenario.strategy, n=mc_samples, seed=seed
         )
         dev = abs(mc.i_pred - report.i_pred)
         verdicts.append(oraclemod.verdict("monte_carlo_i_pred", name, dev, 3.0 * mc.se_i_pred))

@@ -18,14 +18,13 @@ from obsthermo import (
     WindowStrategy,
     analyze,
     apply_strategy,
-    build_chain,
+    Chain,
     bundled_scenario,
     converged_tail,
     degeneracy_report,
     evaluate,
     exhaustive_best,
     history_future_joint,
-    long_run_distribution,
     max_abs_deviation,
     memory_capacity_bits,
     monte_carlo_check,
@@ -62,7 +61,7 @@ def test_criterion_01_case_a_zero_bound(case_a):
 
 
 def test_criterion_02_case_a_needs_two_memory_states(case_a):
-    _, _, window = scenario_window(case_a)
+    _, window = scenario_window(case_a)
     hf = history_future_joint(window, k=1, labeled=True)
     best_m1 = exhaustive_best(hf, 1, objective="max_i_pred")
     best_m2 = exhaustive_best(hf, 2, objective="max_i_pred")
@@ -100,7 +99,7 @@ def test_criterion_06_predictive_cap_one_bit(case_a, case_b_labeled, case_b_unla
     # maximum while staying inside the enumeration cap
     worst = 0.0
     for scenario in (case_a, case_b_labeled, case_b_unlabeled, angle_sweep):
-        _, _, window = scenario_window(scenario)
+        _, window = scenario_window(scenario)
         hf = history_future_joint(window, k=1, labeled=True)
         best = exhaustive_best(hf, hf.num_histories, objective="max_i_pred")
         assert best.i_pred <= 1.0 + 1e-10
@@ -112,8 +111,7 @@ def test_criterion_06_predictive_cap_one_bit(case_a, case_b_labeled, case_b_unla
 
 
 def test_criterion_07_longer_records_only_add_nostalgia(case_a):
-    kernel, lr, _ = scenario_window(case_a)
-    window = window_joint(kernel, lr, 3)
+    window = window_joint(scenario_window(case_a)[0], 3)
     nostalgia = []
     for k in (1, 2, 3):
         report = evaluate(apply_strategy(WindowStrategy(k=k, labeled=False), window))
@@ -124,7 +122,7 @@ def test_criterion_07_longer_records_only_add_nostalgia(case_a):
 
 
 def test_criterion_08_degeneracy_at_beta_one(case_a):
-    _, _, window = scenario_window(case_a)
+    _, window = scenario_window(case_a)
     hf = history_future_joint(window, k=1, labeled=True)
     point = optimize_soft(hf, 1.0, OptimizerSettings(memory_size=2, seed=11))
     assert point.converged and abs(point.objective) <= 1e-9
@@ -143,9 +141,8 @@ def test_criterion_09_angle_sweep_closed_form():
     checked = []
     for theta in (0.0, math.pi / 6, math.pi / 3, math.pi / 2):
         questions, process = two_questions_at_angle(theta)
-        kernel = build_chain(questions, process)
-        lr = long_run_distribution(kernel, MIXED_STATE)
-        window = window_joint(kernel, lr, 1)
+        kernel = Chain(questions, process, MIXED_STATE)
+        window = window_joint(kernel, 1)
         report = evaluate(apply_strategy(WindowStrategy(k=1, labeled=True), window))
         expected = 1.0 - 0.5 * binary_entropy(math.cos(theta / 2.0) ** 2)
         assert abs(report.i_pred - expected) <= 1e-6, f"theta={theta}"
@@ -159,7 +156,7 @@ def test_criterion_10_oracle_equivalence_all_scenarios():
     worst = 0.0
     for name in BUNDLED_SCENARIOS:
         scenario = bundled_scenario(name)
-        _, _, window = scenario_window(scenario)
+        _, window = scenario_window(scenario)
         tail, _ = converged_tail(
             scenario.questions, scenario.process, scenario.initial_state, scenario.window
         )
@@ -188,14 +185,7 @@ def test_criterion_12_monte_carlo_consistency():
         scenario = bundled_scenario(name)
         result = analyze(scenario)
         exact = result.report
-        mc = monte_carlo_check(
-            result.chain,
-            scenario.initial_state,
-            scenario.window,
-            scenario.strategy,
-            n=n,
-            seed=2024,
-        )
+        mc = monte_carlo_check(result.chain, scenario.window, scenario.strategy, n=n, seed=2024)
         deviation = abs(mc.i_pred - exact.i_pred)
         assert deviation <= 3.0 * max(mc.se_i_pred, 1e-12), (
             f"{name}: |{mc.i_pred} - {exact.i_pred}| vs 3*{mc.se_i_pred}"

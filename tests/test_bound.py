@@ -10,9 +10,8 @@ from obsthermo import (
     ValidationError,
     WindowStrategy,
     apply_strategy,
-    build_chain,
+    Chain,
     evaluate,
-    long_run_distribution,
     predictive_cap_check,
     window_joint,
 )
@@ -24,13 +23,12 @@ from conftest import case_b_questions, markov_identity_questions
 @pytest.fixture(scope="module")
 def case_b_window2():
     questions, proc = case_b_questions()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    return window_joint(kernel, lr, 2)
+    kernel = Chain(questions, proc, MIXED_STATE)
+    return window_joint(kernel, 2)
 
 
 def test_case_a_window1_zero_bound(case_a):
-    _, _, window = scenario_window(case_a)
+    _, window = scenario_window(case_a)
     applied = apply_strategy(WindowStrategy(k=1, labeled=False), window)
     report = evaluate(applied)
     assert report.i_mem == pytest.approx(1.0, abs=1e-12)
@@ -84,7 +82,7 @@ def test_missing_memory_variable_rejected(case_b_window2):
 
 
 def test_cap_check_case_a(case_a):
-    _, _, window = scenario_window(case_a)
+    _, window = scenario_window(case_a)
     result = predictive_cap_check(
         window, [WindowStrategy(k=1, labeled=False), NothingStrategy()], iid=True
     )
@@ -107,9 +105,8 @@ def test_cap_check_case_b_all_window_strategies(case_b_window2):
 
 def test_cap_check_markov_identity_reported_without_assertion():
     questions, proc = markov_identity_questions()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    window = window_joint(kernel, lr, 2)
+    kernel = Chain(questions, proc, MIXED_STATE)
+    window = window_joint(kernel, 2)
     result = predictive_cap_check(
         window,
         [WindowStrategy(k=2, labeled=False), WindowStrategy(k=1, labeled=False)],
@@ -124,8 +121,7 @@ def test_cap_check_markov_identity_reported_without_assertion():
 def test_case_a_longer_windows_only_add_nostalgia(case_a):
     # with a single repeating question the extra answers are copies, so
     # i_pred stays at 1 bit and the nostalgia never decreases with k
-    kernel, lr, _ = scenario_window(case_a)
-    window = window_joint(kernel, lr, 3)
+    window = window_joint(scenario_window(case_a)[0], 3)
     previous = -1.0
     for k in (1, 2, 3):
         report = evaluate(apply_strategy(WindowStrategy(k=k, labeled=False), window))

@@ -12,8 +12,7 @@ from obsthermo import (
     SizeCapError,
     ValidationError,
     BlochVector,
-    build_chain,
-    long_run_distribution,
+    Chain,
     max_abs_deviation,
     mutual_information,
     sample_trajectory,
@@ -54,13 +53,13 @@ def single_question():
 
 def test_single_question_kernel_is_identity_on_outcome():
     questions, proc = single_question()
-    kernel = build_chain(questions, proc)
+    kernel = Chain(questions, proc, MIXED_STATE)
     assert np.allclose(kernel.matrix, np.eye(2))
 
 
 def test_two_orthogonal_kernel_entries():
     questions, proc = case_b_questions()
-    kernel = build_chain(questions, proc)
+    kernel = Chain(questions, proc, MIXED_STATE)
     same = state_index(0, +1)
     assert kernel.matrix[same, same] == pytest.approx(0.5)  # 1/2 * 1 repeat
     cross = state_index(1, +1)
@@ -71,7 +70,7 @@ def test_two_orthogonal_kernel_entries():
 @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 3, math.pi / 2, 2.2])
 def test_cross_question_repeat_probability(theta):
     questions, proc = two_questions_at_angle(theta)
-    kernel = build_chain(questions, proc)
+    kernel = Chain(questions, proc, MIXED_STATE)
     # from (QA, +) to (QB, +): 1/2 * cos^2(theta/2)
     p = kernel.matrix[state_index(0, +1), state_index(1, +1)]
     assert p == pytest.approx(0.5 * math.cos(theta / 2) ** 2, abs=1e-12)
@@ -80,32 +79,29 @@ def test_cross_question_repeat_probability(theta):
 def test_periodic_process_refused_with_pointer_to_enumeration():
     questions, _ = single_question()
     proc = PeriodicProcess(labels=("Qz",), sequence=("Qz",))
-    chain = build_chain(questions, proc)  # the samplers run on a periodic chain
+    chain = Chain(questions, proc, MIXED_STATE)  # the samplers run on a periodic chain
     with pytest.raises(ValidationError, match="enumeration"):
         chain.matrix
 
 
 def test_long_run_single_question_mixed_start():
     questions, proc = single_question()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    assert np.allclose(lr.distribution, [0.5, 0.5])
-    assert not lr.cesaro
+    kernel = Chain(questions, proc, MIXED_STATE)
+    assert np.allclose(kernel.long_run.distribution, [0.5, 0.5])
+    assert not kernel.long_run.cesaro
 
 
 def test_long_run_single_question_eigenstate_start():
     questions, proc = single_question()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, BlochVector(0, 0, 1))
-    assert np.allclose(lr.distribution, [1.0, 0.0])
+    kernel = Chain(questions, proc, BlochVector(0, 0, 1))
+    assert np.allclose(kernel.long_run.distribution, [1.0, 0.0])
 
 
 def test_long_run_two_orthogonal_uniform():
     questions, proc = case_b_questions()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    assert np.allclose(lr.distribution, 0.25)
-    assert not lr.cesaro
+    kernel = Chain(questions, proc, MIXED_STATE)
+    assert np.allclose(kernel.long_run.distribution, 0.25)
+    assert not kernel.long_run.cesaro
 
 
 def test_long_run_periodic_chain_gets_cesaro_flag():
@@ -116,21 +112,20 @@ def test_long_run_periodic_chain_gets_cesaro_flag():
         transition=np.array([[0.0, 1.0], [1.0, 0.0]]),
         initial=np.array([1.0, 0.0]),
     )
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, BlochVector(0, 0, 1))
-    assert lr.cesaro
-    assert lr.distribution.sum() == pytest.approx(1.0, abs=1e-12)
+    kernel = Chain(questions, proc, BlochVector(0, 0, 1))
+    assert kernel.long_run.cesaro
+    assert kernel.long_run.distribution.sum() == pytest.approx(1.0, abs=1e-12)
     # question marginal averages to 1/2 each
-    assert lr.distribution[:2].sum() == pytest.approx(0.5, abs=1e-9)
+    assert kernel.long_run.distribution[:2].sum() == pytest.approx(0.5, abs=1e-9)
 
 
 def test_long_run_slow_aperiodic_chain_not_flagged_periodic():
     # |lambda_2| = 0.99938: 10^4 power steps do not settle, yet no eigenvalue
     # other than 1 has modulus 1, so the chain is not periodic
     questions, proc = two_questions_at_angle(0.05)
-    kernel = build_chain(questions, proc)
+    kernel = Chain(questions, proc, BlochVector(0, 0, 1))
     assert np.sort(np.abs(np.linalg.eigvals(kernel.matrix)))[-2] == pytest.approx(0.99938, abs=1e-5)
-    lr = long_run_distribution(kernel, BlochVector(0, 0, 1))
+    lr = kernel.long_run
     assert not lr.cesaro
     assert np.allclose(lr.distribution, 0.25, atol=1e-9)
 
@@ -144,8 +139,8 @@ def test_kernel_spectrum_is_computed_once(monkeypatch):
     alternate = MarkovProcess(
         labels=("Qz", "Qx"), transition=np.array([[0.0, 1.0], [1.0, 0.0]]), initial=np.array([1.0, 0.0])
     )
-    kernel = build_chain(questions, alternate)
-    assert long_run_distribution(kernel, BlochVector(0, 0, 1)).cesaro
+    kernel = Chain(questions, alternate, BlochVector(0, 0, 1))
+    assert kernel.long_run.cesaro
     assert kernel.periodic and not kernel.mixes
     assert kernel.slowest_mode == pytest.approx(0.0, abs=1e-12)
     assert len(calls) == 1
@@ -153,9 +148,8 @@ def test_kernel_spectrum_is_computed_once(monkeypatch):
 
 def test_window_case_a_fully_predictive():
     questions, proc = single_question()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    w = window_joint(kernel, lr, 1)
+    kernel = Chain(questions, proc, MIXED_STATE)
+    w = window_joint(kernel, 1)
     marg = w.marginal(("a0", "a+1"))
     assert marg.table[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert marg.table[1, 1] == pytest.approx(0.5, abs=1e-12)
@@ -164,9 +158,8 @@ def test_window_case_a_fully_predictive():
 
 def test_window_case_b_consecutive_answer_marginal():
     questions, proc = case_b_questions()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    w = window_joint(kernel, lr, 2)
+    kernel = Chain(questions, proc, MIXED_STATE)
+    w = window_joint(kernel, 2)
     marg = w.marginal(("a-1", "a0")).table
     assert marg[0, 0] == pytest.approx(3 / 8, abs=1e-12)
     assert marg[1, 1] == pytest.approx(3 / 8, abs=1e-12)
@@ -176,50 +169,46 @@ def test_window_case_b_consecutive_answer_marginal():
 
 def test_window_future_question_matches_process_law():
     questions, proc = case_b_questions()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    w = window_joint(kernel, lr, 1)
+    kernel = Chain(questions, proc, MIXED_STATE)
+    w = window_joint(kernel, 1)
     assert np.allclose(w.marginal(("q+1",)).table, [0.5, 0.5], atol=1e-12)
 
 
 def test_window_one_step_consistency():
     questions, proc = case_b_questions()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    w2 = window_joint(kernel, lr, 2)
-    w1 = window_joint(kernel, lr, 1)
+    kernel = Chain(questions, proc, MIXED_STATE)
+    w2 = window_joint(kernel, 2)
+    w1 = window_joint(kernel, 1)
     dropped = w2.marginal(window_names(2)[2:])
     assert max_abs_deviation(dropped, w1) < 1e-10
 
 
 def test_window_exogeneity_for_iid():
     questions, proc = case_b_questions()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    w = window_joint(kernel, lr, 2)
+    kernel = Chain(questions, proc, MIXED_STATE)
+    w = window_joint(kernel, 2)
     history = [n for n in w.names if n not in ("q+1", "a+1")]
     assert mutual_information(w, ["q+1"], history) < 1e-10
 
 
 def test_window_size_cap_names_requirement(monkeypatch):
     questions, proc = case_b_questions()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
+    kernel = Chain(questions, proc, MIXED_STATE)
     monkeypatch.setattr(chainmod, "WINDOW_ENTRY_CAP", 100)
-    assert window_joint(kernel, lr, 2).table.size == 64
+    assert window_joint(kernel, 2).table.size == 64
     with pytest.raises(SizeCapError, match="needs 256 entries, over WINDOW_ENTRY_CAP = 100"):
-        window_joint(kernel, lr, 3)
+        window_joint(kernel, 3)
 
 
 def test_trajectory_case_a_eigenstate_start_constant():
     questions, proc = single_question()
-    traj = sample_trajectory(build_chain(questions, proc), BlochVector(0, 0, 1), 5, seed=7)
+    traj = sample_trajectory(Chain(questions, proc, BlochVector(0, 0, 1)), 5, seed=7)
     assert list(traj.answers()) == [1, 1, 1, 1, 1]
 
 
 def test_trajectory_case_b_repeat_rate():
     questions, proc = case_b_questions()
-    traj = sample_trajectory(build_chain(questions, proc), MIXED_STATE, 10**6, seed=123)
+    traj = sample_trajectory(Chain(questions, proc, MIXED_STATE), 10**6, seed=123)
     a = traj.answers()
     repeat = (a[1:] == a[:-1]).mean()
     assert abs(repeat - 0.75) < 0.002  # 1/2 * 1 + 1/2 * 1/2
@@ -231,7 +220,7 @@ def test_plugin_i_pred_from_trajectory_windows():
     from obsthermo import WindowStrategy, apply_strategy, evaluate
 
     questions, proc = case_b_questions()
-    traj = sample_trajectory(build_chain(questions, proc), MIXED_STATE, 2 * 10**5, seed=31)
+    traj = sample_trajectory(Chain(questions, proc, MIXED_STATE), 2 * 10**5, seed=31)
     emp = window_frequencies(traj, questions, 2)
     report = evaluate(apply_strategy(WindowStrategy(k=2, labeled=True), emp))
     assert abs(report.i_pred - 0.5) < 0.01
@@ -239,8 +228,8 @@ def test_plugin_i_pred_from_trajectory_windows():
 
 def test_trajectory_conditionals_match_kernel():
     questions, proc = case_b_questions()
-    kernel = build_chain(questions, proc)
-    traj = sample_trajectory(kernel, MIXED_STATE, 2 * 10**5, seed=9)
+    kernel = Chain(questions, proc, MIXED_STATE)
+    traj = sample_trajectory(kernel, 2 * 10**5, seed=9)
     emp = window_frequencies(traj, questions, 1)
     # empirical transition from (Qz, +): compare against the kernel row
     cond = emp.table[0, 0] / emp.table[0, 0].sum()
@@ -251,25 +240,21 @@ def test_periodic_single_question_matches_degenerate_iid():
     questions, _ = case_b_questions()
     periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz",))
     degenerate = IIDProcess(labels=("Qz", "Qx"), weights=np.array([1.0, 0.0]))
-    periodic, degenerate = build_chain(questions, periodic), build_chain(questions, degenerate)
-    t1 = sample_trajectory(periodic, MIXED_STATE, 100, seed=5)
-    t2 = sample_trajectory(degenerate, MIXED_STATE, 100, seed=5)
+    periodic = Chain(questions, periodic, MIXED_STATE)
+    degenerate = Chain(questions, degenerate, MIXED_STATE)
+    t1 = sample_trajectory(periodic, 100, seed=5)
+    t2 = sample_trajectory(degenerate, 100, seed=5)
     assert t1.labels() == t2.labels()
     # within a trajectory the answer repeats, so the law only shows across
     # trajectories: the first answer is a fair coin under both schedules
     n = 2000
-    f1 = np.mean(
-        [sample_trajectory(periodic, MIXED_STATE, 2, seed=s).answers()[0] == 1 for s in range(n)]
-    )
-    f2 = np.mean(
-        [sample_trajectory(degenerate, MIXED_STATE, 2, seed=s).answers()[0] == 1 for s in range(n)]
-    )
+    f1 = np.mean([sample_trajectory(periodic, 2, seed=s).answers()[0] == 1 for s in range(n)])
+    f2 = np.mean([sample_trajectory(degenerate, 2, seed=s).answers()[0] == 1 for s in range(n)])
     assert abs(f1 - 0.5) < 0.04 and abs(f2 - 0.5) < 0.04
 
 
 def test_markov_identity_long_run_uniform(case_b_bestcase):
     questions, proc = markov_identity_questions()
-    kernel = build_chain(questions, proc)
+    kernel = Chain(questions, proc, MIXED_STATE)
     assert np.allclose(kernel.matrix, np.eye(4))
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    assert np.allclose(lr.distribution, 0.25)
+    assert np.allclose(kernel.long_run.distribution, 0.25)

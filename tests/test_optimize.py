@@ -9,13 +9,12 @@ from obsthermo import (
     OptimizerSettings,
     SizeCapError,
     ValidationError,
-    build_chain,
+    Chain,
     bundled_scenario,
     bundled_scenario_path,
     degeneracy_report,
     exhaustive_best,
     history_future_joint,
-    long_run_distribution,
     optimize_soft,
     sweep_beta,
     window_joint,
@@ -46,25 +45,23 @@ def test_the_package_attribute_optimize_is_the_submodule():
 
 @pytest.fixture(scope="module")
 def case_a_hf(case_a):
-    _, _, window = scenario_window(case_a)
+    _, window = scenario_window(case_a)
     return history_future_joint(window, k=1, labeled=True)
 
 
 @pytest.fixture(scope="module")
 def case_b_hf_labeled():
     questions, proc = case_b_questions()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    window = window_joint(kernel, lr, 1)
+    kernel = Chain(questions, proc, MIXED_STATE)
+    window = window_joint(kernel, 1)
     return history_future_joint(window, k=1, labeled=True)
 
 
 @pytest.fixture(scope="module")
 def case_b_hf_unlabeled():
     questions, proc = case_b_questions()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    window = window_joint(kernel, lr, 1)
+    kernel = Chain(questions, proc, MIXED_STATE)
+    window = window_joint(kernel, 1)
     return history_future_joint(window, k=1, labeled=False)
 
 
@@ -332,7 +329,7 @@ def starts_with_warm(hf, m, seed, warm):
 
 
 def batch_cases(case_b_unlabeled):
-    _, _, window = scenario_window(case_b_unlabeled)
+    _, window = scenario_window(case_b_unlabeled)
     opt = case_b_unlabeled.optimizer
     hf = history_future_joint(window, k=opt.history_k, labeled=opt.history_labeled)
     # beta = 4 is the critical beta of case_b_unlabeled: restarts stop after

@@ -3,14 +3,21 @@ import pytest
 
 from obsthermo import (
     IIDProcess,
+    MIXED_STATE,
     MarkovProcess,
     PeriodicProcess,
     Question,
     ValidationError,
-    build_chain,
+    Chain,
     sample_questions,
 )
+from obsthermo.bound import evaluate
+from obsthermo.chain import window_joint
+from obsthermo.joint import JointDistribution
+from obsthermo.optimize import HistoryFutureJoint, OptimizerSettings, optimize_soft
 from obsthermo.process import _rng, question_law
+from obsthermo.qubit import born_probability
+from obsthermo.strategy import KernelStrategy, NothingStrategy, apply_strategy
 
 LABELS = ("Q1", "Q2")
 
@@ -43,7 +50,38 @@ def test_unknown_label_rejected():
     # a question the schedule does not list cannot be chained with it
     questions = tuple(Question(label, np.array([0.0, 0.0, 1.0])) for label in ("Q1", "Q9"))
     with pytest.raises(ValidationError, match="process labels"):
-        build_chain(questions, iid_half())
+        Chain(questions, iid_half(), MIXED_STATE)
+
+
+NAN = float("nan")
+HALF = np.array([0.5, 0.5])
+
+
+def _remembered_nothing():
+    chain = Chain((Question("Q1", [0.0, 0.0, 1.0]),), IIDProcess(("Q1",), [1.0]), MIXED_STATE)
+    return apply_strategy(NothingStrategy(), window_joint(chain, 1))
+
+
+NAN_INPUTS = {
+    "iid weights": lambda: IIDProcess(labels=LABELS, weights=[NAN, NAN]),
+    "markov row": lambda: MarkovProcess(labels=LABELS, transition=[[NAN, NAN], HALF], initial=HALF),
+    "markov start": lambda: MarkovProcess(labels=LABELS, transition=np.eye(2), initial=[NAN, 1.0]),
+    "kernel strategy": lambda: KernelStrategy([[NAN, NAN]]),
+    "joint table": lambda: JointDistribution(names=("x",), alphabets=((0, 1),), table=[NAN, NAN]),
+    "question axis": lambda: Question("q", [NAN, 0.0, 0.0]),
+    "born axis": lambda: born_probability(MIXED_STATE, [NAN, 0.0, 0.0]),
+    "temperature": lambda: evaluate(_remembered_nothing(), temperature_kelvin=NAN),
+    "beta": lambda: optimize_soft(
+        HistoryFutureJoint(np.full((2, 2), 0.25), 1, False), NAN, OptimizerSettings(2)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAN_INPUTS)
+def test_nan_fails_every_probability_and_axis_check(name):
+    # NaN compares false, so each check is written to pass only on a good value
+    with pytest.raises(ValidationError):
+        NAN_INPUTS[name]()
 
 
 def test_time_invariance_for_iid_and_markov():

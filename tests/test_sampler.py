@@ -18,7 +18,7 @@ from obsthermo import (
     PeriodicProcess,
     Question,
     born_probability,
-    build_chain,
+    Chain,
     sample_questions,
     sample_trajectory,
 )
@@ -100,7 +100,7 @@ def test_sampler_matches_the_per_step_reference(name, length):
     seed = 7 * length + 1
     initial = BlochVector(0.6, 0.0, 0.8)
     assert sample_questions(process, length, seed) == reference_questions(process, length, seed)
-    got = sample_trajectory(build_chain(questions, process), initial, length, seed).steps
+    got = sample_trajectory(Chain(questions, process, initial), length, seed).steps
     assert got == reference_trajectory(questions, process, initial, length, seed)
 
 
@@ -136,15 +136,15 @@ def window_cases():
 @pytest.mark.parametrize("name", ["mixing", "reducible", "periodic"])
 def test_outputs_do_not_depend_on_the_block_size(name, monkeypatch):
     questions, process, initial, window = window_cases()[name]
-    chain = build_chain(questions, process)
+    chain = Chain(questions, process, initial)
     n, length = 3000, 5000
-    burn_in, replicas, per = replica_plan(chain, initial, n)
+    burn_in, replicas, per = replica_plan(chain, n)
     assert (per > 1) == (name == "mixing")
     total = replicas * (burn_in + window + per)
     runs = []
     for budget in (1, procmod._BLOCK_ENTRIES, max(total, length)):
         monkeypatch.setattr(procmod, "_BLOCK_ENTRIES", budget)
-        windows, plan = sample_windows(chain, initial, window, n, seed=11)
-        steps = sample_trajectory(chain, initial, length, seed=11).steps
+        windows, plan = sample_windows(chain, window, n, seed=11)
+        steps = sample_trajectory(chain, length, seed=11).steps
         runs.append((windows.tobytes(), windows.dtype, plan, steps))
     assert runs[0] == runs[1] == runs[2]

@@ -91,7 +91,7 @@ def bundled_cases():
     for name in BUNDLED:
         scenario = bundled_scenario(name)
         settings = scenario.optimizer
-        _, _, window = scenario_window(scenario)
+        _, window = scenario_window(scenario)
         hf = history_future_joint(window, k=settings.history_k, labeled=settings.history_labeled)
         cases.append((hf, settings.memory_size))
     return cases

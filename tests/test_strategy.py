@@ -17,13 +17,12 @@ from obsthermo import (
     WindowStrategy,
     analyze,
     apply_strategy,
-    build_chain,
+    Chain,
     bundled_scenario,
     conditional_mutual_information,
     entropy,
     evaluate,
     exhaustive_best,
-    long_run_distribution,
     memory_capacity_bits,
     mutual_information,
     strategy_summary,
@@ -43,17 +42,15 @@ H_CASE_B_PAIR = 3.0 - 0.75 * math.log2(3.0)
 @pytest.fixture(scope="module")
 def case_b_window2():
     questions, proc = case_b_questions()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    return window_joint(kernel, lr, 2)
+    kernel = Chain(questions, proc, MIXED_STATE)
+    return window_joint(kernel, 2)
 
 
 @pytest.fixture(scope="module")
 def case_b_window3():
     questions, proc = case_b_questions()
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    return window_joint(kernel, lr, 3)
+    kernel = Chain(questions, proc, MIXED_STATE)
+    return window_joint(kernel, 3)
 
 
 def test_nothing_strategy_carries_no_information(case_b_window2):
@@ -67,9 +64,8 @@ def test_case_a_window1_memory_is_one_bit():
 
     questions = (Question(label="Qz", axis=np.array([0.0, 0.0, 1.0])),)
     proc = IIDProcess(labels=("Qz",), weights=np.array([1.0]))
-    kernel = build_chain(questions, proc)
-    lr = long_run_distribution(kernel, MIXED_STATE)
-    w = window_joint(kernel, lr, 1)
+    kernel = Chain(questions, proc, MIXED_STATE)
+    w = window_joint(kernel, 1)
     applied = apply_strategy(WindowStrategy(k=1, labeled=False), w)
     assert entropy(applied, ["m"]) == pytest.approx(1.0, abs=1e-12)
 
@@ -211,10 +207,9 @@ AGREEMENT_VIEWS = [(1, True), (2, False), (2, True)]
 @pytest.mark.parametrize("name", AGREEMENT_CASES)
 def test_k_window_routes_match_the_full_window(name, monkeypatch):
     base = dataclasses.replace(AGREEMENT_CASES[name](), window=AGREEMENT_W)
-    kernel = build_chain(base.questions, base.process)
-    long_run = long_run_distribution(kernel, base.initial_state)
-    full = window_joint(kernel, long_run, AGREEMENT_W)
-    assert long_run.cesaro == (name == "alternating")
+    kernel = Chain(base.questions, base.process, base.initial_state)
+    full = window_joint(kernel, AGREEMENT_W)
+    assert kernel.long_run.cesaro == (name == "alternating")
 
     strategies = [NothingStrategy(), *(WindowStrategy(k=k, labeled=lab) for k, lab in AGREEMENT_VIEWS)]
     for strategy in strategies:
