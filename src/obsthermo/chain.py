@@ -302,11 +302,10 @@ def window_joint(chain: Chain, window: int) -> JointDistribution:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """An ordered record of (question label, answer) pairs with its provenance."""
+    """An ordered record of (question label, answer) pairs and the seed that drew it."""
 
     steps: tuple
     seed: int
-    initial: BlochVector
 
     def __len__(self):
         return len(self.steps)
@@ -335,5 +334,5 @@ def sample_trajectory(chain: Chain, length: int, seed: int) -> Trajectory:
         a[t0:t1] = step(state, q[t0:t1], rng.random((t1 - t0, 1)))
         state = 2 * q[t1 - 1] + a[t1 - 1]
     answers = (1 - 2 * a[:, 0]).tolist()
-    return Trajectory(tuple(zip(map(str, labels), answers)), seed, chain.initial)
+    return Trajectory(tuple(zip(map(str, labels), answers)), seed)
 

@@ -21,7 +21,6 @@ from .joint import JointDistribution
 from .strategy import (
     KernelStrategy,
     assignment_from_map,
-    deterministic_count,
     history_window,
     view_variables,
 )
@@ -33,7 +32,6 @@ _CHUNK_CAP = 256  # most fixed-point steps whose objectives are computed togethe
 _CHUNK_ENTRIES = 2**17  # most entries in a chunk's (steps, R, ...) buffers: 1 MiB of floats
 _MAP_BLOCK = 4096  # most maps, and tail subsets, per block: bounds the gathered (maps, M, X') terms
 ENUMERATION_CAP = 10**6  # most deterministic maps an exhaustive scan enumerates
-TARGET_TOL = 1e-9  # slack under i_pred_target that "min_nostalgia_at_i_pred" still admits
 DEGENERACY_TOL = 1e-9  # most nostalgia of a map in the degeneracy report
 BETAS = np.geomspace(1.0, 8.0, 7)  # 1 (degenerate) to 8, twice the largest bundled critical beta
 RESTARTS = 8  # seeded starts per beta: one near-uniform, the rest near random hard maps
@@ -314,7 +312,7 @@ def _scan_maps(hf: HistoryFutureJoint, m: int):
     n_hist, x = hf.table.shape
     if n_hist < 1 or m < 1:
         raise ValidationError("history and memory sizes must be >= 1")
-    total = deterministic_count(n_hist, m)
+    total = m**n_hist
     if total > ENUMERATION_CAP:
         raise SizeCapError(
             f"{total} deterministic maps exceed ENUMERATION_CAP = {ENUMERATION_CAP}; "
@@ -357,67 +355,22 @@ def _map_at(index: int, n_hist: int, m: int) -> np.ndarray:
 
 
 def exhaustive_best(
-    hf: HistoryFutureJoint,
-    memory_size: int,
-    objective: str = "beta",
-    beta: float | None = None,
-    i_pred_target: float | None = None,
+    hf: HistoryFutureJoint, memory_size: int, beta: float | None = None
 ) -> FrontierPoint:
     """Certified optimum over all deterministic maps history -> memory.
 
-    objective: "beta" minimizes i_mem - beta * i_pred (beta required);
-    "max_i_pred" maximizes i_pred; "min_nostalgia_at_i_pred" minimizes
-    nostalgia among maps with i_pred >= i_pred_target - TARGET_TOL.
-    Ties go to the earliest map in enumeration order.  Raises SizeCapError
-    when the maps number more than ENUMERATION_CAP.
+    With `beta`, the map that minimizes i_mem - beta * i_pred; without it, the
+    map with the largest i_pred.  Ties go to the earliest map in `_scan_maps`
+    order.  Raises SizeCapError when the maps number more than ENUMERATION_CAP.
     """
-    if objective == "beta":
-        if beta is None:
-            raise ValidationError('objective "beta" needs an explicit beta')
-    elif objective == "max_i_pred":
-        pass
-    elif objective == "min_nostalgia_at_i_pred":
-        if i_pred_target is None:
-            raise ValidationError('objective "min_nostalgia_at_i_pred" needs i_pred_target')
-    else:
-        raise ValidationError(f"unknown objective {objective!r}")
-
-    n_hist = hf.num_histories
-    best_score = None
-    best_index = None
-    best_info = None
+    best_score = best_index = None
     for first, i_mem, i_pred in _scan_maps(hf, memory_size):
-        if objective == "beta":
-            scores = i_mem - beta * i_pred
-        elif objective == "max_i_pred":
-            scores = -i_pred
-        else:
-            scores = np.where(
-                i_pred >= i_pred_target - TARGET_TOL, i_mem - i_pred, np.inf
-            )
+        scores = -i_pred if beta is None else i_mem - beta * i_pred
         j = int(np.argmin(scores))
         if best_score is None or scores[j] < best_score - 1e-15:
-            best_score = float(scores[j])
-            best_index = first + j
-            best_info = (float(i_mem[j]), float(i_pred[j]))
-    if best_index is None or not np.isfinite(best_score):
-        raise ValidationError("no deterministic map satisfies the requested objective")
-    i_mem, i_pred = best_info
-    strat = KernelStrategy(
-        assignment=assignment_from_map(_map_at(best_index, n_hist, memory_size), memory_size),
-        k=hf.k,
-        labeled=hf.labeled,
-    )
-    return FrontierPoint(
-        beta=beta,
-        i_mem=i_mem,
-        i_pred=i_pred,
-        nostalgia=max(0.0, i_mem - i_pred),
-        objective=i_mem - (beta if beta is not None else 1.0) * i_pred,
-        converged=True,
-        iterations=0,
-        strategy=strat,
-    )
+            best_score, best_index = float(scores[j]), first + j
+    best_map = _map_at(best_index, hf.num_histories, memory_size)
+    return _point_from_encoder(hf, assignment_from_map(best_map, memory_size), beta, True, 0)
 
 
 @dataclass(frozen=True, eq=False)

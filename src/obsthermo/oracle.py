@@ -1,8 +1,9 @@
 """Independent ground truth for the chain machinery: full trajectory-tree
 enumeration and seeded Monte Carlo.
 
-The tree enumerates every (question, answer) path explicitly, multiplying
-process weights and Born factors leaf by leaf from the actual Bloch vectors.
+The tree enumerates every (question, answer) path explicitly: each level
+multiplies every leaf's mass by the one-step law out of the state it ends in,
+from the Bloch vectors of the start and of the collapsed states.
 It shares only the one-step physics with the chain module: the Born table
 `qubit.outcome_table`, the question law `process.question_law` and the step
 `chain.step_law` that multiplies them.  It shares none of the kernel,
@@ -50,19 +51,21 @@ def _tree_levels(questions, process, initial: BlochVector):
     leaf into 2K children (question, answer), a fresh root first.
 
     The root sits at `initial`.  Leaf i of a level ends in chain state i % 2K,
-    so its Bloch vector is row i % 2K of the collapsed states.
+    whose Bloch vector is row i % 2K of the collapsed states.  So level t + 1
+    is level t, 2K leaves a row, times one (2K, 2K) step law: the question law
+    at time t after each state's question times the Born table of the
+    collapsed states, which is computed once per tree.
     """
     k = len(questions)
     axes = [q.axis for q in questions]
-    pairs = collapsed_states(axes)
     last = np.arange(2 * k) // 2
-    probs, states, prev = np.ones(1), initial.as_array()[None], np.full(1, k)
-    for t in itertools.count():
-        law = procmod.question_law(process, t)[prev]
-        probs = (probs[:, None] * chainmod.step_law(law, outcome_table(states, axes))).reshape(-1)
+    born = outcome_table(collapsed_states(axes), axes)
+    root = outcome_table(initial.as_array()[None], axes)
+    probs = chainmod.step_law(procmod.question_law(process, 0)[k:], root).reshape(-1)
+    for t in itertools.count(1):
         yield probs
-        copies = probs.size // (2 * k)
-        states, prev = np.tile(pairs, (copies, 1)), np.tile(last, copies)
+        step = chainmod.step_law(procmod.question_law(process, t)[last], born)
+        probs = (probs.reshape(-1, 2 * k)[:, :, None] * step).reshape(-1)
 
 
 def brute_force_joint(questions, process, initial: BlochVector, horizon: int) -> JointDistribution:

@@ -56,8 +56,8 @@ class KernelStrategy:
 
     def __post_init__(self):
         arr = np.asarray(self.assignment, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] < 1:
-            raise ValidationError(f"kernel assignment must be (H, M) with M >= 1, got {arr.shape}")
+        if arr.ndim != 2 or min(arr.shape) < 1:
+            raise ValidationError(f"kernel assignment must be (H, M) with H, M >= 1, got {arr.shape}")
         if np.any(arr < 0):
             raise ValidationError("kernel assignment entries must be >= 0")
         rows = arr.sum(axis=1)
@@ -197,10 +197,6 @@ def apply_strategy(strategy: Strategy, joint: JointDistribution) -> JointDistrib
         alphabets=(m_alpha, *joint.alphabets),
         table=table,
     )
-
-
-def deterministic_count(history_size: int, memory_size: int) -> int:
-    return memory_size**history_size
 
 
 def assignment_from_map(map_indices, memory_size: int) -> np.ndarray:

@@ -108,9 +108,7 @@ def optimize(scenario: Scenario) -> OptimizeResult:
     except SizeCapError:  # more maps than the scan enumerates
         degeneracy = reference = None
     else:
-        reference = exhaustive_best(
-            hf, settings.memory_size, objective="beta", beta=float(BETAS[-1])
-        )
+        reference = exhaustive_best(hf, settings.memory_size, beta=float(BETAS[-1]))
     return OptimizeResult(
         points=points, best=best, degeneracy=degeneracy, exhaustive_reference=reference
     )

@@ -63,8 +63,8 @@ def test_criterion_01_case_a_zero_bound(case_a):
 def test_criterion_02_case_a_needs_two_memory_states(case_a):
     _, window = scenario_window(case_a)
     hf = history_future_joint(window, k=1, labeled=True)
-    best_m1 = exhaustive_best(hf, 1, objective="max_i_pred")
-    best_m2 = exhaustive_best(hf, 2, objective="max_i_pred")
+    best_m1 = exhaustive_best(hf, 1)
+    best_m2 = exhaustive_best(hf, 2)
     assert best_m1.i_pred < 1.0 - 1e-9  # one state cannot hold the answer
     assert abs(best_m2.i_pred - 1.0) <= 1e-9
     _report(2, f"smallest M with i_pred=1 is 2 (M=1 gives {best_m1.i_pred}, M=2 gives {best_m2.i_pred})")
@@ -101,7 +101,7 @@ def test_criterion_06_predictive_cap_one_bit(case_a, case_b_labeled, case_b_unla
     for scenario in (case_a, case_b_labeled, case_b_unlabeled, angle_sweep):
         _, window = scenario_window(scenario)
         hf = history_future_joint(window, k=1, labeled=True)
-        best = exhaustive_best(hf, hf.num_histories, objective="max_i_pred")
+        best = exhaustive_best(hf, hf.num_histories)
         assert best.i_pred <= 1.0 + 1e-10
         worst = max(worst, best.i_pred)
         strategies = [WindowStrategy(k=1, labeled=False), WindowStrategy(k=1, labeled=True)]

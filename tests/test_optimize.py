@@ -87,7 +87,7 @@ def test_case_a_beta4_hardens_to_last_answer(case_a_hf):
     assert point.i_mem == pytest.approx(1.0, abs=1e-6)
     assert point.i_pred == pytest.approx(1.0, abs=1e-6)
     assert point.nostalgia == pytest.approx(0.0, abs=1e-6)
-    reference = exhaustive_best(case_a_hf, 2, objective="beta", beta=4.0)
+    reference = exhaustive_best(case_a_hf, 2, beta=4.0)
     assert point.objective == pytest.approx(reference.objective, abs=1e-9)
     # hardened encoder separates the two histories like the last-answer map
     hard = harden(point.strategy.assignment)
@@ -125,7 +125,7 @@ def test_sweep_case_a_saturates_at_one_bit(case_a_hf):
 
 
 def test_exhaustive_max_i_pred_labeled(case_b_hf_labeled):
-    best = exhaustive_best(case_b_hf_labeled, 4, objective="max_i_pred")
+    best = exhaustive_best(case_b_hf_labeled, 4)
     assert best.i_pred == pytest.approx(0.5, abs=1e-12)
     assert best.nostalgia == pytest.approx(1.5, abs=1e-12)
     # identity map up to relabeling: all four histories separated
@@ -134,25 +134,25 @@ def test_exhaustive_max_i_pred_labeled(case_b_hf_labeled):
 
 
 def test_exhaustive_max_i_pred_unlabeled(case_b_hf_unlabeled):
-    best = exhaustive_best(case_b_hf_unlabeled, 2, objective="max_i_pred")
+    best = exhaustive_best(case_b_hf_unlabeled, 2)
     assert best.i_pred == pytest.approx(IPRED_UNLABELED, abs=1e-12)
     hard = harden(best.strategy.assignment)
     assert hard[0] != hard[1]  # identity on the last answer
 
 
 def test_exhaustive_memory_one_is_nothing(case_b_hf_labeled):
-    best = exhaustive_best(case_b_hf_labeled, 1, objective="max_i_pred")
+    best = exhaustive_best(case_b_hf_labeled, 1)
     assert best.i_mem == 0.0 and best.i_pred == 0.0 and best.nostalgia == 0.0
 
 
-def test_exhaustive_min_nostalgia_at_target(case_a_hf):
-    best = exhaustive_best(
-        case_a_hf, 2, objective="min_nostalgia_at_i_pred", i_pred_target=1.0
-    )
-    assert best.i_pred == pytest.approx(1.0, abs=1e-12)
-    assert best.nostalgia == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValidationError):
-        exhaustive_best(case_a_hf, 1, objective="min_nostalgia_at_i_pred", i_pred_target=0.5)
+@pytest.mark.parametrize("map_block", [4096, 2])
+def test_exhaustive_ties_go_to_the_earliest_map(case_a_hf, monkeypatch, map_block):
+    # the identity (0, 1) and the swap (1, 0) tie; a block of 2 maps puts them in different blocks
+    monkeypatch.setattr(optmod, "_MAP_BLOCK", map_block)
+    for beta in (None, 8.0):
+        best = exhaustive_best(case_a_hf, 2, beta=beta)
+        assert harden(best.strategy.assignment).tolist() == [0, 1]
+        assert best.beta == beta
 
 
 def test_degeneracy_case_a_lists_both_kinds(case_a_hf):
@@ -181,7 +181,7 @@ def test_degeneracy_memory_one(case_b_hf_labeled):
 
 def test_soft_never_beats_exhaustive_by_more_than_tolerance(case_b_hf_labeled):
     point = optimize_soft(case_b_hf_labeled, 8.0, settings(4, seed=2))
-    reference = exhaustive_best(case_b_hf_labeled, 4, objective="beta", beta=8.0)
+    reference = exhaustive_best(case_b_hf_labeled, 4, beta=8.0)
     assert point.objective <= reference.objective + 1e-6
 
 
@@ -189,7 +189,7 @@ def test_unlabeled_view_admits_genuinely_soft_optimum(case_b_hf_unlabeled):
     # at beta = 8 the best stochastic encoder on the 2-state history strictly
     # beats every deterministic map; the dominance inequality still holds
     point = optimize_soft(case_b_hf_unlabeled, 8.0, settings(2, seed=4))
-    reference = exhaustive_best(case_b_hf_unlabeled, 2, objective="beta", beta=8.0)
+    reference = exhaustive_best(case_b_hf_unlabeled, 2, beta=8.0)
     assert point.objective <= reference.objective + 1e-6
     assert point.objective < reference.objective - 1e-3
     assert 0.0 < point.i_pred < IPRED_UNLABELED
@@ -210,7 +210,7 @@ def test_hardening_consistency(case_a_hf):
 
 
 def test_warm_start_is_used(case_b_hf_labeled, monkeypatch):
-    ref = exhaustive_best(case_b_hf_labeled, 4, objective="beta", beta=8.0)
+    ref = exhaustive_best(case_b_hf_labeled, 4, beta=8.0)
     warm = ref.strategy.assignment
     monkeypatch.setattr(optmod, "RESTARTS", 1)
     monkeypatch.setattr(optmod, "MAX_ITERATIONS", 50)
@@ -256,16 +256,10 @@ def test_exhaustive_best_matches_brute_force(n_hist, m):
     hf = random_hf(n_hist, seed=n_hist * 10 + m)
     brute = brute_force_points(hf, m)
     values = {mp: (i_mem, i_pred) for mp, i_mem, i_pred in brute}
-    max_pred = max(i_pred for _, _, i_pred in brute)
-    target = 0.5 * max_pred
     cases = [
-        ({"objective": "beta", "beta": 1.0}, lambda i_mem, i_pred: i_mem - i_pred),
-        ({"objective": "beta", "beta": 3.7}, lambda i_mem, i_pred: i_mem - 3.7 * i_pred),
-        ({"objective": "max_i_pred"}, lambda i_mem, i_pred: -i_pred),
-        (
-            {"objective": "min_nostalgia_at_i_pred", "i_pred_target": target},
-            lambda i_mem, i_pred: i_mem - i_pred if i_pred >= target - 1e-9 else np.inf,
-        ),
+        ({"beta": 1.0}, lambda i_mem, i_pred: i_mem - i_pred),
+        ({"beta": 3.7}, lambda i_mem, i_pred: i_mem - 3.7 * i_pred),
+        ({}, lambda i_mem, i_pred: -i_pred),
     ]
     for kwargs, score in cases:
         best = exhaustive_best(hf, m, **kwargs)
@@ -307,7 +301,7 @@ def test_map_scan_over_cap_points_to_soft_optimizer(n_hist, m, monkeypatch):
     monkeypatch.setattr(optmod, "ENUMERATION_CAP", m**n_hist - 1)
     over = rf"{m**n_hist} deterministic maps exceed ENUMERATION_CAP = {m**n_hist - 1}; use the soft optimizer"
     with pytest.raises(SizeCapError, match=over):
-        exhaustive_best(hf, m, objective="max_i_pred")
+        exhaustive_best(hf, m)
     with pytest.raises(SizeCapError, match=over):
         degeneracy_report(hf, m)
 
@@ -334,7 +328,7 @@ def batch_cases(case_b_unlabeled):
     hf = history_future_joint(window, k=opt.history_k, labeled=opt.history_labeled)
     # beta = 4 is the critical beta of case_b_unlabeled: restarts stop after
     # very different iteration counts there
-    warm = exhaustive_best(hf, opt.memory_size, objective="beta", beta=4.0).strategy.assignment
+    warm = exhaustive_best(hf, opt.memory_size, beta=4.0).strategy.assignment
     cases = [(hf, 4.0, starts_with_warm(hf, opt.memory_size, opt.seed, warm), opt)]
     for seed, (n_hist, m, beta) in enumerate(((3, 2, 2.0), (6, 3, 4.0), (9, 4, 8.0))):
         hf = random_hf(n_hist, seed=100 + seed)

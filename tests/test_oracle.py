@@ -37,6 +37,7 @@ from obsthermo.joint import JointDistribution
 from obsthermo import oracle as oraclemod
 from obsthermo.oracle import _view_next_cells, replica_plan, sample_windows, verdict
 from obsthermo.process import question_law
+from obsthermo.qubit import collapsed_states, outcome_table
 from obsthermo.workflows import WINDOW_ORACLE_TOL, analyze, scenario_window
 
 from conftest import (
@@ -207,6 +208,35 @@ def test_tree_two_levels_equal_the_start_law_times_the_kernel_bitwise():
         start = question_law(process)[-1][:, None] * np.stack([p_plus, 1.0 - p_plus], 1)
         tree = brute_force_joint(questions, process, initial, 2).table.reshape(2 * k, 2 * k)
         assert np.array_equal(tree, start.reshape(-1, 1) * Chain(questions, process, initial).matrix)
+
+
+def leaf_by_leaf_tree(questions, process, initial, horizon: int) -> np.ndarray:
+    """Leaf masses with every leaf's own question law row and Born row, from its Bloch vector."""
+    k = len(questions)
+    axes = [q.axis for q in questions]
+    probs, states, prev = np.ones(1), initial.as_array()[None], np.full(1, k)
+    for t in range(horizon):
+        law = question_law(process, t)[prev]
+        probs = (probs[:, None] * chainmod.step_law(law, outcome_table(states, axes))).reshape(-1)
+        states = np.tile(collapsed_states(axes), (probs.size // (2 * k), 1))
+        prev = np.tile(np.arange(2 * k) // 2, probs.size // (2 * k))
+    return probs
+
+
+def test_tree_makes_one_born_table_per_tree_and_matches_leaf_by_leaf_bitwise(monkeypatch):
+    questions, iid = two_questions_at_angle(1.1)
+    markov = MarkovProcess(
+        labels=("QA", "QB"), transition=np.array([[0.3, 0.7], [0.6, 0.4]]), initial=np.array([0.8, 0.2])
+    )
+    cyclic = PeriodicProcess(labels=("QA", "QB"), sequence=("QA", "QA", "QB"))
+    start = BlochVector.from_array(np.array([0.3, -0.2, 0.5]))
+    for process in (iid, markov, cyclic):
+        expected = leaf_by_leaf_tree(questions, process, start, 6)
+        counts = count_calls(monkeypatch, {"born tables": (oraclemod, "outcome_table")})
+        tree = brute_force_joint(questions, process, start, 6)
+        monkeypatch.undo()
+        assert counts == {"born tables": 2}  # the root, then the collapsed states
+        assert np.array_equal(tree.table.reshape(-1), expected)
 
 
 @pytest.mark.parametrize("labeled", [True, False])

@@ -141,13 +141,7 @@ def test_scan_numbers_do_not_depend_on_the_block(monkeypatch, map_block):
 
 def results_with(scan, monkeypatch, hf, m, beta):
     monkeypatch.setattr(optmod, "_scan_maps", scan)
-    best = [
-        exhaustive_best(hf, m, objective="beta", beta=beta),
-        exhaustive_best(hf, m, objective="max_i_pred"),
-    ]
-    best.append(
-        exhaustive_best(hf, m, objective="min_nostalgia_at_i_pred", i_pred_target=best[1].i_pred)
-    )
+    best = [exhaustive_best(hf, m, beta=beta), exhaustive_best(hf, m)]
     summary = [
         (p.strategy.assignment.tobytes(), p.i_mem, p.i_pred, p.nostalgia, p.objective) for p in best
     ]

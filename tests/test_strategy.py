@@ -31,7 +31,7 @@ from obsthermo import (
 )
 import obsthermo.optimize as optmod
 from obsthermo.optimize import HistoryFutureJoint, history_future_joint
-from obsthermo.strategy import assignment_from_map, deterministic_count, harden
+from obsthermo.strategy import assignment_from_map, harden
 
 from conftest import case_b_questions, enumerate_deterministic, two_questions_at_angle
 
@@ -269,15 +269,18 @@ def test_kernel_alphabet_mismatch_rejected(case_b_window2):
         apply_strategy(bad, case_b_window2)
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0), (4,)])
+def test_kernel_assignment_needs_rows_and_columns(shape):
+    with pytest.raises(ValidationError, match=r"must be \(H, M\) with H, M >= 1"):
+        KernelStrategy(assignment=np.zeros(shape))
+
+
 def test_kernel_rows_must_be_stochastic():
     with pytest.raises(ValidationError):
         KernelStrategy(assignment=np.array([[0.5, 0.6], [0.5, 0.5]]))
 
 
 def test_enumeration_counts():
-    assert deterministic_count(2, 2) == 4
-    assert deterministic_count(4, 2) == 16
-    assert deterministic_count(4, 4) == 256
     assert len(list(enumerate_deterministic(2, 2))) == 4
     assert len(list(enumerate_deterministic(4, 4))) == 256
 
@@ -285,7 +288,7 @@ def test_enumeration_counts():
 def test_enumeration_cap():
     hf = HistoryFutureJoint(table=np.full((30, 4), 1 / 120), k=1, labeled=False)
     with pytest.raises(SizeCapError, match="soft optimizer"):
-        exhaustive_best(hf, 4, objective="max_i_pred")  # 4^30 maps
+        exhaustive_best(hf, 4)  # 4^30 maps
 
 
 def test_summary_nothing():
