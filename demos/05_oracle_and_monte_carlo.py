@@ -38,4 +38,4 @@ for n in (10**4, 10**5, 10**6):
         f"N={n:>8d}: i_pred = {mc.i_pred:.6f} +/- {mc.se_i_pred:.6f} "
         f"(exact {exact.i_pred:.6f}, {pull:.2f} sigma)"
     )
-print("\nbootstrap errors shrink like 1/sqrt(N) while the estimate stays on the exact value")
+print("\nreplica standard errors shrink like 1/sqrt(N) while the estimate stays on the exact value")

@@ -105,8 +105,9 @@ class Chain:
     the qubit's `initial` state.  The constructor checks that the schedule
     lists the question labels in their order.  Each of the following is
     computed on first access and kept: the `born` table, the kernel `matrix`,
-    what is read from its spectrum (`eigenvalues`, `slowest_mode`, `mixes`,
-    `periodic`), the `start_law` and the `long_run`.
+    its one eigendecomposition `eigen` and what is read from it
+    (`eigenvalues`, `slowest_mode`, `mixes`, `periodic`), the `start_law` and
+    the `long_run`.
 
     A periodic schedule builds a chain that the samplers run on, but it has
     no time-homogeneous kernel: reading its `matrix`, or anything read from
@@ -159,10 +160,16 @@ class Chain:
         return long_run_distribution(self)
 
     @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        vals = np.linalg.eigvals(self.matrix)
+    def eigen(self) -> tuple:
+        """(values, right vectors) of the kernel `matrix`: its one eigendecomposition."""
+        vals, right = np.linalg.eig(self.matrix)
         vals.flags.writeable = False  # shared by every reader, like `matrix`
-        return vals
+        right.flags.writeable = False
+        return vals, right
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.eigen[0]
 
     @cached_property
     def slowest_mode(self) -> float:
@@ -213,16 +220,16 @@ class LongRunResult:
         object.__setattr__(self, "distribution", mu)
 
 
-def _cesaro_limit(matrix: np.ndarray, mu0: np.ndarray) -> np.ndarray:
-    """Exact Cesaro limit of mu0 P^t via the spectral projector at eigenvalue 1.
+def _cesaro_limit(chain: Chain) -> np.ndarray:
+    """Exact Cesaro limit of start_law P^t via the spectral projector at eigenvalue 1.
 
     Peripheral eigenvalues (|lam| = 1, lam != 1) average to zero, interior ones
     decay, so the projector onto the eigenvalue-1 subspace is the limit.  For
     stochastic matrices that eigenvalue is semisimple, so left/right eigenvector
-    bases are enough: right ones from P, left ones from P^T.
+    bases are enough: right ones from the chain's cached `eigen`, left ones from P^T.
     """
-    vals, right = np.linalg.eig(matrix)
-    vals_t, left = np.linalg.eig(matrix.T)
+    vals, right = chain.eigen
+    vals_t, left = np.linalg.eig(chain.matrix.T)
     sel = np.abs(vals - 1.0) < _UNIT_TOL
     sel_t = np.abs(vals_t - 1.0) < _UNIT_TOL
     if not np.any(sel) or sel.sum() != sel_t.sum():
@@ -230,7 +237,7 @@ def _cesaro_limit(matrix: np.ndarray, mu0: np.ndarray) -> np.ndarray:
     r = right[:, sel]
     l = left[:, sel_t].T
     proj = r @ np.linalg.solve(l @ r, l)
-    mu = np.real(mu0 @ proj)
+    mu = np.real(chain.start_law @ proj)
     return mu
 
 
@@ -262,7 +269,7 @@ def long_run_distribution(chain: Chain) -> LongRunResult:
     steps, mu = settle(chain, limit)
     if steps < limit:
         return LongRunResult(distribution=mu, cesaro=False)
-    mu = _cesaro_limit(chain.matrix, chain.start_law)
+    mu = _cesaro_limit(chain)
     return LongRunResult(distribution=mu, cesaro=chain.periodic)
 
 

@@ -72,6 +72,20 @@ def encoder_information(table: np.ndarray, encoder: np.ndarray) -> tuple:
     return i_mem, i_pred
 
 
+def pointwise_information(table: np.ndarray, encoder: np.ndarray) -> np.ndarray:
+    """(views, nexts) table of iota(v, x') = sum_m p(m | v) log2 p(m, x') / (p(m) p(x')) in bits.
+
+    p(m) and p(x') are the margins of p(m, x') = encoder^T @ table, so a one-symbol
+    memory scores exactly 0 and sum(table * iota) is `encoder_information`'s i_pred.
+    Cells of p(m, x') with no mass add 0, so every entry is finite.
+    """
+    joint = encoder.T @ table
+    p_m = joint.sum(axis=1, keepdims=True)
+    p_x = joint.sum(axis=0, keepdims=True)
+    ratio = np.divide(joint * p_m.sum(), p_m * p_x, out=np.ones_like(joint), where=joint > 0)
+    return encoder @ np.log2(ratio)
+
+
 def entropy(joint: jointmod.JointDistribution, names) -> float:
     """Shannon entropy H(names) in bits, with 0 log 0 = 0."""
     _check_subsets(joint, names)

@@ -339,10 +339,12 @@ def _scan_maps(hf: HistoryFutureJoint, m: int):
         # every index is in range: "clip" only skips the copy that "raise" makes of `out`
         np.take(xlogx(rows).reshape(-1, x), index, axis=0, out=terms, mode="clip")
         np.take(xlogx(rows.sum(axis=2)), index, out=sum_terms, mode="clip")
-        # H(M): maps are deterministic
-        i_mem = np.maximum(0.0, -sum_terms.reshape(block, m).sum(axis=1) / _LN2)
+        # H(M): maps are deterministic; clamped as `objectives_of` does, so -0.0 reads +0.0
+        i_mem = -sum_terms.reshape(block, m).sum(axis=1) / _LN2
+        i_mem = np.where(i_mem > 0.0, i_mem, 0.0)
         h_mx = -terms.reshape(block, m, x).sum(axis=(1, 2)) / _LN2
-        i_pred = np.maximum(0.0, i_mem + h_x - h_mx)
+        i_pred = i_mem + h_x - h_mx
+        i_pred = np.where(i_pred > 0.0, i_pred, 0.0)
         yield i * block, i_mem, i_pred
 
 

@@ -15,12 +15,16 @@ one place that reads the kernel: how long a replica burns in and how many
 sliding windows it gives.  The plan reads the chain's cached spectrum, which
 bounds the burn-in; a replica that gives one window burns in only until its
 own law, the chain's start law pushed through the kernel by `chain.settle`,
-is stationary.  The plan never reads the long-run distribution that Monte
-Carlo checks, and `sample_windows` returns it with the windows it drew.
+is stationary.  The sampler and the plan never read the long run;
+`sample_windows` returns the plan with the windows.  The check reads the
+chain's exact k-pair window only to score each window by its pointwise
+information.  It is still a check: to first order the plug-in I(M; next)
+moves from the exact value by the sampled frequency errors times that same
+score, so their mean tests the plug-in's direction, and a window the exact
+law forbids fails it outright.
 Caps, tolerances and counts are module constants, each read where it
-applies: LEAF_CAP bounds the tree, TAIL_TOL ends `converged_tail`,
-MIN_BURN_IN, BURN_IN_TOL and MIN_REPLICAS shape the plan, and N_BOOTSTRAP
-counts the bootstrap resamples.
+applies: LEAF_CAP bounds the tree, TAIL_TOL ends `converged_tail`, and
+MIN_BURN_IN, BURN_IN_TOL and MIN_REPLICAS shape the plan.
 """
 
 import itertools
@@ -42,8 +46,7 @@ LEAF_CAP = 10**7
 TAIL_TOL = 1e-12
 MIN_BURN_IN = 64
 BURN_IN_TOL = 1e-6  # slowest mode's share left when a Monte Carlo window starts
-MIN_REPLICAS = 100  # fewest independent trajectories a Monte Carlo bootstrap resamples
-N_BOOTSTRAP = 200  # replica bootstrap resamples behind each Monte Carlo error
+MIN_REPLICAS = 100  # fewest independent trajectories behind a Monte Carlo standard error
 
 
 def _tree_levels(questions, process, initial: BlochVector):
@@ -141,7 +144,7 @@ def replica_plan(chain: chainmod.Chain, n: int) -> tuple:
     L is the spectral burn-in when the chain `mixes`: a replica then has
     forgotten its start and its next windows all follow the long run.  It is
     cut to n // MIN_REPLICAS so that at least MIN_REPLICAS replicas carry the
-    bootstrap.  L is 1 otherwise: on a reducible kernel a trajectory never
+    standard error.  L is 1 otherwise: on a reducible kernel a trajectory never
     leaves the class it lands in, on a periodic one it keeps its phase, so each
     window needs its own replica.  R = ceil(n / L), and the last replica may
     give fewer.
@@ -177,10 +180,9 @@ def sample_windows(chain: chainmod.Chain, window: int, n: int, seed: int) -> tup
     sampler's question and answer steps, b = max(1, process._BLOCK_ENTRIES // R)
     steps at a time; no output depends on b.  Each discards its burn-in and
     then gives L consecutive sliding windows, as `replica_plan` sets out.  Replicas are
-    i.i.d.; windows inside one are not, so errors must resample whole
-    replicas.  Where L = 1 (reducible or periodic chains) R = n, every window
-    has its own trajectory, the samples are i.i.d. and plain bootstrap errors
-    are valid.
+    i.i.d.; windows inside one are not, so errors must treat whole replicas
+    as the samples.  Where L = 1 (reducible or periodic chains) R = n, every
+    window has its own trajectory and the samples are i.i.d.
     A burn-in of 0 keeps the first step: its uniforms come first in the
     stream, so on an identity kernel the windows equal those after any longer
     burn-in.
@@ -232,7 +234,7 @@ def sample_windows(chain: chainmod.Chain, window: int, n: int, seed: int) -> tup
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    """Plug-in estimates of the info quantities with replica bootstrap errors.
+    """The Monte Carlo estimate of i_pred from n windows, with its replica standard error.
 
     `replicas` trajectories each discarded `burn_in` steps and gave
     `windows_per_replica` windows (the last replica may give fewer).  With
@@ -241,12 +243,8 @@ class MonteCarloReport:
     """
 
     n: int
-    i_mem: float
     i_pred: float
-    nostalgia: float
-    se_i_mem: float
     se_i_pred: float
-    se_nostalgia: float
     burn_in: int
     replicas: int
     windows_per_replica: int
@@ -265,56 +263,32 @@ def _view_next_cells(samples: np.ndarray, num_questions: int, k: int, labeled: b
 def monte_carlo_check(
     chain: chainmod.Chain, window: int, strategy: Strategy, n: int, seed: int
 ) -> MonteCarloReport:
-    """Monte Carlo estimate of an InfoReport's information terms, with bootstrap errors.
+    """Monte Carlo estimate of an InfoReport's i_pred, with its replica standard error.
 
-    Counts only the (view, next pair) cells of `strategy.view_encoder`: the
-    memory reads the window through its view, so the plug-in I(M; window)
-    equals I(M; view).  The errors come from a replica bootstrap: the
-    replicas that `sample_windows` drew, as its plan sets them out, are
-    resampled whole, N_BOOTSTRAP times from a seeded generator.  With one
-    window per replica this is the ordinary bootstrap, drawn over the cells.
-    All replicates are scored at once.
+    The estimate T is the mean, over the windows `sample_windows` drew, of the
+    exact pointwise information (`info.pointwise_information`) of each one's
+    (view, next pair) cell, read from the chain's k-pair `window_joint`.  T is
+    linear in the windows, so it is unbiased at any n, unlike the plug-in
+    I(M; next) of the sampled cells.  With S_r the sum of replica r's scores
+    and L_r its window count, the error is sqrt(R/(R-1) sum_r (S_r - L_r T)^2) / n,
+    the plain standard error when L = 1.  A window in a cell of exact
+    probability 0 scores NaN, which fails the 3-sigma verdict.
     """
     if n < 10**3:
         raise ValidationError(f"need at least 1000 samples, got {n}")
     samples, (burn_in, replicas, per) = sample_windows(chain, window, n, seed)
-    questions = chain.questions
-    labels = tuple(q.label for q in questions)
-    k, labeled, encoder, _ = view_encoder(strategy, labels, window)
-    views, nexts = encoder.shape[0], 2 * len(questions)
-    cells = _view_next_cells(samples, len(questions), k, labeled)
-
-    rng = procmod._rng(seed, offset=0xB00)
-    if per == 1:
-        counts = np.bincount(cells, minlength=views * nexts)
-        boots = rng.multinomial(n, counts / counts.sum(), size=N_BOOTSTRAP)
-    else:
-        # per-replica cell counts; a replicate weighs each replica by how often it was drawn
-        cells += np.arange(n) // per * (views * nexts)
-        by_replica = np.bincount(cells, minlength=replicas * views * nexts).astype(float)
-        by_replica = by_replica.reshape(replicas, views * nexts)
-        counts = by_replica.sum(axis=0)
-        weights = np.empty((N_BOOTSTRAP, replicas))
-        for b in range(N_BOOTSTRAP):
-            weights[b] = np.bincount(rng.integers(replicas, size=replicas), minlength=replicas)
-        boots = np.einsum("br,rc->bc", weights, by_replica)  # not BLAS: no thread pool
-
-    def scores(table: np.ndarray) -> tuple:
-        p = table.reshape(table.shape[:-1] + (views, nexts))
-        i_mem, i_pred = info.encoder_information(p / p.sum(axis=(-2, -1), keepdims=True), encoder)
-        return i_mem, i_pred, np.maximum(i_mem - i_pred, 0.0)
-
-    i_mem, i_pred, nostalgia = scores(counts)
-    se = np.std(scores(boots), axis=1, ddof=1)
-    return MonteCarloReport(
-        n=n,
-        i_mem=i_mem,
-        i_pred=i_pred,
-        nostalgia=float(nostalgia),
-        se_i_mem=float(se[0]),
-        se_i_pred=float(se[1]),
-        se_nostalgia=float(se[2]),
-        burn_in=burn_in,
-        replicas=replicas,
-        windows_per_replica=per,
-    )
+    num_questions = len(chain.questions)
+    k, labeled, encoder, _ = view_encoder(strategy, chain.process.labels, window)
+    exact = chainmod.window_joint(chain, k).table
+    every = np.indices(exact.shape, dtype=samples.dtype).reshape(exact.ndim, -1).T
+    cells = _view_next_cells(every, num_questions, k, labeled)  # every cell, so no minlength
+    table = np.bincount(cells, weights=exact.reshape(-1)).reshape(len(encoder), -1)
+    iota = np.where(table > 0.0, info.pointwise_information(table, encoder), np.nan)
+    scores = iota.reshape(-1)[_view_next_cells(samples, num_questions, k, labeled)]
+    sums = np.add.reduceat(scores, np.arange(0, n, per)) if per > 1 else scores
+    i_pred = float(sums.sum() / n)
+    last = sums[-1] - (n - per * (replicas - 1)) * i_pred  # the last replica's L_r may be short
+    sums -= per * i_pred  # in place: the residuals S_r - L_r T
+    sums[-1] = last
+    se = math.sqrt(replicas / (replicas - 1) * np.square(sums, out=sums).sum()) / n
+    return MonteCarloReport(n, i_pred, se, burn_in, replicas, per)

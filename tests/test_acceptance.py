@@ -190,4 +190,4 @@ def test_criterion_12_monte_carlo_consistency():
         assert deviation <= 3.0 * max(mc.se_i_pred, 1e-12), (
             f"{name}: |{mc.i_pred} - {exact.i_pred}| vs 3*{mc.se_i_pred}"
         )
-    _report(12, f"Monte Carlo i_pred at N={n} within 3 bootstrap sigma on every bundled scenario")
+    _report(12, f"Monte Carlo i_pred at N={n} within 3 sigma on every bundled scenario")

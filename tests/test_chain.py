@@ -130,11 +130,19 @@ def test_long_run_slow_aperiodic_chain_not_flagged_periodic():
     assert np.allclose(lr.distribution, 0.25, atol=1e-9)
 
 
-def test_kernel_spectrum_is_computed_once(monkeypatch):
-    # `periodic`, `mixes` and `slowest_mode` read one eigenvalue cache
+def count_decompositions(monkeypatch) -> list:
+    """Patch np.linalg.eig and eigvals to record each call's name; returns the live record."""
     calls = []
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
+    for name in ("eig", "eigvals"):
+        func = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, n=name, f=func: calls.append(n) or f(m))
+    return calls
+
+
+def test_kernel_spectrum_is_computed_once(monkeypatch):
+    # `periodic`, `mixes`, `slowest_mode` and the Cesaro limit's right vectors read one
+    # eigendecomposition cache; the left vectors decompose P^T
+    calls = count_decompositions(monkeypatch)
     questions, _ = case_b_questions()
     alternate = MarkovProcess(
         labels=("Qz", "Qx"), transition=np.array([[0.0, 1.0], [1.0, 0.0]]), initial=np.array([1.0, 0.0])
@@ -143,7 +151,18 @@ def test_kernel_spectrum_is_computed_once(monkeypatch):
     assert kernel.long_run.cesaro
     assert kernel.periodic and not kernel.mixes
     assert kernel.slowest_mode == pytest.approx(0.0, abs=1e-12)
-    assert len(calls) == 1
+    assert calls == ["eig", "eig"]
+
+
+def test_a_long_run_that_does_not_settle_decomposes_the_kernel_twice(monkeypatch):
+    # theta = 0.05: the 10^4-step power loop does not settle, so the Cesaro limit runs;
+    # it reads the right vectors of the chain's one `eigen` and decomposes P^T once
+    questions, proc = two_questions_at_angle(0.05)
+    chain = Chain(questions, proc, BlochVector(0, 0, 1))
+    calls = count_decompositions(monkeypatch)
+    assert not chain.long_run.cesaro
+    assert chain.slowest_mode == pytest.approx(0.99938, abs=1e-5)
+    assert calls == ["eig", "eig"]
 
 
 def test_window_case_a_fully_predictive():

@@ -3,11 +3,12 @@
 `tests/golden_outputs.json` holds the sha256 of every file that `analyze`,
 `optimize`, `verify` and `sample --length 5000 --seed 3` write for the five
 bundled configs.  A change that moves any output byte fails here; one that is
-meant to move them regenerates the file with
+meant to move them rewrites the file with
 
-    PYTHONPATH=src python tests/test_golden_outputs.py > tests/golden_outputs.json
+    PYTHONPATH=src python tests/test_golden_outputs.py
 
-The same files are also parsed: every CSV must be well-formed.
+which names on stderr every record whose hash it moved.  The same files are
+also parsed: every CSV must be well-formed.
 """
 
 import contextlib
@@ -41,6 +42,11 @@ def output_hashes(out: Path) -> dict:
     }
 
 
+def changed_records(expected: dict, actual: dict) -> list:
+    """The records of `expected` whose hash `actual` moves, sorted by file name."""
+    return sorted(name for name in expected if actual.get(name) != expected[name])
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("outputs")
@@ -52,7 +58,7 @@ def test_bundled_outputs_match_golden_hashes(outputs):
     _, actual = outputs
     assert len(expected) == 40
     assert sorted(actual) == sorted(expected)
-    changed = sorted(name for name in expected if actual[name] != expected[name])
+    changed = changed_records(expected, actual)
     assert not changed, f"outputs differ from the golden hashes: {changed}"
 
 
@@ -74,5 +80,7 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        json.dump(output_hashes(Path(tmp)), sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        hashes = output_hashes(Path(tmp))
+    for name in changed_records(json.loads(GOLDEN.read_text(encoding="utf-8")), hashes):
+        print(f"changed: {name}", file=sys.stderr)
+    GOLDEN.write_text(json.dumps(hashes, sort_keys=True, indent=2) + "\n", encoding="utf-8")

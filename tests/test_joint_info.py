@@ -16,7 +16,12 @@ from obsthermo import (
     max_abs_deviation,
     mutual_information,
 )
-from obsthermo.info import encoder_information, mutual_information_table, xlogx
+from obsthermo.info import (
+    encoder_information,
+    mutual_information_table,
+    pointwise_information,
+    xlogx,
+)
 
 # entropy of {3/8, 3/8, 1/8, 1/8}: 3 - (3/4) log2 3
 H_CASE_B_PAIR = 3.0 - 0.75 * math.log2(3.0)
@@ -185,6 +190,25 @@ def test_mutual_information_table_of_a_stack_equals_each_table():
                     alone = encoder_information(stack[i, j], encoder)
                     assert (i_mem[i, j], i_pred[i, j]) == alone  # bitwise
     assert isinstance(mutual_information_table(np.full((2, 2), 0.25)), float)
+
+
+def test_pointwise_information_averages_to_i_pred():
+    # tables with zero cells and rows; encoders soft, or one-hot with unused memory symbols
+    rng = np.random.default_rng(21)
+    for case in range(60):
+        views, nexts, m = (int(v) for v in rng.integers((1, 2, 1), (17, 9, 6)))
+        table = rng.dirichlet(np.full(views * nexts, 0.5)).reshape(views, nexts)
+        table[rng.random(table.shape) < 0.2] = 0.0
+        table.flat[rng.integers(table.size)] += 0.1
+        table /= table.sum()
+        if case % 2:
+            encoder = np.eye(m)[rng.integers(m, size=views)]
+        else:
+            encoder = rng.dirichlet(np.ones(m), size=views)
+        iota = pointwise_information(table, encoder)
+        assert iota.shape == table.shape and np.isfinite(iota).all()
+        assert abs((table * iota).sum() - encoder_information(table, encoder)[1]) <= 1e-12
+        assert not pointwise_information(table, np.ones((views, 1))).any()  # exactly 0
 
 
 def test_import_loads_no_scipy():

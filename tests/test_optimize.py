@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -371,3 +372,15 @@ def test_descent_violation_is_a_typed_error(tmp_path, monkeypatch, capsys, case_
     rc = cli_main(["optimize", "--config", bundled_scenario_path("case_a"), "--out", str(tmp_path)])
     assert rc == 2
     assert "optimizer failed: " in capsys.readouterr().err
+
+
+def test_constant_maps_report_positive_zero_information(case_a):
+    # the scan clamps as the soft optimizer does: -0.0 reads +0.0 in *_degeneracy.json
+    settings = case_a.optimizer
+    _, window = scenario_window(case_a)
+    hf = history_future_joint(window, k=settings.history_k, labeled=settings.history_labeled)
+    constant = [d for d in degeneracy_report(hf, settings.memory_size) if len(set(d.map_indices)) == 1]
+    assert len(constant) == 2
+    for d in constant:
+        assert d.i_mem == 0.0 and math.copysign(1.0, d.i_mem) == 1.0
+        assert d.i_pred == 0.0 and math.copysign(1.0, d.i_pred) == 1.0

@@ -158,8 +158,8 @@ def test_seed_outside_the_philox_key_range_rejected(seed):
 
 
 def test_derived_keys_wrap_at_the_philox_key_range():
-    # answers and the bootstrap draw from seed + offset mod 2**128; smaller seeds keep their key
-    for offset in (0x5EED, 0xB00):
-        assert np.array_equal(_rng(2**128 - 1, offset=offset).random(4), _rng(offset - 1).random(4))
-        plain = np.random.Generator(np.random.Philox(key=7 + offset))
-        assert np.array_equal(_rng(7, offset=offset).random(4), plain.random(4))
+    # answers draw from seed + 0x5EED mod 2**128; smaller seeds keep their key
+    offset = 0x5EED
+    assert np.array_equal(_rng(2**128 - 1, offset=offset).random(4), _rng(offset - 1).random(4))
+    plain = np.random.Generator(np.random.Philox(key=7 + offset))
+    assert np.array_equal(_rng(7, offset=offset).random(4), plain.random(4))

@@ -50,9 +50,11 @@ def reference_scan(hf: HistoryFutureJoint, m: int, map_block: int = 4096):
             p = p + term(h, d)
         p_mx = grow(p, range(n_hist - r, n_hist))
         p_m = p_mx.sum(axis=2)
-        i_mem = np.maximum(0.0, -xlogx(p_m).sum(axis=1) / _LN2)
+        i_mem = -xlogx(p_m).sum(axis=1) / _LN2
+        i_mem = np.where(i_mem > 0.0, i_mem, 0.0)
         h_mx = -xlogx(p_mx).sum(axis=(1, 2)) / _LN2
-        i_pred = np.maximum(0.0, i_mem + h_x - h_mx)
+        i_pred = i_mem + h_x - h_mx
+        i_pred = np.where(i_pred > 0.0, i_pred, 0.0)
         yield i * m**r, i_mem, i_pred
 
 
