@@ -13,6 +13,7 @@ unlabeled.
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -206,9 +207,9 @@ def _cmd_verify(args) -> int:
     lines = []
     for v in verdicts:
         row = dict(v)
-        row["deviation"] = _sig9(row["deviation"])
-        row["tolerance"] = _sig9(row["tolerance"])
-        line = json.dumps(row, sort_keys=True)
+        for key in ("deviation", "tolerance"):  # a non-finite number is written as strict JSON null
+            row[key] = _sig9(row[key]) if math.isfinite(row[key]) else None
+        line = json.dumps(row, sort_keys=True, allow_nan=False)
         lines.append(line)
         print(line)
     _write_lines(out / f"{scenario.name}_verify.jsonl", lines)

@@ -33,6 +33,7 @@ _CHUNK_ENTRIES = 2**17  # most entries in a chunk's (steps, R, ...) buffers: 1 M
 _MAP_BLOCK = 4096  # most maps, and tail subsets, per block: bounds the gathered (maps, M, X') terms
 ENUMERATION_CAP = 10**6  # most deterministic maps an exhaustive scan enumerates
 DEGENERACY_TOL = 1e-9  # most nostalgia of a map in the degeneracy report
+_PRUNE_SLACK = 1e-10  # bits above DEGENERACY_TOL before a block is skipped: see degeneracy_report
 BETAS = np.geomspace(1.0, 8.0, 7)  # 1 (degenerate) to 8, twice the largest bundled critical beta
 RESTARTS = 8  # seeded starts per beta: one near-uniform, the rest near random hard maps
 TOLERANCE = 1e-9  # a restart stops once its objective moves by at most this much
@@ -292,7 +293,12 @@ def sweep_beta(hf: HistoryFutureJoint, settings: OptimizerSettings) -> list:
     return points
 
 
-def _scan_maps(hf: HistoryFutureJoint, m: int):
+def _prefix_nostalgia(rows: np.ndarray) -> float:
+    """H(M|X') in bits of an (M, X') table of non-negative entries, unclamped."""
+    return float(xlogx(rows.sum(axis=0)).sum() - xlogx(rows).sum()) / _LN2
+
+
+def _scan_maps(hf: HistoryFutureJoint, m: int, max_nostalgia: float = np.inf):
     """(first map index, i_mem, i_pred) for blocks of every deterministic map h -> m.
 
     Maps are numbered mixed-radix with the last history fastest, the order of
@@ -308,6 +314,15 @@ def _scan_maps(hf: HistoryFutureJoint, m: int):
     bit: each row adds its histories to +0.0 in history order, and the gathered
     terms are reduced on the same C-ordered (maps, m, x') and (maps, m) shapes.
     So they depend neither on r nor on _MAP_BLOCK.
+
+    A block whose prefix rows already hold more than `max_nostalgia` bits of
+    nostalgia is skipped without being yielded; the default, inf, skips none.
+    For a deterministic map, nostalgia is i_mem - i_pred = H(M|X'), and
+    `_prefix_nostalgia` of its p(m, x') rows is exactly that before clamping.
+    H(M|X') = sum_x' [S ln S - sum_d p_dx' ln p_dx'] / ln 2, where S is the
+    column sum, has derivative ln(S / p_dx') / ln 2 >= 0 in every entry, so
+    it never falls as the tail histories are added to the prefix rows: every
+    map of a skipped block has at least its prefix's nostalgia.
     """
     n_hist, x = hf.table.shape
     if n_hist < 1 or m < 1:
@@ -334,6 +349,8 @@ def _scan_maps(hf: HistoryFutureJoint, m: int):
         rows[:, 0] = 0.0
         for h, d in enumerate(prefix):
             rows[d, 0] += hf.table[h]
+        if max_nostalgia < np.inf and _prefix_nostalgia(rows[:, 0]) > max_nostalgia:
+            continue  # adding the tail histories cannot bring a map under the ceiling
         for j in range(r):
             np.add(rows[:, : 1 << j], hf.table[lead + j], out=rows[:, 1 << j : 2 << j])
         # every index is in range: "clip" only skips the copy that "raise" makes of `out`
@@ -388,10 +405,30 @@ class DegenerateStrategy:
 
 def degeneracy_report(hf: HistoryFutureJoint, memory_size: int) -> list:
     """Every deterministic map with nostalgia <= DEGENERACY_TOL, annotated with
-    its i_pred, in enumeration order."""
+    its i_pred, in enumeration order.
+
+    The scan skips each block of maps whose shared prefix already holds more
+    than DEGENERACY_TOL + _PRUNE_SLACK bits of nostalgia (see `_scan_maps`):
+    no map in it can reach the tolerance, since nostalgia never falls as
+    histories are added.  The list is the one an unpruned scan gives.
+
+    _PRUNE_SLACK = 1e-10 covers the rounding by which a prefix's computed
+    nostalgia may exceed the exact one and a map's computed nostalgia may fall
+    short of it.  Both are sums of p ln p over entries in [0, 1]: a map has
+    at most H * X' non-zero cells, and under ENUMERATION_CAP a scan with
+    M >= 2 has H <= 19 histories (M = 1 has only constant prefixes, whose
+    nostalgia is exactly 0).  Each entry is a sum of at most H table entries,
+    with relative error <= H * eps, which moves sum p ln p by at most
+    sum (|p ln p| + p) * H * eps <= (ln(H X') + 1) * H * eps; numpy's pairwise
+    sums add about log2(H X') * ln(H X') * eps.  Even at X' = 10^6 both are
+    below 1e-12 bits, so 1e-10 stays far above them, and a map whose computed
+    nostalgia is within the tolerance is never skipped, also at
+    DEGENERACY_TOL = 0.
+    """
     n_hist = hf.num_histories
     out = []
-    for first, i_mem, i_pred in _scan_maps(hf, memory_size):
+    ceiling = DEGENERACY_TOL + _PRUNE_SLACK  # per call: DEGENERACY_TOL may be rebound
+    for first, i_mem, i_pred in _scan_maps(hf, memory_size, max_nostalgia=ceiling):
         nostalgia = i_mem - i_pred
         for j in np.flatnonzero(nostalgia <= DEGENERACY_TOL):
             out.append(

@@ -88,8 +88,10 @@ class OptimizeResult:
 def optimize(scenario: Scenario) -> OptimizeResult:
     """Sweep beta over BETAS with the scenario's optimizer settings.
 
-    When the deterministic-map space fits the enumeration cap, the degeneracy
-    report and an exhaustive reference at the largest beta come along for free.
+    When the deterministic maps number at most ENUMERATION_CAP, the result also
+    holds the degeneracy report and the exhaustive reference at the largest
+    beta: two scans of the maps, the first skipping every block of maps whose
+    shared prefix already holds more nostalgia than DEGENERACY_TOL.
     """
     settings = scenario.optimizer
     if settings is None:

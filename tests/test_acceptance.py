@@ -179,6 +179,19 @@ def test_criterion_11_soft_optimizer_certified():
     _report(11, "soft optimizer matches exhaustive optima at beta=8 on every bundled scenario")
 
 
+def test_every_soft_row_is_within_criterion_11_of_the_deterministic_optimum_at_its_beta():
+    # one-sided: a soft encoder may beat every hard map, never lose to one by more than 1e-6
+    for name in BUNDLED_SCENARIOS:
+        scenario = bundled_scenario(name)
+        settings = scenario.optimizer
+        _, window = scenario_window(scenario)
+        hf = history_future_joint(window, k=settings.history_k, labeled=settings.history_labeled)
+        for point in optimize(scenario).points:
+            reference = exhaustive_best(hf, settings.memory_size, beta=point.beta)
+            gap = point.objective - reference.objective
+            assert gap <= 1e-6, f"{name} at beta {point.beta}: soft row {gap} above"
+
+
 def test_criterion_12_monte_carlo_consistency():
     n = 10**6
     for name in BUNDLED_SCENARIOS:

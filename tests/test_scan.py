@@ -4,13 +4,15 @@
 time by broadcasting, as `optimize._scan_maps` did before it gathered terms
 from per-prefix subset tables.  Its prefixes are built one at a time rather
 than all at once, with the same additions, so that a block of one map with
-thousands of memory rows fits in memory.
+thousands of memory rows fits in memory.  It never skips a block, so the
+degeneracy report it feeds is the unpruned one.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import obsthermo.optimize as optmod
 from obsthermo import bundled_scenario, degeneracy_report, exhaustive_best, history_future_joint
@@ -22,8 +24,11 @@ _LN2 = np.log(2.0)
 BUNDLED = ("case_a", "case_b_labeled", "case_b_unlabeled", "case_b_bestcase", "angle_sweep")
 
 
-def reference_scan(hf: HistoryFutureJoint, m: int, map_block: int = 4096):
-    """(first map index, i_mem, i_pred) per block of m**r <= map_block maps."""
+def reference_scan(hf: HistoryFutureJoint, m: int, map_block: int = 4096, max_nostalgia=None):
+    """(first map index, i_mem, i_pred) per block of m**r <= map_block maps.
+
+    `max_nostalgia` is accepted, as `_scan_maps` accepts it, and ignored.
+    """
     n_hist, x = hf.table.shape
     total = m**n_hist
     if total > optmod.ENUMERATION_CAP:
@@ -127,6 +132,14 @@ def test_scan_matches_reference_at_the_edges(n_hist, m, x):
     assert streams(optmod._scan_maps, hf, m) == streams(reference_scan, hf, m)
 
 
+def tail_length(n_hist, m, map_block):
+    """r, the histories a block varies: the largest with m**r and 2**r <= map_block."""
+    r = 0
+    while r < n_hist and max(m, 2) ** (r + 1) <= map_block:
+        r += 1
+    return r
+
+
 @pytest.mark.parametrize("map_block", [1, 8, 4096])
 def test_scan_numbers_do_not_depend_on_the_block(monkeypatch, map_block):
     monkeypatch.setattr(optmod, "_MAP_BLOCK", map_block)
@@ -135,10 +148,7 @@ def test_scan_numbers_do_not_depend_on_the_block(monkeypatch, map_block):
         _, ref_mems, ref_preds = streams(reference_scan, hf, m)
         assert (mems, preds) == (ref_mems, ref_preds)
         n_hist = hf.num_histories
-        r = 0
-        while r < n_hist and max(m, 2) ** (r + 1) <= map_block:
-            r += 1
-        assert firsts == list(range(0, m**n_hist, m**r))
+        assert firsts == list(range(0, m**n_hist, m ** tail_length(n_hist, m, map_block)))
 
 
 def results_with(scan, monkeypatch, hf, m, beta):
@@ -161,3 +171,67 @@ def test_exhaustive_best_and_degeneracy_report_match_reference(monkeypatch):
             ours = results_with(scan, monkeypatch, hf, m, beta)
             theirs = results_with(reference_scan, monkeypatch, hf, m, beta)
             assert ours == theirs
+
+
+def pruning_tables():
+    """(hf, m) cases with zero rows, zero cells and cells of about 1e-13."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for _ in range(60):
+        n_hist = int(rng.integers(2, 10))
+        x = int(rng.integers(2, 7))
+        m = int(rng.choice([m for m in range(2, 6) if m**n_hist <= 20_000]))
+        table = rng.dirichlet(np.full(n_hist * x, 0.5)).reshape(n_hist, x)
+        table[rng.random(table.shape) < 0.2] = 0.0
+        table[rng.random(table.shape) < 0.1] = 1e-13
+        if rng.random() < 0.5:
+            table[rng.integers(n_hist)] = 0.0
+        cases.append((table_hf(table / table.sum()), m))
+    return cases
+
+
+def report_bits(hf, m):
+    return [
+        (d.map_indices, d.i_mem.hex(), d.i_pred.hex(), d.nostalgia.hex(), d.observer_like)
+        for d in degeneracy_report(hf, m)
+    ]
+
+
+@pytest.mark.parametrize("map_block", [64, 4096])  # small blocks: long prefixes, more skipped
+@pytest.mark.parametrize("tol", [1e-9, 0.0, 0.3])
+def test_pruned_degeneracy_report_equals_the_unpruned_one(monkeypatch, tol, map_block):
+    monkeypatch.setattr(optmod, "DEGENERACY_TOL", tol)
+    monkeypatch.setattr(optmod, "_MAP_BLOCK", map_block)
+    cases = pruning_tables() + bundled_cases()
+    pruned = [report_bits(hf, m) for hf, m in cases]
+    scan = optmod._scan_maps
+    monkeypatch.setattr(optmod, "_scan_maps", lambda hf, m, max_nostalgia: scan(hf, m))
+    assert pruned == [report_bits(hf, m) for hf, m in cases]
+
+
+_tables = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 6).flatmap(
+        lambda x: st.lists(
+            st.sampled_from([0.0, 1e-13]) | st.floats(0.0, 1.0), min_size=2 * m * x, max_size=2 * m * x
+        ).map(lambda v: np.array(v).reshape(2, m, x))
+    )
+)
+
+
+@given(_tables)
+def test_adding_histories_never_lowers_prefix_nostalgia(pair):
+    total = pair.sum()
+    a, b = pair / total if total > 0 else pair
+    assert optmod._prefix_nostalgia(a + b) >= optmod._prefix_nostalgia(a) - optmod._PRUNE_SLACK
+
+
+@pytest.mark.parametrize("n_hist, m, x", [(8, 5, 8), (16, 2, 4), (10, 3, 4)])
+def test_full_support_scan_keeps_only_the_constant_prefixes(n_hist, m, x):
+    table = np.random.default_rng(n_hist * m).dirichlet(np.ones(n_hist * x)).reshape(n_hist, x)
+    ceiling = optmod.DEGENERACY_TOL + optmod._PRUNE_SLACK
+    firsts = [first for first, _, _ in optmod._scan_maps(table_hf(table), m, max_nostalgia=ceiling)]
+    r = tail_length(n_hist, m, optmod._MAP_BLOCK)
+    lead = n_hist - r
+    assert lead >= 2
+    constant = (m**lead - 1) // (m - 1)  # prefix (1, 1, ..., 1) in mixed radix m
+    assert firsts == [c * constant * m**r for c in range(m)]
