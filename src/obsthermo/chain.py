@@ -1,11 +1,15 @@
 """The exact Markov chain over (question, answer) pairs induced by repeated
-projective measurement, its long-run behavior, exact windowed joints, and
-sampled trajectories.
+projective measurement, its long-run behavior, the exact p(view, next pair)
+table that every reported number reads, and sampled trajectories.
 
 A chain state names the post-measurement eigenstate: after answering question
 q with outcome a the qubit sits at a * axis(q), so the pair (q, a) is a
 complete system description between interactions.  States are indexed
 s = 2 * question_index + (0 if a == +1 else 1).
+
+`view_table` is the one place where the long run meets the kernel: the
+window joint is its labeled table, reshaped and named, and an unlabeled view
+of any depth costs 2^k rows, not the (2K)^(k+1) entries of a window.
 """
 
 from dataclasses import dataclass
@@ -282,28 +286,44 @@ def window_alphabets(questions, window: int) -> tuple:
     return tuple(alphabets)
 
 
+def view_table(chain: Chain, k: int, labeled: bool) -> np.ndarray:
+    """(views, 2K) table p(view of the last k pairs, next pair) at the chain's long run.
+
+    The only code that multiplies the long run by the kernel.  Rows start as
+    the long run; each of k steps multiplies them by the kernel, so the state
+    being left joins the view, and an unlabeled view then sums out that
+    state's question.  Views come out in the canonical `strategy.view_index`
+    order.  The table has (2K)^(k+1) entries labeled and 2^k * 2K unlabeled,
+    at most WINDOW_ENTRY_CAP.
+    """
+    if k < 1:
+        raise ValidationError(f"window must be >= 1, got {k}")
+    n = 2 * len(chain.questions)
+    entries = (n**k if labeled else 2**k) * n
+    if entries > WINDOW_ENTRY_CAP:
+        raise SizeCapError(
+            f"view table needs {entries} entries, over WINDOW_ENTRY_CAP = {WINDOW_ENTRY_CAP}"
+        )
+    rows = chain.long_run.distribution[None]
+    for _ in range(k):
+        rows = rows[:, :, None] * chain.matrix
+        if not labeled:
+            rows = rows.reshape(len(rows), n // 2, 2, n).sum(axis=1)
+        rows = rows.reshape(-1, n)
+    return rows
+
+
 def window_joint(chain: Chain, window: int) -> JointDistribution:
     """Exact joint over w history pairs plus the next pair, at the chain's long run.
 
-    Variables are named q-w+1, a-w+1, ..., q0, a0, q+1, a+1; the table has
-    (2K)^(w+1) entries, at most WINDOW_ENTRY_CAP.
+    It is the labeled `view_table` of the w pairs, with its variables named
+    q-w+1, a-w+1, ..., q0, a0, q+1, a+1.
     """
-    if window < 1:
-        raise ValidationError(f"window must be >= 1, got {window}")
-    k = len(chain.questions)
-    entries = (2 * k) ** (window + 1)
-    if entries > WINDOW_ENTRY_CAP:
-        raise SizeCapError(
-            f"window joint needs {entries} entries, over WINDOW_ENTRY_CAP = {WINDOW_ENTRY_CAP}"
-        )
-    table = chain.long_run.distribution.copy()
-    for _ in range(window):
-        table = table[..., None] * chain.matrix
-    table = table.reshape((k, 2) * (window + 1))
+    table = view_table(chain, window, labeled=True)
     return JointDistribution(
         names=window_names(window),
         alphabets=window_alphabets(chain.questions, window),
-        table=table,
+        table=table.reshape((len(chain.questions), 2) * (window + 1)),
     )
 
 

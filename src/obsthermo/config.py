@@ -58,12 +58,6 @@ def _reject_unknown(data: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _require(data: dict, key: str, where: str):
-    if key not in data:
-        raise ValidationError(f"{where}.{key}: required key missing")
-    return data[key]
-
-
 def _boolean(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(f"{where}: must be true or false, got {value!r}")
@@ -194,9 +188,7 @@ def _parse_strategy(data, where: str) -> Strategy:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-#: Optional optimizer keys and their checks; memory_size is required.
-_OPTIMIZER_FIELDS = {"seed": _integer}
-_OPTIMIZER_KEYS = {"memory_size", "history", *_OPTIMIZER_FIELDS}
+_OPTIMIZER_KEYS = {"memory_size", "seed", "history"}
 
 
 def _parse_optimizer(data, where: str) -> OptimizerSettings:
@@ -209,9 +201,8 @@ def _parse_optimizer(data, where: str) -> OptimizerSettings:
     _reject_unknown(history, {"k", "labeled"}, f"{where}.history")
     # only the keys given: OptimizerSettings holds the defaults
     settings = {"memory_size": _field(data, "memory_size", where, _integer)}
-    for key, check in _OPTIMIZER_FIELDS.items():
-        if key in data:
-            settings[key] = check(data[key], f"{where}.{key}")
+    if "seed" in data:
+        settings["seed"] = _integer(data["seed"], f"{where}.seed")
     for key, check in (("k", _optional_integer), ("labeled", _boolean)):
         if key in history:
             settings[f"history_{key}"] = check(history[key], f"{where}.history.{key}")
@@ -229,9 +220,9 @@ def parse_scenario(data: dict) -> Scenario:
     name = _field(data, "name", "scenario", _string)
     if "/" in name or "\\" in name:  # output files are named after it, inside --out
         raise ValidationError(f"scenario.name: must not contain / or \\, got {name!r}")
-    questions = _parse_questions(_require(data, "questions", "scenario"), "scenario.questions")
+    questions = _field(data, "questions", "scenario", _parse_questions)
     labels = tuple(q.label for q in questions)
-    process = _parse_process(_require(data, "process", "scenario"), labels, "scenario.process")
+    process = _field(data, "process", "scenario", lambda v, at: _parse_process(v, labels, at))
     initial_raw = _field(data, "initial_state", "scenario", _numbers, np.zeros(3))
     try:
         initial = BlochVector.from_array(initial_raw)

@@ -17,13 +17,7 @@ from . import chain as chainmod
 from . import process as procmod
 from .errors import OptimizerError, SizeCapError, ValidationError
 from .info import encoder_information, xlogx
-from .joint import JointDistribution
-from .strategy import (
-    KernelStrategy,
-    assignment_from_map,
-    history_window,
-    view_variables,
-)
+from .strategy import KernelStrategy, assignment_from_map
 
 _LN2 = np.log(2.0)
 _DESCENT_SLACK = 1e-12  # per unit of beta: the objective's rounding grows with beta * i_pred
@@ -62,7 +56,7 @@ class OptimizerSettings:
 
 @dataclass(frozen=True, eq=False)
 class HistoryFutureJoint:
-    """A window joint grouped into (history view, next pair), as a 2-D table."""
+    """The p(history view, next pair) table of a chain, as a 2-D array."""
 
     table: np.ndarray
     k: int
@@ -84,22 +78,12 @@ class HistoryFutureJoint:
         return cond
 
 
-def history_future_joint(
-    window: JointDistribution, k: int | None = None, labeled: bool = True
-) -> HistoryFutureJoint:
-    """Group a window joint into the optimizer's (H, X') form.
+def history_future_joint(chain: chainmod.Chain, k: int, labeled: bool = True) -> HistoryFutureJoint:
+    """The optimizer's (H, X') table: the chain's `view_table` of the last k pairs.
 
-    The history view is the last k pairs (default: the full window), labels
-    kept or dropped; its rows come out in the canonical kernel row order.
+    Labels are kept or dropped; rows come out in the canonical kernel row order.
     """
-    w = history_window(window)
-    if k is None:
-        k = w
-    view_vars = view_variables(window, k, labeled)
-    marg = window.marginal(tuple(view_vars) + chainmod.FUTURE_PAIR)
-    marg = marg.reorder(tuple(view_vars) + chainmod.FUTURE_PAIR)
-    n_future = 2 * len(window.alphabet(chainmod.FUTURE_PAIR[0]))
-    return HistoryFutureJoint(table=marg.table.reshape(-1, n_future), k=k, labeled=labeled)
+    return HistoryFutureJoint(table=chainmod.view_table(chain, k, labeled), k=k, labeled=labeled)
 
 
 @dataclass(frozen=True, eq=False)

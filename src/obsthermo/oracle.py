@@ -17,11 +17,11 @@ bounds the burn-in; a replica that gives one window burns in only until its
 own law, the chain's start law pushed through the kernel by `chain.settle`,
 is stationary.  The sampler and the plan never read the long run;
 `sample_windows` returns the plan with the windows.  The check reads the
-chain's exact k-pair window only to score each window by its pointwise
-information.  It is still a check: to first order the plug-in I(M; next)
-moves from the exact value by the sampled frequency errors times that same
-score, so their mean tests the plug-in's direction, and a window the exact
-law forbids fails it outright.
+chain's exact p(view, next pair) table only to score each window by its
+pointwise information.  It is still a check: to first order the plug-in
+I(M; next) moves from the exact value by the sampled frequency errors times
+that same score, so their mean tests the plug-in's direction, and a window
+the exact law forbids fails it outright.
 Caps, tolerances and counts are module constants, each read where it
 applies: LEAF_CAP bounds the tree, TAIL_TOL ends `converged_tail`, and
 MIN_BURN_IN, BURN_IN_TOL and MIN_REPLICAS shape the plan.
@@ -267,7 +267,7 @@ def monte_carlo_check(
 
     The estimate T is the mean, over the windows `sample_windows` drew, of the
     exact pointwise information (`info.pointwise_information`) of each one's
-    (view, next pair) cell, read from the chain's k-pair `window_joint`.  T is
+    (view, next pair) cell, read from the chain's `view_table`.  T is
     linear in the windows, so it is unbiased at any n, unlike the plug-in
     I(M; next) of the sampled cells.  With S_r the sum of replica r's scores
     and L_r its window count, the error is sqrt(R/(R-1) sum_r (S_r - L_r T)^2) / n,
@@ -279,10 +279,7 @@ def monte_carlo_check(
     samples, (burn_in, replicas, per) = sample_windows(chain, window, n, seed)
     num_questions = len(chain.questions)
     k, labeled, encoder, _ = view_encoder(strategy, chain.process.labels, window)
-    exact = chainmod.window_joint(chain, k).table
-    every = np.indices(exact.shape, dtype=samples.dtype).reshape(exact.ndim, -1).T
-    cells = _view_next_cells(every, num_questions, k, labeled)  # every cell, so no minlength
-    table = np.bincount(cells, weights=exact.reshape(-1)).reshape(len(encoder), -1)
+    table = chainmod.view_table(chain, k, labeled)
     iota = np.where(table > 0.0, info.pointwise_information(table, encoder), np.nan)
     scores = iota.reshape(-1)[_view_next_cells(samples, num_questions, k, labeled)]
     sums = np.add.reduceat(scores, np.arange(0, n, per)) if per > 1 else scores

@@ -93,20 +93,6 @@ def history_window(joint: JointDistribution) -> int:
     return len(hist) // 2
 
 
-def view_variables(joint: JointDistribution, k: int, labeled: bool) -> list:
-    """Names of the last-k-pairs history view, in canonical order."""
-    w = history_window(joint)
-    if not 1 <= k <= w:
-        raise ValidationError(f"view k={k} outside the joint's history window w={w}")
-    names = []
-    for offset in range(-k + 1, 1):
-        qn, an = chainmod.pair_names(offset)
-        if labeled:
-            names.append(qn)
-        names.append(an)
-    return names
-
-
 def view_alphabet(labels, k: int, labeled: bool) -> tuple:
     """Canonically ordered symbols of a history view.
 

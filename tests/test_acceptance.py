@@ -35,7 +35,7 @@ from obsthermo import (
 from obsthermo.optimize import OptimizerSettings
 from obsthermo.workflows import optimize, scenario_window
 
-from conftest import two_questions_at_angle
+from conftest import scenario_chain, two_questions_at_angle
 
 # 1 - Hb(1/4), the unlabeled-record predictive information for orthogonal questions
 IPRED_UNLABELED = 1.0 - (0.25 * math.log2(4.0) + 0.75 * math.log2(4.0 / 3.0))
@@ -61,8 +61,7 @@ def test_criterion_01_case_a_zero_bound(case_a):
 
 
 def test_criterion_02_case_a_needs_two_memory_states(case_a):
-    _, window = scenario_window(case_a)
-    hf = history_future_joint(window, k=1, labeled=True)
+    hf = history_future_joint(scenario_chain(case_a), k=1, labeled=True)
     best_m1 = exhaustive_best(hf, 1)
     best_m2 = exhaustive_best(hf, 2)
     assert best_m1.i_pred < 1.0 - 1e-9  # one state cannot hold the answer
@@ -99,8 +98,8 @@ def test_criterion_06_predictive_cap_one_bit(case_a, case_b_labeled, case_b_unla
     # maximum while staying inside the enumeration cap
     worst = 0.0
     for scenario in (case_a, case_b_labeled, case_b_unlabeled, angle_sweep):
-        _, window = scenario_window(scenario)
-        hf = history_future_joint(window, k=1, labeled=True)
+        chain, window = scenario_window(scenario)
+        hf = history_future_joint(chain, k=1, labeled=True)
         best = exhaustive_best(hf, hf.num_histories)
         assert best.i_pred <= 1.0 + 1e-10
         worst = max(worst, best.i_pred)
@@ -122,8 +121,7 @@ def test_criterion_07_longer_records_only_add_nostalgia(case_a):
 
 
 def test_criterion_08_degeneracy_at_beta_one(case_a):
-    _, window = scenario_window(case_a)
-    hf = history_future_joint(window, k=1, labeled=True)
+    hf = history_future_joint(scenario_chain(case_a), k=1, labeled=True)
     point = optimize_soft(hf, 1.0, OptimizerSettings(memory_size=2, seed=11))
     assert point.converged and abs(point.objective) <= 1e-9
     members = degeneracy_report(hf, 2)
@@ -184,8 +182,7 @@ def test_every_soft_row_is_within_criterion_11_of_the_deterministic_optimum_at_i
     for name in BUNDLED_SCENARIOS:
         scenario = bundled_scenario(name)
         settings = scenario.optimizer
-        _, window = scenario_window(scenario)
-        hf = history_future_joint(window, k=settings.history_k, labeled=settings.history_labeled)
+        hf = history_future_joint(scenario_chain(scenario), settings.history_k, settings.history_labeled)
         for point in optimize(scenario).points:
             reference = exhaustive_best(hf, settings.memory_size, beta=point.beta)
             gap = point.objective - reference.objective

@@ -22,7 +22,13 @@ from obsthermo import (
 from obsthermo import chain as chainmod
 from obsthermo.joint import JointDistribution
 
-from conftest import case_b_questions, markov_identity_questions, two_questions_at_angle
+from conftest import (
+    case_b_questions,
+    grouped_view_table,
+    markov_identity_questions,
+    three_questions_markov,
+    two_questions_at_angle,
+)
 
 
 def state_index(question_index: int, answer: int) -> int:
@@ -217,6 +223,54 @@ def test_window_size_cap_names_requirement(monkeypatch):
     assert window_joint(kernel, 2).table.size == 64
     with pytest.raises(SizeCapError, match="needs 256 entries, over WINDOW_ENTRY_CAP = 100"):
         window_joint(kernel, 3)
+    # an unlabeled view table counts its own 2^k * 2K entries
+    assert chainmod.view_table(kernel, 4, labeled=False).size == 64
+    with pytest.raises(SizeCapError, match="needs 128 entries, over WINDOW_ENTRY_CAP = 100"):
+        chainmod.view_table(kernel, 5, labeled=False)
+
+
+VIEW_TABLE_CASES = {
+    "one_question": single_question,
+    "two_questions_iid": case_b_questions,
+    "three_questions_markov": three_questions_markov,
+}
+
+
+@pytest.mark.parametrize("name", VIEW_TABLE_CASES)
+def test_view_table_matches_the_window_joint_grouped_by_its_marginal(name):
+    chain = Chain(*VIEW_TABLE_CASES[name](), MIXED_STATE)
+    n = 2 * len(chain.questions)
+    for k in range(1, 7):
+        window = window_joint(chain, k)
+        for labeled in (True, False):
+            table = chainmod.view_table(chain, k, labeled)
+            expected = grouped_view_table(window, k, labeled)
+            assert table.shape == ((n if labeled else 2) ** k, n)
+            assert np.max(np.abs(table - expected)) <= 1e-15, (k, labeled)
+
+
+def test_labeled_view_table_is_the_long_run_times_the_kernel_bit_for_bit():
+    # the product the window joint was built by before view_table, one pair at a time
+    chain = Chain(*three_questions_markov(), MIXED_STATE)
+    product = chain.long_run.distribution.copy()
+    for k in range(1, 6):
+        product = product[..., None] * chain.matrix
+        assert np.array_equal(chainmod.view_table(chain, k, True).reshape(-1), product.reshape(-1))
+        assert np.array_equal(window_joint(chain, k).table.reshape(-1), product.reshape(-1))
+
+
+def test_unlabeled_view_table_past_the_window_cap_sums_to_the_shorter_view():
+    # the long run is stationary, so dropping the oldest answer of a k-view gives the (k-1)-view
+    chain = Chain(*three_questions_markov(), MIXED_STATE)
+    with pytest.raises(SizeCapError, match="over WINDOW_ENTRY_CAP"):
+        window_joint(chain, 16)
+    shorter = chainmod.view_table(chain, 1, labeled=False)
+    for k in range(2, 17):
+        table = chainmod.view_table(chain, k, labeled=False)
+        assert table.shape == (2**k, 6)
+        dropped = table.reshape(2, 2 ** (k - 1), 6).sum(axis=0)
+        assert np.max(np.abs(dropped - shorter)) <= 1e-15, k
+        shorter = table
 
 
 def test_trajectory_case_a_eigenstate_start_constant():

@@ -23,13 +23,12 @@ from obsthermo import (
     Chain,
     bundled_scenario,
     history_future_joint,
-    window_joint,
 )
 import obsthermo.optimize as optmod
 from obsthermo.info import xlogx
 from obsthermo.optimize import HistoryFutureJoint, _initial_encoders, _run_fixed_points
-from obsthermo.workflows import scenario_window
 
+from conftest import scenario_chain
 from test_optimize import batch_cases
 
 
@@ -131,8 +130,7 @@ def test_bundled_sweeps_match_the_one_step_loop(monkeypatch):
     for name in BUNDLED:
         scenario = bundled_scenario(name)
         opt = scenario.optimizer
-        _, window = scenario_window(scenario, opt.history_k)
-        hf = history_future_joint(window, k=opt.history_k, labeled=opt.history_labeled)
+        hf = history_future_joint(scenario_chain(scenario), opt.history_k, opt.history_labeled)
         optmod.sweep_beta(hf, opt)
     assert calls == [float(beta) for beta in optmod.BETAS] * len(BUNDLED)
 
@@ -197,8 +195,7 @@ def test_buffers_stay_within_the_entry_budget(monkeypatch):
     axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
     questions = tuple(Question(label=f"Q{i}", axis=a) for i, a in enumerate(axes))
     process = IIDProcess(labels=("Q0", "Q1", "Q2"), weights=np.full(3, 1 / 3))
-    window = window_joint(Chain(questions, process, MIXED_STATE), 3)
-    hf = history_future_joint(window, k=3, labeled=True)
+    hf = history_future_joint(Chain(questions, process, MIXED_STATE), k=3, labeled=True)
     assert hf.table.shape == (216, 6)
     starts = _initial_encoders(216, 8, 9, np.random.default_rng(3))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -31,9 +32,8 @@ from obsthermo.optimize import (
     _run_fixed_points,
 )
 from obsthermo.strategy import assignment_from_map, harden
-from obsthermo.workflows import scenario_window
 
-from conftest import case_b_questions, enumerate_deterministic
+from conftest import case_b_questions, enumerate_deterministic, scenario_chain, three_questions_markov
 
 
 IPRED_UNLABELED = 0.18872187554086717  # 1 - Hb(1/4)
@@ -46,24 +46,19 @@ def test_the_package_attribute_optimize_is_the_submodule():
 
 @pytest.fixture(scope="module")
 def case_a_hf(case_a):
-    _, window = scenario_window(case_a)
-    return history_future_joint(window, k=1, labeled=True)
+    return history_future_joint(scenario_chain(case_a), k=1, labeled=True)
 
 
 @pytest.fixture(scope="module")
 def case_b_hf_labeled():
     questions, proc = case_b_questions()
-    kernel = Chain(questions, proc, MIXED_STATE)
-    window = window_joint(kernel, 1)
-    return history_future_joint(window, k=1, labeled=True)
+    return history_future_joint(Chain(questions, proc, MIXED_STATE), k=1, labeled=True)
 
 
 @pytest.fixture(scope="module")
 def case_b_hf_unlabeled():
     questions, proc = case_b_questions()
-    kernel = Chain(questions, proc, MIXED_STATE)
-    window = window_joint(kernel, 1)
-    return history_future_joint(window, k=1, labeled=False)
+    return history_future_joint(Chain(questions, proc, MIXED_STATE), k=1, labeled=False)
 
 
 def settings(m, seed=0):
@@ -317,6 +312,28 @@ def test_optimize_skips_the_map_scan_over_the_cap(monkeypatch):
     assert [p.objective for p in over.points] == [p.objective for p in result.points]
 
 
+def test_optimize_reads_an_unlabeled_view_deeper_than_any_window():
+    # K = 3 and k = w = 12: a window would need 6**13 entries, the unlabeled view has 2**12 rows
+    questions, process = three_questions_markov()
+    settings = OptimizerSettings(memory_size=2, history_k=12, history_labeled=False)
+    scenario = dataclasses.replace(
+        bundled_scenario("case_b_unlabeled"),
+        questions=questions,
+        process=process,
+        window=12,
+        optimizer=settings,
+    )
+    with pytest.raises(SizeCapError):
+        window_joint(scenario_chain(scenario), 12)
+    result = workflows.optimize(scenario)
+    assert [p.beta for p in result.points] == [float(b) for b in optmod.BETAS]
+    assert result.degeneracy is None and result.exhaustive_reference is None  # 2**4096 maps
+    for point in result.points:
+        assert point.strategy.assignment.shape == (2**12, 2)
+        assert point.strategy.k == 12 and not point.strategy.labeled
+        assert 0.0 <= point.i_pred <= point.i_mem + 1e-9
+
+
 def starts_with_warm(hf, m, seed, warm):
     """The stack optimize_soft runs: 8 seeded restarts, then one warm start."""
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -324,9 +341,8 @@ def starts_with_warm(hf, m, seed, warm):
 
 
 def batch_cases(case_b_unlabeled):
-    _, window = scenario_window(case_b_unlabeled)
     opt = case_b_unlabeled.optimizer
-    hf = history_future_joint(window, k=opt.history_k, labeled=opt.history_labeled)
+    hf = history_future_joint(scenario_chain(case_b_unlabeled), opt.history_k, opt.history_labeled)
     # beta = 4 is the critical beta of case_b_unlabeled: restarts stop after
     # very different iteration counts there
     warm = exhaustive_best(hf, opt.memory_size, beta=4.0).strategy.assignment
@@ -377,8 +393,7 @@ def test_descent_violation_is_a_typed_error(tmp_path, monkeypatch, capsys, case_
 def test_constant_maps_report_positive_zero_information(case_a):
     # the scan clamps as the soft optimizer does: -0.0 reads +0.0 in *_degeneracy.json
     settings = case_a.optimizer
-    _, window = scenario_window(case_a)
-    hf = history_future_joint(window, k=settings.history_k, labeled=settings.history_labeled)
+    hf = history_future_joint(scenario_chain(case_a), settings.history_k, settings.history_labeled)
     constant = [d for d in degeneracy_report(hf, settings.memory_size) if len(set(d.map_indices)) == 1]
     assert len(constant) == 2
     for d in constant:

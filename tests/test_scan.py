@@ -18,7 +18,8 @@ import obsthermo.optimize as optmod
 from obsthermo import bundled_scenario, degeneracy_report, exhaustive_best, history_future_joint
 from obsthermo.info import xlogx
 from obsthermo.optimize import HistoryFutureJoint
-from obsthermo.workflows import scenario_window
+
+from conftest import scenario_chain
 
 _LN2 = np.log(2.0)
 BUNDLED = ("case_a", "case_b_labeled", "case_b_unlabeled", "case_b_bestcase", "angle_sweep")
@@ -98,8 +99,7 @@ def bundled_cases():
     for name in BUNDLED:
         scenario = bundled_scenario(name)
         settings = scenario.optimizer
-        _, window = scenario_window(scenario)
-        hf = history_future_joint(window, k=settings.history_k, labeled=settings.history_labeled)
+        hf = history_future_joint(scenario_chain(scenario), settings.history_k, settings.history_labeled)
         cases.append((hf, settings.memory_size))
     return cases
 
