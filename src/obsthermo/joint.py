@@ -73,24 +73,11 @@ class JointDistribution:
             table=table,
         )
 
-    def reorder(self, names) -> "JointDistribution":
-        """Return the same distribution with variables permuted into `names` order."""
-        names = tuple(names)
-        if sorted(names) != sorted(self.names):
-            raise ValidationError(f"reorder needs a permutation of {self.names}, got {names}")
-        perm = self.axes(names)
-        return JointDistribution(
-            names=names,
-            alphabets=tuple(self.alphabets[i] for i in perm),
-            table=np.transpose(self.table, perm),
-        )
-
 
 def max_abs_deviation(a: JointDistribution, b: JointDistribution) -> float:
-    """Largest per-entry difference between two joints over the same variables."""
-    if set(a.names) != set(b.names):
+    """Largest per-entry difference between two joints over the same variables in the same order."""
+    if a.names != b.names:
         raise ValidationError(f"variable mismatch: {a.names} vs {b.names}")
-    b = b.reorder(a.names)
     if a.alphabets != b.alphabets:
         raise ValidationError("alphabet mismatch between joints")
     return float(np.max(np.abs(a.table - b.table)))

@@ -78,7 +78,7 @@ class HistoryFutureJoint:
         return cond
 
 
-def history_future_joint(chain: chainmod.Chain, k: int, labeled: bool = True) -> HistoryFutureJoint:
+def history_future_joint(chain: chainmod.Chain, k: int, labeled: bool) -> HistoryFutureJoint:
     """The optimizer's (H, X') table: the chain's `view_table` of the last k pairs.
 
     Labels are kept or dropped; rows come out in the canonical kernel row order.

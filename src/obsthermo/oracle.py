@@ -13,15 +13,16 @@ Monte Carlo takes the scenario's `chain.Chain`, which carries the start,
 and draws its windows from the replica trajectories of `replica_plan`, the
 one place that reads the kernel: how long a replica burns in and how many
 sliding windows it gives.  The plan reads the chain's cached spectrum, which
-bounds the burn-in; a replica that gives one window burns in only until its
-own law, the chain's start law pushed through the kernel by `chain.settle`,
-is stationary.  The sampler and the plan never read the long run;
-`sample_windows` returns the plan with the windows.  The check reads the
-chain's exact p(view, next pair) table only to score each window by its
-pointwise information.  It is still a check: to first order the plug-in
-I(M; next) moves from the exact value by the sampled frequency errors times
-that same score, so their mean tests the plug-in's direction, and a window
-the exact law forbids fails it outright.
+bounds the burn-in; a periodic schedule has no kernel and so no spectrum,
+and the plan refuses it before anything is drawn.  A replica that gives one
+window burns in only until its own law, the chain's start law pushed
+through the kernel by `chain.settle`, is stationary.  The sampler and the
+plan never read the long run; `sample_windows` returns the plan with the
+windows.  The check reads the chain's exact p(view, next pair) table only
+to score each window by its pointwise information.  It is still a check: to
+first order the plug-in I(M; next) moves from the exact value by the sampled
+frequency errors times that same score, so their mean tests the plug-in's
+direction, and a window the exact law forbids fails it outright.
 Caps, tolerances and counts are module constants, each read where it
 applies: LEAF_CAP bounds the tree, TAIL_TOL ends `converged_tail`, and
 MIN_BURN_IN, BURN_IN_TOL and MIN_REPLICAS shape the plan.
@@ -157,18 +158,17 @@ def replica_plan(chain: chainmod.Chain, n: int) -> tuple:
     its phase on a periodic kernel never gets there.  The plan never reads
     the long-run distribution, and the windows are still simulated from the
     Born rule.
-    A periodic schedule has no time-homogeneous kernel: it burns in
-    MIN_BURN_IN steps and gives one window per replica.
+    A periodic schedule has no time-homogeneous kernel, so reading its
+    spectrum raises the chain's ValidationError: no plan, and nothing drawn.
     """
     burn_in, per = MIN_BURN_IN, 1
-    if not isinstance(chain.process, procmod.PeriodicProcess):
-        lam = chain.slowest_mode
-        if lam != 0.0:
-            burn_in = max(MIN_BURN_IN, math.ceil(math.log(BURN_IN_TOL) / math.log(lam)))
-        if chain.mixes:
-            per = max(1, min(burn_in, n // MIN_REPLICAS))
-        if per == 1:
-            burn_in = chainmod.settle(chain, burn_in)[0]
+    lam = chain.slowest_mode
+    if lam != 0.0:
+        burn_in = max(MIN_BURN_IN, math.ceil(math.log(BURN_IN_TOL) / math.log(lam)))
+    if chain.mixes:
+        per = max(1, min(burn_in, n // MIN_REPLICAS))
+    if per == 1:
+        burn_in = chainmod.settle(chain, burn_in)[0]
     return burn_in, -(-n // per), per
 
 
@@ -178,11 +178,14 @@ def sample_windows(chain: chainmod.Chain, window: int, n: int, seed: int) -> tup
 
     The replicas start from the chain's `initial` and run through the
     sampler's question and answer steps, b = max(1, process._BLOCK_ENTRIES // R)
-    steps at a time; no output depends on b.  Each discards its burn-in and
-    then gives L consecutive sliding windows, as `replica_plan` sets out.  Replicas are
-    i.i.d.; windows inside one are not, so errors must treat whole replicas
-    as the samples.  Where L = 1 (reducible or periodic chains) R = n, every
-    window has its own trajectory and the samples are i.i.d.
+    steps at a time; no output depends on b.  One Philox stream feeds every
+    step the same way: R question uniforms when K > 1, then R answer uniforms.
+    Each replica discards its burn-in and then gives L consecutive sliding
+    windows, as `replica_plan` sets out.  Replicas are i.i.d.; windows inside
+    one are not, so errors must treat whole replicas as the samples.  Where
+    L = 1 (reducible or periodic kernels) R = n, every window has its own
+    trajectory and the samples are i.i.d.  A periodic schedule is refused by
+    the plan before anything is drawn.
     A burn-in of 0 keeps the first step: its uniforms come first in the
     stream, so on an identity kernel the windows equal those after any longer
     burn-in.
@@ -197,24 +200,19 @@ def sample_windows(chain: chainmod.Chain, window: int, n: int, seed: int) -> tup
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     plan = burn_in, replicas, per = replica_plan(chain, n)
-    questions, process = chain.questions, chain.process
-    k = len(questions)
+    k = len(chain.questions)
     rng = procmod._rng(seed)
-    next_questions = procmod.question_step(process)
+    next_questions = procmod.question_step(chain.process)
     next_answers = chainmod.answer_step(chain)
-    # one Philox stream, per step R question uniforms and then R answer uniforms; no question
-    # uniforms for K = 1, nor after step 0 on periodic or one-question i.i.d. schedules
-    periodic = isinstance(process, procmod.PeriodicProcess)
-    later = not periodic and (k > 1 or isinstance(process, procmod.MarkovProcess))
+    draws = 1 + (k > 1)  # uniforms per replica and step: the question's, then the answer's
     steps = window + per  # pairs each replica keeps after its burn-in
     kept = np.empty((replicas, steps, 2), dtype=np.min_scalar_type(k))
     q = np.full(replicas, k)  # a fresh start: question K, chain state 2K
     state = 2 * q
-    spans = [(0, 1)] + procmod.blocks(1, burn_in, replicas)
-    spans += procmod.blocks(max(1, burn_in), burn_in + steps, replicas)
-    buffer = np.empty(2 * replicas * max(t1 - t0 for t0, t1 in spans))
+    spans = procmod.blocks(0, burn_in, replicas) + procmod.blocks(burn_in, burn_in + steps, replicas)
+    buffer = np.empty(draws * replicas * max(t1 - t0 for t0, t1 in spans))
     for t0, t1 in spans:
-        shape = (t1 - t0, 1 + (k > 1 if t0 == 0 else later), replicas)
+        shape = (t1 - t0, draws, replicas)
         u = rng.random(out=buffer[: math.prod(shape)].reshape(shape))
         qs = next_questions(q, u[:, 0], t0)  # reads no uniform where none is drawn
         a = next_answers(state, qs, u[:, -1])

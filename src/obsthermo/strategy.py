@@ -77,22 +77,6 @@ Strategy = WindowStrategy | NothingStrategy | KernelStrategy
 MEMORY_VAR = "m"
 
 
-def _history_names(joint: JointDistribution) -> list:
-    future = set(chainmod.FUTURE_PAIR)
-    missing = future - set(joint.names)
-    if missing:
-        raise ValidationError(f"joint lacks the future pair variables {sorted(missing)}")
-    return [n for n in joint.names if n not in future]
-
-
-def history_window(joint: JointDistribution) -> int:
-    """Number of history pairs in a window joint."""
-    hist = _history_names(joint)
-    if len(hist) % 2 != 0 or not hist:
-        raise ValidationError(f"history block {hist} is not a sequence of (q, a) pairs")
-    return len(hist) // 2
-
-
 def view_alphabet(labels, k: int, labeled: bool) -> tuple:
     """Canonically ordered symbols of a history view.
 
@@ -165,11 +149,13 @@ def view_encoder(strategy: Strategy, labels, w: int) -> tuple:
 def apply_strategy(strategy: Strategy, joint: JointDistribution) -> JointDistribution:
     """P(m, history, q', a') = p(m | view of history) * P(history, q', a').
 
-    The joint must follow the window naming convention (q-w+1 ... a0, q+1, a+1)
-    and is reordered canonically first.
+    The joint is a window joint as `chain.window_joint` gives it: w >= 1
+    history pairs and the next pair, named and ordered q-w+1, a-w+1, ...,
+    q0, a0, q+1, a+1.  Any other joint raises ValidationError.
     """
-    w = history_window(joint)
-    joint = joint.reorder(chainmod.window_names(w))
+    w = len(joint.names) // 2 - 1
+    if w < 1 or joint.names != chainmod.window_names(w):
+        raise ValidationError(f"not a window joint's variables in window order: {joint.names}")
     labels = joint.alphabet(chainmod.FUTURE_PAIR[0])
     k, labeled, encoder, m_alpha = view_encoder(strategy, labels, w)
     pairs = np.indices(joint.table.shape[: 2 * w])[2 * (w - k) :]  # the view's k pairs
@@ -220,26 +206,20 @@ def _same_partition(f: np.ndarray, g: np.ndarray) -> bool:
     )
 
 
-def strategy_summary(strategy: Strategy, num_questions: int | None = None) -> str:
+def strategy_summary(strategy: Strategy, num_questions: int) -> str:
     """Stable one-line description: variant, sizes, and for kernels the hardened
     argmax cells (ties reported lexicographically, e.g. '0|1')."""
     if isinstance(strategy, NothingStrategy):
         return "nothing (M=1)"
     if isinstance(strategy, WindowStrategy):
         kind = "labeled" if strategy.labeled else "unlabeled"
-        if strategy.labeled:
-            if num_questions is None:
-                m_txt = "2K" if strategy.k == 1 else f"(2K)^{strategy.k}"
-            else:
-                m_txt = str((2 * num_questions) ** strategy.k)
-        else:
-            m_txt = str(2**strategy.k)
-        return f"window k={strategy.k} {kind} (M={m_txt})"
+        m = (2 * num_questions if strategy.labeled else 2) ** strategy.k
+        return f"window k={strategy.k} {kind} (M={m})"
     # kernel: report hardened cells, or a window equivalence when one exists
     arr = strategy.assignment
     m = strategy.memory_size
     hard = harden(arr)
-    if strategy.k is not None and num_questions is not None:
+    if strategy.k is not None:
         for j in range(1, strategy.k + 1):
             for labeled_j in (False, True):
                 cand = _window_map_on_view(

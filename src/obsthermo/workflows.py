@@ -23,7 +23,7 @@ from .optimize import (
     history_future_joint,
     sweep_beta,
 )
-from .strategy import MEMORY_VAR, apply_strategy, history_window, view_encoder
+from .strategy import MEMORY_VAR, apply_strategy, view_encoder
 
 WINDOW_ORACLE_TOL = 1e-10
 CONSISTENCY_TOL = 1e-10
@@ -62,7 +62,7 @@ class AnalysisResult:
 
     @cached_property
     def window(self) -> JointDistribution:
-        if self.w == history_window(self.view):
+        if self.view.names == chainmod.window_names(self.w):
             return self.view
         return chainmod.window_joint(self.chain, self.w)
 

@@ -56,7 +56,7 @@ def grouped_view_table(window, k: int, labeled: bool) -> np.ndarray:
     """
     view = [n for offset in range(1 - k, 1) for n in pair_names(offset)[0 if labeled else 1 :]]
     names = (*view, *FUTURE_PAIR)
-    table = window.marginal(names).reorder(names).table
+    table = window.marginal(names).table
     return table.reshape(-1, 2 * len(window.alphabet(FUTURE_PAIR[0])))
 
 

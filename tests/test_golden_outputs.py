@@ -7,8 +7,14 @@ meant to move them rewrites the file with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-which names on stderr every record whose hash it moved.  The same files are
-also parsed: every CSV must be well-formed.
+which names on stderr every record whose hash it moved.  Outputs written
+elsewhere, by the installed console script for one, are checked without
+rewriting anything by
+
+    python tests/test_golden_outputs.py --compare DIR
+
+which exits 1 and names every record that DIR moves, adds or lacks.  The same
+files are also parsed: every CSV must be well-formed.
 """
 
 import contextlib
@@ -36,6 +42,11 @@ def output_hashes(out: Path) -> dict:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code == 0, f"{' '.join(argv)} exited {code}"
+    return file_hashes(out)
+
+
+def file_hashes(out: Path) -> dict:
+    """sha256 of every file in `out`, by file name."""
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
@@ -43,8 +54,11 @@ def output_hashes(out: Path) -> dict:
 
 
 def changed_records(expected: dict, actual: dict) -> list:
-    """The records of `expected` whose hash `actual` moves, sorted by file name."""
-    return sorted(name for name in expected if actual.get(name) != expected[name])
+    """The records whose hash `actual` moves from `expected` or that only one of them
+    holds, sorted by file name."""
+    return sorted(
+        name for name in expected.keys() | actual.keys() if actual.get(name) != expected.get(name)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +91,21 @@ def test_every_csv_has_rows_of_its_header_width_and_answers_in_bits(outputs):
 
 
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Rewrite the golden hashes from a fresh run.")
+    parser.add_argument(
+        "--compare", metavar="DIR", type=Path,
+        help="compare the outputs in DIR with the golden hashes instead; write nothing",
+    )
+    args = parser.parse_args()
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    if args.compare is not None:
+        moved = changed_records(golden, file_hashes(args.compare))
+        sys.exit(f"outputs differ from {GOLDEN.name}: {moved}" if moved else 0)
     with tempfile.TemporaryDirectory() as tmp:
         hashes = output_hashes(Path(tmp))
-    for name in changed_records(json.loads(GOLDEN.read_text(encoding="utf-8")), hashes):
+    for name in changed_records(golden, hashes):
         print(f"changed: {name}", file=sys.stderr)
     GOLDEN.write_text(json.dumps(hashes, sort_keys=True, indent=2) + "\n", encoding="utf-8")

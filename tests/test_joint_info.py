@@ -153,9 +153,11 @@ def test_max_abs_deviation_requires_matching_variables():
     b = pair_table(0.25, 0.25, 0.25, 0.25, names=("x", "z"))
     with pytest.raises(ValidationError):
         max_abs_deviation(a, b)
-    # same variables permuted line up fine
-    c = pair_table(0.25, 0.25, 0.25, 0.25).reorder(("y", "x"))
-    assert max_abs_deviation(a, c) == 0.0
+    # the same variables in another order are refused, not lined up
+    c = pair_table(0.25, 0.25, 0.25, 0.25, names=("y", "x"))
+    with pytest.raises(ValidationError, match="variable mismatch"):
+        max_abs_deviation(a, c)
+    assert max_abs_deviation(a, pair_table(0.25, 0.25, 0.25, 0.25)) == 0.0
 
 
 def test_xlogx_zero_and_positive():

@@ -31,14 +31,17 @@ from obsthermo import (
     window_names,
 )
 from obsthermo import chain as chainmod
+from obsthermo import info
 from obsthermo.chain import Chain, window_alphabets
 from obsthermo.cli import main as cli_main
 from obsthermo.config import parse_scenario
 from obsthermo.joint import JointDistribution
 from obsthermo import oracle as oraclemod
+from obsthermo import process as procmod
 from obsthermo.oracle import _view_next_cells, replica_plan, sample_windows, verdict
 from obsthermo.process import question_law
 from obsthermo.qubit import collapsed_states, outcome_table
+from obsthermo.strategy import KernelStrategy, assignment_from_map
 from obsthermo.workflows import (
     DEFAULT_MC_SAMPLES,
     MC_ROUNDING_TOL,
@@ -51,6 +54,7 @@ from conftest import (
     born_plus_matrix,
     case_b_questions,
     markov_identity_questions,
+    three_questions_markov,
     two_questions_at_angle,
 )
 
@@ -85,6 +89,7 @@ def tree_tail(joint, questions, window: int) -> JointDistribution:
 ONE_PHASE_ALTERNATING = MarkovProcess(  # Qz, Qx, Qz, ... from Qz
     labels=("Qz", "Qx"), transition=np.array([[0.0, 1.0], [1.0, 0.0]]), initial=np.array([1.0, 0.0])
 )
+NO_KERNEL = "periodic schedules have no time-homogeneous kernel"
 ABSORBING = MarkovProcess(  # Qz repeats forever once asked
     labels=("Qz", "Qx", "Qy"),
     transition=np.array([[1.0, 0.0, 0.0], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]]),
@@ -302,7 +307,8 @@ def test_burn_in_is_the_floor_on_fast_and_periodic_chains():
     # a one-phase start on a periodic kernel: no mode below 1, and never stationary
     assert replica_plan(Chain(questions, ONE_PHASE_ALTERNATING, MIXED_STATE), 2000)[0] == 64
     periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx"))
-    assert replica_plan(Chain(questions, periodic, MIXED_STATE), 2000)[0] == 64
+    with pytest.raises(ValidationError, match=NO_KERNEL):  # a periodic schedule has no kernel
+        replica_plan(Chain(questions, periodic, MIXED_STATE), 2000)
 
 
 def test_one_window_replicas_burn_in_until_their_law_is_stationary(case_a, case_b_bestcase):
@@ -333,7 +339,8 @@ def test_replica_plan_pins_burn_in_replicas_and_windows(case_a):
     assert replica_plan(reducible, 2000) == (0, 2000, 1)
     periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx", "Qx"))
     for n in (1000, 2000, 12345):
-        assert replica_plan(Chain(questions, periodic, MIXED_STATE), n) == (64, n, 1)
+        with pytest.raises(ValidationError, match=NO_KERNEL):
+            replica_plan(Chain(questions, periodic, MIXED_STATE), n)
 
 
 def test_monte_carlo_error_scales_with_sample_size():
@@ -379,14 +386,14 @@ def reference_windows(questions, process, initial, window, n, seed, burn_in=None
     p0 = np.array([born_probability(initial, q.axis) for q in questions])
     out = np.empty((n, 2 * (window + 1)), dtype=int)
     for t in range(burn_in + window + 1):
-        if t == 0 or isinstance(process, IIDProcess):
+        if k == 1:
+            q_next = np.zeros(n, dtype=int)
+        elif t == 0 or isinstance(process, IIDProcess):
             law = question_law(process)[-1] if t == 0 else process.weights
-            q_next = rng.choice(k, size=n, p=law) if k > 1 else np.zeros(n, dtype=int)
-        elif isinstance(process, MarkovProcess):
+            q_next = rng.choice(k, size=n, p=law)
+        else:
             cdf = np.cumsum(process.transition, axis=1)[q]
             q_next = (rng.random(n)[:, None] >= cdf / cdf[:, -1:]).sum(axis=1)
-        if isinstance(process, PeriodicProcess):
-            q_next = np.full(n, process.labels.index(process.sequence[t % len(process.sequence)]))
         p_plus = p0[q_next] if t == 0 else born[2 * q + a, q_next]
         q, a = q_next, (rng.random(n) >= p_plus).astype(int)
         if t >= burn_in:
@@ -414,16 +421,17 @@ def test_sample_windows_one_trajectory_per_window_on_reducible_and_periodic_chai
     questions, _ = case_b_questions()
     periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx", "Qx"))
     three = questions + (Question(label="Qy", axis=np.array([0.0, 1.0, 0.0])),)
-    cases = [
-        (case_a.questions, case_a.process, case_a.initial_state, case_a.window),
-        (case_b_bestcase.questions, case_b_bestcase.process, MIXED_STATE, case_b_bestcase.window),
-        (questions, periodic, BlochVector(0.6, 0.0, 0.8), 2),
-        (three, ABSORBING, MIXED_STATE, 2),
-    ]
-    for seed, (qs, proc, start, w) in enumerate(cases):
+    cases = {
+        0: (case_a.questions, case_a.process, case_a.initial_state, case_a.window),
+        1: (case_b_bestcase.questions, case_b_bestcase.process, MIXED_STATE, case_b_bestcase.window),
+        3: (three, ABSORBING, MIXED_STATE, 2),
+    }
+    for seed, (qs, proc, start, w) in cases.items():
         got, plan = sample_windows(Chain(qs, proc, start), window=w, n=2000, seed=seed)
         assert plan[1:] == (2000, 1)
         assert np.array_equal(got, reference_windows(qs, proc, start, w, 2000, seed))
+    with pytest.raises(ValidationError, match=NO_KERNEL):  # a periodic schedule has no kernel
+        sample_windows(Chain(questions, periodic, BlochVector(0.6, 0.0, 0.8)), window=2, n=2000, seed=2)
 
 
 def test_zero_burn_in_windows_equal_those_after_64_steps(case_a, case_b_bestcase):
@@ -455,6 +463,22 @@ def test_tree_tail_after_a_zero_burn_in_is_the_long_run(case_a, case_b_bestcase)
         assert max_abs_deviation(exact, tree_tail(tree, questions, w)) <= WINDOW_ORACLE_TOL
 
 
+def test_monte_carlo_refuses_a_periodic_schedule_before_drawing(monkeypatch):
+    # monte_carlo_check used to draw all n windows and only then find no kernel
+    questions, _ = case_b_questions()
+    periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx", "Qx"))
+    chain = Chain(questions, periodic, MIXED_STATE)
+    counts = count_calls(monkeypatch, {"streams": (procmod, "_rng")})
+    for refused in (
+        lambda: replica_plan(chain, 2000),
+        lambda: sample_windows(chain, window=2, n=2000, seed=0),
+        lambda: monte_carlo_check(chain, 2, WindowStrategy(k=2), n=2000, seed=0),
+    ):
+        with pytest.raises(ValidationError, match=NO_KERNEL):
+            refused()
+    assert counts == {"streams": 0}
+
+
 def test_sample_windows_rejects_bad_sizes():
     chain = Chain(*case_b_questions(), MIXED_STATE)
     for n, window, match in (
@@ -482,7 +506,8 @@ def test_windows_per_replica_only_on_mixing_kernels(case_a, case_b_bestcase):
     )
     assert replica_plan(Chain(questions, alternating, MIXED_STATE), n)[1:] == (n, 1)  # periodic
     periodic = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz", "Qx"))
-    assert replica_plan(Chain(questions, periodic, MIXED_STATE), n)[1:] == (n, 1)  # no kernel
+    with pytest.raises(ValidationError, match=NO_KERNEL):
+        replica_plan(Chain(questions, periodic, MIXED_STATE), n)
     # at least MIN_REPLICAS = 100 replicas: the windows per replica shrink with n
     assert replica_plan(chain, 1001) == (64, 101, 10)
     assert replica_plan(chain, 10**4) == (64, 157, 64)
@@ -519,6 +544,22 @@ def test_monte_carlo_three_sigma_coverage_and_calibration(name):
     errors = np.array([r.se_i_pred for r in runs])
     assert np.sum(np.abs(estimates - exact) > 3.0 * errors) <= 1
     assert 0.7 <= np.std(estimates, ddof=1) / np.median(errors) <= 1.4
+
+
+def test_monte_carlo_scores_a_k12_view_past_the_window_cap():
+    # an unlabeled k = 12 view of three questions: its labeled window needs 6^13 entries
+    chain = Chain(*three_questions_markov(), MIXED_STATE)
+    with pytest.raises(SizeCapError):
+        window_joint(chain, 12)
+    views = np.arange(2**12)
+    blur = np.random.default_rng(12).dirichlet(np.ones(4), size=views.size)
+    # the last two answers (the view index's two low bits), blurred by a kernel on the whole view
+    assignment = 0.5 * assignment_from_map(views % 4, 4) + 0.5 * blur
+    strategy = KernelStrategy(assignment, k=12, labeled=False)
+    _, exact = info.encoder_information(chainmod.view_table(chain, 12, False), assignment)
+    for seed in range(5):
+        mc = monte_carlo_check(chain, 12, strategy, n=DEFAULT_MC_SAMPLES, seed=seed)
+        assert abs(mc.i_pred - exact) <= 3.0 * mc.se_i_pred, seed
 
 
 def three_questions_k3_config() -> dict:
@@ -609,17 +650,19 @@ def test_a_window_outside_the_exact_support_fails_verify(tmp_path, monkeypatch):
     assert failed[0]["deviation"] is None and failed[0]["tolerance"] is None
 
 
-def turned_bestcase_from_pure_y():
-    """case_b_bestcase turned by a random rotation (default_rng(14)), started at the turned +y.
+def turned_from_pure_y(name: str, rotation_seed: int):
+    """A bundled scenario turned by a random rotation (default_rng(rotation_seed)),
+    started at the turned +y.
 
-    The start is a pure state orthogonal to both axes, so every window scores
-    the same pointwise information and the Monte Carlo se is rounding-sized.
+    On case_a and case_b_bestcase the start is a pure state orthogonal to every
+    axis, so every window scores the same pointwise information and the Monte
+    Carlo se is rounding-sized.
     """
-    basis, r = np.linalg.qr(np.random.default_rng(14).normal(size=(3, 3)))
+    basis, r = np.linalg.qr(np.random.default_rng(rotation_seed).normal(size=(3, 3)))
     turn = basis * np.sign(np.diag(r))
     if np.linalg.det(turn) < 0:
         turn[:, 0] = -turn[:, 0]
-    scenario = bundled_scenario("case_b_bestcase")
+    scenario = bundled_scenario(name)
     return dataclasses.replace(
         scenario,
         questions=tuple(Question(q.label, turn @ q.axis) for q in scenario.questions),
@@ -630,10 +673,18 @@ def turned_bestcase_from_pure_y():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 14])
 def test_monte_carlo_verdict_allows_rounding_where_every_window_scores_the_same(seed):
     # T and i_pred differed by 4.4e-16 bits here, against a 3-sigma tolerance of 4.7e-18
-    verdicts = verify(turned_bestcase_from_pure_y(), seed=seed)
+    verdicts = verify(turned_from_pure_y("case_b_bestcase", 14), seed=seed)
     assert [v["check"] for v in verdicts if not v["pass"]] == []
     mc = next(v for v in verdicts if v["check"] == "monte_carlo_i_pred")
     assert mc["tolerance"] < 2 * MC_ROUNDING_TOL  # the sampling term is rounding-sized
+
+
+@pytest.mark.parametrize("name", ["case_a", "case_b_bestcase"])
+def test_verify_passes_every_rotation_from_a_pure_orthogonal_start(name):
+    # before the rounding term, 9 of these 200 rotations failed on case_b_bestcase and 1 on case_a
+    for rotation_seed in range(200):
+        verdicts = verify(turned_from_pure_y(name, rotation_seed))
+        assert [v["check"] for v in verdicts if not v["pass"]] == [], rotation_seed
 
 
 def test_schedule_must_list_the_questions_in_their_order():
@@ -657,8 +708,10 @@ def test_schedule_must_list_the_questions_in_their_order():
         converged_tail(questions, swapped, plus_z, window=1)
 
     ordered = PeriodicProcess(labels=("Qz", "Qx"), sequence=("Qz",))
-    windows, _ = sample_windows(Chain(questions, ordered, plus_z), window=1, n=2000, seed=0)
-    assert not windows.any()  # always Qz, always +1
+    steps = sample_trajectory(Chain(questions, ordered, plus_z), 2000, seed=0).steps
+    assert steps == (("Qz", 1),) * 2000  # always Qz, always +1
+    with pytest.raises(ValidationError, match=NO_KERNEL):
+        sample_windows(Chain(questions, ordered, plus_z), window=1, n=2000, seed=0)
     tail, _ = converged_tail(questions, ordered, plus_z, window=1)
     assert tail.table[0, 0, 0, 0] == pytest.approx(1.0)
 

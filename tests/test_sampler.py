@@ -17,6 +17,7 @@ from obsthermo import (
     MarkovProcess,
     PeriodicProcess,
     Question,
+    ValidationError,
     born_probability,
     Chain,
     sample_questions,
@@ -138,13 +139,21 @@ def test_outputs_do_not_depend_on_the_block_size(name, monkeypatch):
     questions, process, initial, window = window_cases()[name]
     chain = Chain(questions, process, initial)
     n, length = 3000, 5000
-    burn_in, replicas, per = replica_plan(chain, n)
-    assert (per > 1) == (name == "mixing")
-    total = replicas * (burn_in + window + per)
+    if name == "periodic":  # no kernel: Monte Carlo refuses it, trajectories still run
+        with pytest.raises(ValidationError, match="periodic schedules have no time-homogeneous kernel"):
+            sample_windows(chain, window, n, seed=11)
+        total, windows = 0, lambda: ()
+    else:
+        burn_in, replicas, per = replica_plan(chain, n)
+        assert (per > 1) == (name == "mixing")
+        total = replicas * (burn_in + window + per)
+
+        def windows():
+            drawn, plan = sample_windows(chain, window, n, seed=11)
+            return drawn.tobytes(), drawn.dtype, plan
+
     runs = []
     for budget in (1, procmod._BLOCK_ENTRIES, max(total, length)):
         monkeypatch.setattr(procmod, "_BLOCK_ENTRIES", budget)
-        windows, plan = sample_windows(chain, window, n, seed=11)
-        steps = sample_trajectory(chain, length, seed=11).steps
-        runs.append((windows.tobytes(), windows.dtype, plan, steps))
+        runs.append((*windows(), sample_trajectory(chain, length, seed=11).steps))
     assert runs[0] == runs[1] == runs[2]

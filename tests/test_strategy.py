@@ -30,6 +30,8 @@ from obsthermo import (
     workflows,
 )
 import obsthermo.optimize as optmod
+from obsthermo.chain import FUTURE_PAIR
+from obsthermo.joint import JointDistribution
 from obsthermo.optimize import HistoryFutureJoint, history_future_joint
 from obsthermo.strategy import assignment_from_map, harden
 
@@ -268,6 +270,19 @@ def test_window_k_exceeding_joint_window_rejected(case_b_window2):
         apply_strategy(WindowStrategy(k=3), case_b_window2)
 
 
+def test_apply_strategy_takes_only_window_joints_in_window_order(case_b_window2):
+    names, alphabets = case_b_window2.names, case_b_window2.alphabets
+    perm = (2, 3, 0, 1, 4, 5)  # the two history pairs swapped
+    permuted = JointDistribution(
+        names=tuple(names[i] for i in perm),
+        alphabets=tuple(alphabets[i] for i in perm),
+        table=case_b_window2.table.transpose(perm),
+    )
+    for joint in (permuted, case_b_window2.marginal(FUTURE_PAIR), case_b_window2.marginal(names[1:])):
+        with pytest.raises(ValidationError, match=r"window order: \('"):
+            apply_strategy(WindowStrategy(k=1), joint)
+
+
 def test_kernel_alphabet_mismatch_rejected(case_b_window2):
     bad = KernelStrategy(assignment=np.full((3, 2), 1 / 2), k=1, labeled=True)
     with pytest.raises(ValidationError):
@@ -297,17 +312,18 @@ def test_enumeration_cap():
 
 
 def test_summary_nothing():
-    assert strategy_summary(NothingStrategy()) == "nothing (M=1)"
+    assert strategy_summary(NothingStrategy(), num_questions=2) == "nothing (M=1)"
 
 
 def test_summary_window_forms():
-    assert strategy_summary(WindowStrategy(k=1, labeled=True)) == "window k=1 labeled (M=2K)"
-    assert strategy_summary(WindowStrategy(k=2, labeled=True)) == "window k=2 labeled (M=(2K)^2)"
-    assert strategy_summary(WindowStrategy(k=2, labeled=False)) == "window k=2 unlabeled (M=4)"
-    assert (
-        strategy_summary(WindowStrategy(k=2, labeled=True), num_questions=2)
-        == "window k=2 labeled (M=16)"
-    )
+    for k, labeled, num_questions, memory in (
+        (1, True, 2, "labeled (M=4)"),
+        (2, True, 3, "labeled (M=36)"),
+        (2, False, 3, "unlabeled (M=4)"),
+        (2, True, 2, "labeled (M=16)"),
+    ):
+        summary = strategy_summary(WindowStrategy(k=k, labeled=labeled), num_questions)
+        assert summary == f"window k={k} {memory}"
 
 
 def test_summary_kernel_equivalent_to_last_answer_map():
