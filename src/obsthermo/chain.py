@@ -25,6 +25,7 @@ from .qubit import ANSWERS, BlochVector, collapsed_states, outcome_table
 KERNEL_TOL = 1e-12
 LONG_RUN_TOL = 1e-10
 STATIONARY_TOL = 1e-15  # a law whose one-step change stays below this is stationary
+_SETTLE_BLOCK = 256  # most steps `settle` takes between two stationarity checks
 WINDOW_ENTRY_CAP = 10**7
 _UNIT_TOL = 1e-9  # eigenvalues this close to a unit-modulus value count as on it
 
@@ -251,14 +252,28 @@ def settle(chain: Chain, limit: int) -> tuple:
     The law mu_0 is the chain's `start_law`, and mu_(t+1) = mu_t P.  mu_t
     counts as stationary once one more step moves it by less than
     STATIONARY_TOL; the law returned is then mu_(t+1), else mu_limit.
+
+    The steps run in blocks of 1, 2, 4, ... up to _SETTLE_BLOCK laws: each
+    law is one vector-matrix product into a row of a buffer, the product
+    `mu @ P` would give, and one vectorized check per block finds its first
+    stationary step.  So the (t, law) bytes are those of a one-step loop.
     """
-    mu = chain.start_law
-    for t in range(limit):
-        nxt = mu @ chain.matrix
-        if np.max(np.abs(nxt - mu)) < STATIONARY_TOL:
-            return t, nxt
-        mu = nxt
-    return limit, mu
+    matrix = chain.matrix
+    laws = np.empty((_SETTLE_BLOCK + 1, len(matrix)))
+    laws[0] = chain.start_law
+    t, block = 0, 1
+    while t < limit:
+        b = min(block, limit - t)
+        for i in range(b):
+            np.matmul(laws[i], matrix, out=laws[i + 1])
+        still = np.abs(laws[1 : b + 1] - laws[:b]).max(axis=1) < STATIONARY_TOL
+        if still.any():
+            i = int(still.argmax())
+            return t + i, laws[i + 1].copy()
+        laws[0] = laws[b]
+        t += b
+        block = min(2 * block, _SETTLE_BLOCK)
+    return limit, laws[0].copy()
 
 
 def long_run_distribution(chain: Chain) -> LongRunResult:

@@ -17,8 +17,11 @@ _TINY = np.finfo(float).tiny
 
 
 def xlogx(p):
-    """Elementwise p ln p in nats, with 0 ln 0 = 0."""
-    return p * np.log(np.maximum(p, _TINY))
+    """Elementwise p ln p in nats, with 0 ln 0 = 0, built in one new array."""
+    out = np.maximum(p, _TINY, out=np.empty_like(p, dtype=float))  # p's memory layout
+    np.log(out, out=out)
+    out *= p  # ln(p) * p: the bits of p * ln(p)
+    return out
 
 
 def _clamp(value: float, what: str) -> float:

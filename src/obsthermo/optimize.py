@@ -24,6 +24,7 @@ _DESCENT_SLACK = 1e-12  # per unit of beta: the objective's rounding grows with 
 _LOG_FLOOR = 1e-300  # decoder entries floored inside logs; rows renormalized each iteration
 _CHUNK_CAP = 256  # most fixed-point steps whose objectives are computed together
 _CHUNK_ENTRIES = 2**17  # most entries in a chunk's (steps, R, ...) buffers: 1 MiB of floats
+_COLUMN_MAX_ROWS = 32  # per memory state: from this many (restart, view) rows, maxima run by column
 _MAP_BLOCK = 4096  # most maps, and tail subsets, per block: bounds the gathered (maps, M, X') terms
 ENUMERATION_CAP = 10**6  # most deterministic maps an exhaustive scan enumerates
 DEGENERACY_TOL = 1e-9  # most nostalgia of a map in the degeneracy report
@@ -129,17 +130,22 @@ def _initial_encoders(n_hist: int, m: int, restarts: int, rng: np.random.Generat
     return np.stack(encs)
 
 
-def _run_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float) -> tuple:
+def _run_fixed_points(
+    hf: HistoryFutureJoint, encs: np.ndarray, betas: np.ndarray, first_restart: int = 0
+) -> tuple:
     """Alternating minimization from an (R, H, M) stack of starts, all in one loop.
 
-    Returns per-restart arrays (encoders, objectives, converged, iterations).
-    Updates per iteration: p(m) <- sum_h p(h) p(m|h); p(x'|m) <- induced decoder;
-    p(m|h) propto p(m) exp(-beta KL(p(x'|h) || p(x'|m))).  A restart stops at
-    its first iteration with |delta objective| <= TOLERANCE, keeping that
-    iteration's encoder, objective and count, or unconverged after
-    MAX_ITERATIONS.  Its objective I(M;H) - beta I(M;X') is checked to be
-    non-increasing, within rounding of _DESCENT_SLACK * beta, at every
-    iteration up to and including its stop.
+    `betas` holds each restart's beta.  Returns per-restart arrays (encoders,
+    objectives, converged, iterations).  Updates per iteration: p(m) <-
+    sum_h p(h) p(m|h); p(x'|m) <- induced decoder; p(m|h) propto
+    p(m) exp(-beta KL(p(x'|h) || p(x'|m))).  A restart stops at its first
+    iteration with |delta objective| <= TOLERANCE, keeping that iteration's
+    encoder, objective and count, or unconverged after MAX_ITERATIONS.  Its
+    objective I(M;H) - beta I(M;X') is checked to be non-increasing, within
+    rounding of _DESCENT_SLACK * beta, at every iteration up to and including
+    its stop.  A rise raises OptimizerError naming the earliest iteration, then
+    the first restart in the stack; the restart is named by its beta and its
+    place among the stack's restarts of that beta, counted from `first_restart`.
 
     The update never reads the objective, so the loop runs in chunks: the
     running restarts take a chunk's updates one after another, storing each
@@ -148,16 +154,19 @@ def _run_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float) -> 
     that stops inside a chunk still takes the chunk's later updates; their
     results are dropped, and it leaves the stack before the next chunk.
     Chunks hold 1, 2, 4, ... steps up to _CHUNK_CAP, fewer near MAX_ITERATIONS
-    and when the buffers would pass _CHUNK_ENTRIES.  So a run that stops
-    early wastes few updates, and a long one computes its objectives a few
-    hundred at a time, in a bounded amount of memory.
+    and when the buffers would pass _CHUNK_ENTRIES, but always at least one
+    step of the running stack: one step of a large stack on a large table
+    (56 restarts at H = 4096) passes the budget on its own.  So a run that
+    stops early wastes few updates, and a long one computes its objectives a
+    few hundred at a time, in a bounded amount of memory.
 
     Every update and every objective is computed as a loop run on that
     restart alone would compute it, one update and one objective per
     iteration: the same operations on the same operands, stacked only along
-    the leading axis of C-contiguous arrays.  So the numbers, and the
-    iteration a descent error names, do not depend on the chunks or on the
-    other restarts in the stack.
+    the leading axis of C-contiguous arrays, and each restart's beta enters
+    as the same IEEE multiply a scalar beta would.  So the numbers, and the
+    iteration a descent error names, depend neither on the chunks nor on the
+    other restarts in the stack, nor on their betas.
     """
     p_h = hf.history_marginal()
     cond = hf.future_conditionals()
@@ -168,33 +177,46 @@ def _run_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float) -> 
     h_sum = xlogx(p_h).sum()
     x_sum = xlogx(hf.table.sum(axis=0)).sum()
 
-    def objectives_of(e: np.ndarray, p_m: np.ndarray, p_mx: np.ndarray) -> np.ndarray:
-        """The objective of each encoder in the stack, given its p(m) and p(m, x')."""
+    def objectives_of(e: np.ndarray, p_m: np.ndarray, p_mx: np.ndarray, b: np.ndarray):
+        """The objective of each encoder in the stack, given its p(m), p(m, x') and beta."""
         m_sum = xlogx(p_m).sum(axis=1)
         i_mem = (xlogx(p_h[:, None] * e).reshape(len(e), -1).sum(axis=1) - h_sum - m_sum) / _LN2
         i_pred = (xlogx(p_mx).reshape(len(e), -1).sum(axis=1) - m_sum - x_sum) / _LN2
         # max(0, .) as `x if x > 0 else 0.0`, so -0.0 and nan clamp to +0.0
         i_mem = np.where(i_mem > 0.0, i_mem, 0.0)
         i_pred = np.where(i_pred > 0.0, i_pred, 0.0)
-        return i_mem - beta * i_pred
+        return i_mem - b * i_pred
 
-    def update(p_m: np.ndarray, p_mx: np.ndarray, enc: np.ndarray) -> None:
-        """Write the next encoder of each restart into `enc`."""
-        safe_pm = np.where(p_m > 0, p_m, 1.0)
-        dec = p_mx / safe_pm[:, :, None]
-        dec[p_m == 0] = uniform
+    def update(p_m: np.ndarray, p_mx: np.ndarray, enc: np.ndarray, b3: np.ndarray) -> None:
+        """Write the next encoder of each restart into `enc`; `b3` holds its beta as (R, 1, 1)."""
+        if p_m.all():  # no empty memory state: the decoder divides by p(m) as it stands
+            dec = p_mx / p_m[:, :, None]
+        else:
+            empty = p_m == 0
+            dec = p_mx / np.where(empty, 1.0, p_m)[:, :, None]
+            dec[empty] = uniform
         # KL(p(x'|h) || p(x'|m)) in nats, decoder floored inside the log
-        cross = cond @ np.log(np.maximum(dec, _LOG_FLOOR)).transpose(0, 2, 1)  # (R, H, M)
-        logits = np.log(np.maximum(p_m, _LOG_FLOOR))[:, None, :] - beta * (cond_self - cross)
-        logits -= logits.max(axis=2, keepdims=True)
+        np.log(np.maximum(dec, _LOG_FLOOR, out=dec), out=dec)
+        logits = cond @ dec.transpose(0, 2, 1)  # (R, H, M) cross terms
+        np.subtract(cond_self, logits, out=logits)
+        logits *= b3
+        np.subtract(np.log(np.maximum(p_m, _LOG_FLOOR))[:, None, :], logits, out=logits)
+        if len(enc) * n_hist < _COLUMN_MAX_ROWS * m:
+            logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
+        else:  # numpy reduces a short last axis row by row: take the max column by column
+            top = logits[:, :, 0].copy()
+            for j in range(1, m):
+                np.maximum(top, logits[:, :, j], out=top)
+            logits -= top[:, :, None]
         np.exp(logits, out=enc)
-        enc /= enc.sum(axis=2, keepdims=True)
+        enc /= np.add.reduce(enc, axis=2, keepdims=True)
 
     encs = np.array(encs, dtype=float)
+    betas = np.asarray(betas, dtype=float)
     n, _, m = encs.shape
     p_m = p_h @ encs
     p_mx = encs.transpose(0, 2, 1) @ hf.table
-    objectives = objectives_of(encs, p_m, p_mx)
+    objectives = objectives_of(encs, p_m, p_mx, betas)
     converged = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=int)
     active = np.arange(n)
@@ -202,30 +224,37 @@ def _run_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float) -> 
     done_steps, chunk = 0, 1
     while active.size and done_steps < MAX_ITERATIONS:
         r = active.size
+        b = betas[active]
+        b3 = b[:, None, None]
         budget = max(1, _CHUNK_ENTRIES // (r * step_entries))
         steps = min(chunk, MAX_ITERATIONS - done_steps, budget)
         enc_buf = np.empty((steps, r, n_hist, m))
         pm_buf = np.empty((steps, r, m))
         pmx_buf = np.empty((steps, r, m, n_future))
         for s in range(steps):
-            update(p_m, p_mx, enc_buf[s])
+            update(p_m, p_mx, enc_buf[s], b3)
             p_m = np.matmul(p_h, enc_buf[s], out=pm_buf[s])
             p_mx = np.matmul(enc_buf[s].transpose(0, 2, 1), hf.table, out=pmx_buf[s])
         obj = objectives_of(
-            enc_buf.reshape(-1, n_hist, m), pm_buf.reshape(-1, m), pmx_buf.reshape(-1, m, n_future)
+            enc_buf.reshape(-1, n_hist, m),
+            pm_buf.reshape(-1, m),
+            pmx_buf.reshape(-1, m, n_future),
+            np.tile(b, steps),
         ).reshape(steps, r)
         before = np.concatenate([objectives[active][None], obj[:-1]])  # each step's previous
         done = np.abs(before - obj) <= TOLERANCE
         stopped = done.any(axis=0)
         stop = np.where(stopped, done.argmax(axis=0), steps - 1)  # each restart's last step
         ran = np.arange(steps)[:, None] <= stop
-        rising = np.argwhere((obj > before + _DESCENT_SLACK * beta) & ran)
+        rising = np.argwhere((obj > before + _DESCENT_SLACK * b) & ran)
         if rising.size:
             s, j = rising[0]  # the earliest iteration, then the first restart
+            at = active[j]
+            restart = first_restart + int(np.count_nonzero(betas[:at] == betas[at]))
             raise OptimizerError(
-                f"restart {active[j]}: objective increased from {float(before[s, j])!r} "
-                f"to {float(obj[s, j])!r} at iteration {done_steps + s + 1}; "
-                "monotone descent violated"
+                f"beta {float(betas[at])!r}, restart {restart}: objective increased from "
+                f"{float(before[s, j])!r} to {float(obj[s, j])!r} at iteration "
+                f"{done_steps + s + 1}; monotone descent violated"
             )
         rows = np.arange(r)
         encs[active] = enc_buf[stop, rows]
@@ -240,6 +269,22 @@ def _run_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float) -> 
     return encs, objectives, converged, iterations
 
 
+def _seeded_starts(hf: HistoryFutureJoint, settings: OptimizerSettings) -> np.ndarray:
+    """The RESTARTS starts that every beta draws from the optimizer seed."""
+    rng = procmod._rng(settings.seed)
+    return _initial_encoders(hf.num_histories, settings.memory_size, RESTARTS, rng)
+
+
+def _best_point(hf: HistoryFutureJoint, beta: float, run) -> FrontierPoint:
+    """The point of a run's restart with the lowest objective, ties within 1e-15 to the earliest."""
+    encs, objectives, converged, iterations = run
+    best = 0
+    for r in range(1, len(objectives)):
+        if objectives[r] < objectives[best] - 1e-15:
+            best = r
+    return _point_from_encoder(hf, encs[best], beta, bool(converged[best]), int(iterations[best]))
+
+
 def optimize_soft(
     hf: HistoryFutureJoint,
     beta: float,
@@ -252,28 +297,37 @@ def optimize_soft(
     earliest restart."""
     if not beta >= 1.0:
         raise ValidationError(f"beta must be >= 1, got {beta}")
-    m = settings.memory_size
-    n_hist = hf.num_histories
-    rng = procmod._rng(settings.seed)
-    encs = _initial_encoders(n_hist, m, RESTARTS, rng)
+    encs = _seeded_starts(hf, settings)
     if warm_starts:
         encs = np.concatenate([encs, np.asarray(warm_starts, dtype=float)])
-    encs, objectives, converged, iterations = _run_fixed_points(hf, encs, beta)
-    best = 0
-    for r in range(1, len(encs)):
-        if objectives[r] < objectives[best] - 1e-15:
-            best = r
-    return _point_from_encoder(hf, encs[best], beta, bool(converged[best]), int(iterations[best]))
+    return _best_point(hf, beta, _run_fixed_points(hf, encs, np.full(len(encs), beta)))
 
 
 def sweep_beta(hf: HistoryFutureJoint, settings: OptimizerSettings) -> list:
-    """Frontier points over the beta schedule BETAS, warm-started in order."""
+    """Frontier points over the beta schedule BETAS, warm-started in order.
+
+    The points are those of `optimize_soft` at each beta in turn, each past
+    the first given the point before it as its one warm start.  Every beta
+    draws the same seeded starts, and only the warm start depends on the
+    beta before it.  So all len(BETAS) * RESTARTS seeded restarts run as one
+    `_run_fixed_points` stack, each at its own beta: the schedule pays for
+    its slowest restart once, not once per beta.  The warm starts then run
+    one by one, in beta order, the warm start counting as restart RESTARTS
+    of its beta, and each beta keeps its best restart as `optimize_soft`
+    does.  A descent error names its beta and its restart within that beta;
+    one in the seeded stack, the earliest iteration across the whole
+    schedule first, is raised before any warm start runs.
+    """
+    starts = np.tile(_seeded_starts(hf, settings), (len(BETAS), 1, 1))
+    stacked = _run_fixed_points(hf, starts, np.repeat(BETAS, RESTARTS))
     points = []
-    warm = ()
-    for beta in BETAS:
-        point = optimize_soft(hf, float(beta), settings, warm_starts=warm)
-        points.append(point)
-        warm = (point.strategy.assignment,)
+    for i, beta in enumerate(BETAS):
+        run = [a[i * RESTARTS : (i + 1) * RESTARTS] for a in stacked]
+        if points:
+            warm = points[-1].strategy.assignment[None]
+            warm = _run_fixed_points(hf, warm, BETAS[i : i + 1], first_restart=RESTARTS)
+            run = [np.concatenate(pair) for pair in zip(run, warm)]
+        points.append(_best_point(hf, float(beta), run))
     return points
 
 

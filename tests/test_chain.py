@@ -13,6 +13,7 @@ from obsthermo import (
     ValidationError,
     BlochVector,
     Chain,
+    bundled_scenario,
     max_abs_deviation,
     mutual_information,
     sample_trajectory,
@@ -20,6 +21,7 @@ from obsthermo import (
     window_names,
 )
 from obsthermo import chain as chainmod
+from obsthermo.config import BUNDLED_SCENARIOS
 from obsthermo.joint import JointDistribution
 
 from conftest import (
@@ -169,6 +171,49 @@ def test_a_long_run_that_does_not_settle_decomposes_the_kernel_twice(monkeypatch
     assert not chain.long_run.cesaro
     assert chain.slowest_mode == pytest.approx(0.99938, abs=1e-5)
     assert calls == ["eig", "eig"]
+
+
+def one_step_settle(chain, limit):
+    """`chain.settle` as a loop of one kernel step and one stationarity check."""
+    mu = chain.start_law
+    for t in range(limit):
+        nxt = mu @ chain.matrix
+        if np.max(np.abs(nxt - mu)) < chainmod.STATIONARY_TOL:
+            return t, nxt
+        mu = nxt
+    return limit, mu
+
+
+def settle_chains() -> list:
+    """The bundled chains from seeded random starts, and two that reach 10^4 steps unsettled."""
+    chains = []
+    for seed, name in enumerate(BUNDLED_SCENARIOS):
+        scenario = bundled_scenario(name)
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=3)
+        v *= rng.uniform() ** (1 / 3) / np.linalg.norm(v)
+        chains.append(Chain(scenario.questions, scenario.process, BlochVector(*v)))
+    # |lambda_2| = 0.99938 falls back to the Cesaro limit; the alternating schedule is periodic
+    chains.append(Chain(*two_questions_at_angle(0.05), BlochVector(0, 0, 1)))
+    alternate = MarkovProcess(
+        labels=("Qz", "Qx"), transition=np.array([[0.0, 1.0], [1.0, 0.0]]), initial=np.array([1.0, 0.0])
+    )
+    chains.append(Chain(case_b_questions()[0], alternate, BlochVector(0.3, 0.2, 0.6)))
+    return chains
+
+
+@pytest.mark.parametrize("limit", [0, 1, 7, 64, 10_000])
+def test_settle_matches_the_one_step_loop(limit):
+    steps = []
+    for chain in settle_chains():
+        t, law = chainmod.settle(chain, limit)
+        want_t, want_law = one_step_settle(chain, limit)
+        assert t == want_t and law.tobytes() == want_law.tobytes()
+        steps.append(t)
+    # stops at the first check, and inside the blocks of 32 and 64 steps
+    assert steps == [min(t, limit) for t in (0, 46, 45, 0, 106, 10_000, 10_000)]
+    if limit == 10_000:
+        assert [c.long_run.cesaro for c in settle_chains()[-2:]] == [False, True]
 
 
 def test_window_case_a_fully_predictive():

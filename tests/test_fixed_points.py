@@ -3,6 +3,7 @@
 `reference_fixed_points` is `optimize._run_fixed_points` as it was before it
 ran its updates in chunks: each iteration updates every running restart,
 computes their objectives, checks descent and drops the restarts that stopped.
+Each restart carries its own beta, a scalar in every operation it enters.
 It reads the module's constants when called, so a monkeypatched stopping rule
 or descent slack applies to both loops.  Both loops run with warnings as
 errors: the updates the chunked loop runs past a restart's stop must stay as
@@ -21,12 +22,14 @@ from obsthermo import (
     OptimizerError,
     Question,
     Chain,
+    OptimizerSettings,
     bundled_scenario,
     history_future_joint,
 )
 import obsthermo.optimize as optmod
 from obsthermo.info import xlogx
 from obsthermo.optimize import HistoryFutureJoint, _initial_encoders, _run_fixed_points
+from obsthermo.process import _rng
 
 from conftest import scenario_chain
 from test_optimize import batch_cases
@@ -35,8 +38,13 @@ from test_optimize import batch_cases
 BUNDLED = ("case_a", "case_b_labeled", "case_b_unlabeled", "case_b_bestcase", "angle_sweep")
 
 
-def reference_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float) -> tuple:
-    """(encoders, objectives, converged, iterations): one update and one objective per iteration."""
+def reference_fixed_points(
+    hf: HistoryFutureJoint, encs: np.ndarray, betas: np.ndarray, first_restart: int = 0
+) -> tuple:
+    """(encoders, objectives, converged, iterations): one update and one objective per iteration.
+
+    Each restart carries its own beta.
+    """
     p_h = hf.history_marginal()
     cond = hf.future_conditionals()
     cond_self = xlogx(cond).sum(axis=1)[:, None]
@@ -45,7 +53,7 @@ def reference_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float
     x_sum = xlogx(hf.table.sum(axis=0)).sum()
     ln2 = np.log(2.0)
 
-    def marginals_and_objectives(e):
+    def marginals_and_objectives(e, beta):
         p_m = p_h @ e
         p_mx = e.transpose(0, 2, 1) @ hf.table
         m_sum = xlogx(p_m).sum(axis=1)
@@ -56,28 +64,33 @@ def reference_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float
         return p_m, p_mx, i_mem - beta * i_pred
 
     encs = np.array(encs, dtype=float)
+    betas = np.asarray(betas, dtype=float)
     n = len(encs)
-    p_m, p_mx, objectives = marginals_and_objectives(encs)
+    p_m, p_mx, objectives = marginals_and_objectives(encs, betas)
     converged = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=int)
     active = np.arange(n)
     for it in range(1, optmod.MAX_ITERATIONS + 1):
+        beta = betas[active]
         safe_pm = np.where(p_m > 0, p_m, 1.0)
         dec = p_mx / safe_pm[:, :, None]
         dec[p_m == 0] = uniform
         cross = cond @ np.log(np.maximum(dec, optmod._LOG_FLOOR)).transpose(0, 2, 1)
-        logits = np.log(np.maximum(p_m, optmod._LOG_FLOOR))[:, None, :] - beta * (cond_self - cross)
+        b = beta[:, None, None]
+        logits = np.log(np.maximum(p_m, optmod._LOG_FLOOR))[:, None, :] - b * (cond_self - cross)
         logits -= logits.max(axis=2, keepdims=True)
         enc = np.exp(logits)
         enc /= enc.sum(axis=2, keepdims=True)
-        p_m, p_mx, obj = marginals_and_objectives(enc)
+        p_m, p_mx, obj = marginals_and_objectives(enc, beta)
         prev = objectives[active]
         rising = np.flatnonzero(obj > prev + optmod._DESCENT_SLACK * beta)
         if rising.size:
-            j = rising[0]
+            at = active[rising[0]]
+            restart = first_restart + int(np.count_nonzero(betas[:at] == betas[at]))
             raise OptimizerError(
-                f"restart {active[j]}: objective increased from {float(prev[j])!r} "
-                f"to {float(obj[j])!r} at iteration {it}; monotone descent violated"
+                f"beta {float(betas[at])!r}, restart {restart}: objective increased from "
+                f"{float(prev[rising[0]])!r} to {float(obj[rising[0]])!r} at iteration {it}; "
+                "monotone descent violated"
             )
         encs[active] = enc
         objectives[active] = obj
@@ -93,20 +106,24 @@ def reference_fixed_points(hf: HistoryFutureJoint, encs: np.ndarray, beta: float
     return encs, objectives, converged, iterations
 
 
-def run_silently(run, hf, starts, beta):
+def run_silently(run, hf, starts, betas, first_restart=0):
     """The loop's four arrays, or the text of the OptimizerError it raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return run(hf, starts, beta)
+            return run(hf, starts, betas, first_restart)
         except OptimizerError as error:
             return str(error)
 
 
-def assert_same_run(hf, starts, beta):
-    """Run both loops from the same starts: every returned byte, or the error text, agrees."""
-    want = run_silently(reference_fixed_points, hf, starts, beta)
-    got = run_silently(_run_fixed_points, hf, starts, beta)
+def assert_same_run(hf, starts, beta, first_restart=0):
+    """Run both loops from the same starts: every returned byte, or the error text, agrees.
+
+    `beta` is each restart's beta, or one beta for the whole stack.
+    """
+    betas = np.broadcast_to(np.asarray(beta, dtype=float), (len(starts),))
+    want = run_silently(reference_fixed_points, hf, starts, betas, first_restart)
+    got = run_silently(_run_fixed_points, hf, starts, betas, first_restart)
     if isinstance(want, str):
         assert got == want
         return got
@@ -118,21 +135,64 @@ def assert_same_run(hf, starts, beta):
     return got
 
 
-def test_bundled_sweeps_match_the_one_step_loop(monkeypatch):
-    # every call sweep_beta makes, seeded restarts and warm start together
+def per_beta_sweep(hf, opt):
+    """The sweep as a chain of one stack per beta: `optimize_soft` at each beta in turn,
+    warm-started by the point before."""
+    points, warm = [], ()
+    for beta in optmod.BETAS:
+        point = optmod.optimize_soft(hf, float(beta), opt, warm_starts=warm)
+        points.append(point)
+        warm = (point.strategy.assignment,)
+    return points
+
+
+def point_bytes(point):
+    numbers = [point.beta, point.i_mem, point.i_pred, point.nostalgia, point.objective]
+    return (
+        np.array(numbers).tobytes(),
+        point.converged,
+        point.iterations,
+        point.strategy.assignment.tobytes(),
+    )
+
+
+def assert_sweep_matches(hf, opt, monkeypatch):
+    """sweep_beta equals the per-beta chain byte for byte, and each of its calls the one-step loop."""
+    want = [point_bytes(p) for p in per_beta_sweep(hf, opt)]
     calls = []
 
-    def checked(hf, encs, beta):
-        calls.append(beta)
-        return assert_same_run(hf, encs, beta)
+    def checked(hf, encs, betas, first_restart=0):
+        calls.append((betas.tolist(), first_restart))
+        return assert_same_run(hf, encs, betas, first_restart)
 
-    monkeypatch.setattr(optmod, "_run_fixed_points", checked)
+    with monkeypatch.context() as patch:
+        patch.setattr(optmod, "_run_fixed_points", checked)
+        got = [point_bytes(p) for p in optmod.sweep_beta(hf, opt)]
+    assert got == want
+    # one stack of every beta's seeded restarts, then the warm starts one by one
+    betas = optmod.BETAS.tolist()
+    stack = np.repeat(betas, optmod.RESTARTS).tolist()
+    assert calls == [(stack, 0)] + [([beta], optmod.RESTARTS) for beta in betas[1:]]
+
+
+def test_bundled_sweeps_match_the_one_step_loop(monkeypatch):
     for name in BUNDLED:
         scenario = bundled_scenario(name)
         opt = scenario.optimizer
         hf = history_future_joint(scenario_chain(scenario), opt.history_k, opt.history_labeled)
-        optmod.sweep_beta(hf, opt)
-    assert calls == [float(beta) for beta in optmod.BETAS] * len(BUNDLED)
+        assert_sweep_matches(hf, opt, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_table_sweeps_match_the_per_beta_chain(seed, monkeypatch):
+    n_hist, n_future, m = ((3, 2, 2), (5, 4, 3), (6, 6, 4), (4, 4, 2))[seed]
+    rng = np.random.default_rng(seed)
+    table = rng.dirichlet(np.full(n_hist * n_future, 0.5)).reshape(n_hist, n_future)
+    if seed % 2:  # a history of zero mass
+        table[1] = 0.0
+        table /= table.sum()
+    hf = HistoryFutureJoint(table=table, k=1, labeled=False)
+    assert_sweep_matches(hf, OptimizerSettings(memory_size=m, seed=seed), monkeypatch)
 
 
 def test_batch_cases_match_the_one_step_loop(case_b_unlabeled):
@@ -211,7 +271,7 @@ def test_buffers_stay_within_the_entry_budget(monkeypatch):
             return np.empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(optmod, "np", Recorder())
-    _, _, _, iterations = _run_fixed_points(hf, starts, 4.0)
+    _, _, _, iterations = _run_fixed_points(hf, starts, np.full(9, 4.0))
     monkeypatch.undo()
     assert len(sizes) % 3 == 0 and iterations.max() > 64
     chunks = [sum(sizes[i : i + 3]) for i in range(0, len(sizes), 3)]
@@ -228,7 +288,7 @@ def test_a_rise_after_a_stop_in_the_same_chunk_does_not_raise(monkeypatch):
     hf = HistoryFutureJoint(table=table, k=1, labeled=False)
     starts = _initial_encoders(3, 2, 1, np.random.default_rng(5))
     beta = 3.0
-    _, objectives, converged, iterations = reference_fixed_points(hf, starts, beta)
+    _, objectives, converged, iterations = reference_fixed_points(hf, starts, [beta])
     stop = int(iterations[0])
     assert converged[0] and stop not in (1, 3, 7, 15, 31, 63, 127, 255)  # not a chunk's last step
 
@@ -236,7 +296,7 @@ def test_a_rise_after_a_stop_in_the_same_chunk_does_not_raise(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(optmod, "MAX_ITERATIONS", t)
             patch.setattr(optmod, "TOLERANCE", -1.0)  # never stop early
-            return reference_fixed_points(hf, starts, beta)[1][0]
+            return reference_fixed_points(hf, starts, [beta])[1][0]
 
     assert objective_at(stop) == objectives[0]
     fall = objective_at(stop - 1) - objectives[0]
@@ -261,7 +321,8 @@ def test_a_rise_at_the_stop_names_the_one_step_loops_restart_and_iteration(
             text = assert_same_run(hf, stack, beta)
             assert text.endswith("monotone descent violated")
             named.add(text.split(";")[0].split(" at ")[-1])
-            named.add(text.split(":")[0])
+            named.add(text.split(":")[0].split(", ")[-1])
+            assert text.startswith(f"beta {beta!r}, restart ")
     # errors inside chunks, not only at their edges, and not only from restart 0
     assert {"iteration 12", "iteration 20", "iteration 23", "iteration 83"} <= named
     assert {"restart 0", "restart 1", "restart 5"} <= named
@@ -271,7 +332,27 @@ def test_a_rise_at_the_stop_names_the_one_step_loops_restart_and_iteration(
     hf = HistoryFutureJoint(table=rng.dirichlet(np.ones(16)).reshape(4, 4), k=1, labeled=False)
     monkeypatch.setattr(optmod, "_DESCENT_SLACK", -optmod.TOLERANCE / 2.0)
     text = assert_same_run(hf, _initial_encoders(4, 3, 9, rng), 2.0)
-    assert text.startswith("restart 1: ") and "at iteration 145;" in text
+    assert text.startswith("beta 2.0, restart 1: ") and "at iteration 145;" in text
+
+
+def test_a_rise_in_the_stacked_sweep_names_its_beta_and_its_restart(monkeypatch):
+    # a slack of -TOLERANCE per beta makes each restart rise at its stop or before.
+    # The seeded restarts of every beta run as one stack, so the earliest iteration
+    # across the schedule raises, at beta 8 here; the per-beta chain raised at beta 1
+    scenario = bundled_scenario("case_b_labeled")
+    opt = scenario.optimizer
+    hf = history_future_joint(scenario_chain(scenario), opt.history_k, opt.history_labeled)
+    monkeypatch.setattr(optmod, "_DESCENT_SLACK", -optmod.TOLERANCE)
+    with pytest.raises(OptimizerError) as stacked:
+        optmod.sweep_beta(hf, opt)
+    with pytest.raises(OptimizerError) as chained:
+        per_beta_sweep(hf, opt)
+    text = str(stacked.value)
+    assert text.startswith("beta 8.0, restart 5: ") and "at iteration 6;" in text
+    assert str(chained.value).startswith("beta 1.0, restart ")
+    starts = _initial_encoders(hf.num_histories, opt.memory_size, optmod.RESTARTS, _rng(opt.seed))
+    stack = np.tile(starts, (len(optmod.BETAS), 1, 1))
+    assert assert_same_run(hf, stack, np.repeat(optmod.BETAS, optmod.RESTARTS)) == text
 
 
 def test_rounding_at_large_beta_is_not_a_rise():

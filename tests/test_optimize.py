@@ -356,21 +356,25 @@ def batch_cases(case_b_unlabeled):
 
 def test_batched_restarts_equal_each_restart_alone(case_b_unlabeled):
     for hf, beta, starts, _ in batch_cases(case_b_unlabeled):
-        encs, objectives, converged, iterations = _run_fixed_points(hf, starts, beta)
-        assert encs.shape == starts.shape
-        assert len(set(iterations.tolist())) > 1  # restarts leave the loop at different times
-        for r in range(len(starts)):
-            enc1, obj1, conv1, its1 = _run_fixed_points(hf, starts[r : r + 1], beta)
-            assert enc1[0].tobytes() == encs[r].tobytes()
-            assert obj1[0].tobytes() == objectives[r].tobytes()
-            assert conv1[0] == converged[r]
-            assert its1[0] == iterations[r]
+        # one beta for the whole stack, then a beta per restart: the case's own beta,
+        # the critical beta 4 of case_b_unlabeled and the ends of the schedule
+        mixed = np.resize([beta, 4.0, 1.0, optmod.BETAS[-1], optmod.BETAS[2]], len(starts))
+        for betas in (np.full(len(starts), beta), mixed):
+            encs, objectives, converged, iterations = _run_fixed_points(hf, starts, betas)
+            assert encs.shape == starts.shape
+            assert len(set(iterations.tolist())) > 1  # restarts leave the loop at different times
+            for r in range(len(starts)):
+                enc1, obj1, conv1, its1 = _run_fixed_points(hf, starts[r : r + 1], betas[r : r + 1])
+                assert enc1[0].tobytes() == encs[r].tobytes()
+                assert obj1[0].tobytes() == objectives[r].tobytes()
+                assert conv1[0] == converged[r]
+                assert its1[0] == iterations[r]
 
 
 def test_iteration_cap_reports_unfinished_restarts(case_b_unlabeled, monkeypatch):
     monkeypatch.setattr(optmod, "MAX_ITERATIONS", 3)
     for index, (hf, beta, starts, opt) in enumerate(batch_cases(case_b_unlabeled)):
-        _, _, converged, iterations = _run_fixed_points(hf, starts, beta)
+        _, _, converged, iterations = _run_fixed_points(hf, starts, np.full(len(starts), beta))
         assert np.all(iterations[~converged] == 3)
         assert np.all((iterations[converged] >= 1) & (iterations[converged] <= 3))
         if index == 0:
