@@ -24,7 +24,6 @@ _DESCENT_SLACK = 1e-12  # per unit of beta: the objective's rounding grows with 
 _LOG_FLOOR = 1e-300  # decoder entries floored inside logs; rows renormalized each iteration
 _CHUNK_CAP = 256  # most fixed-point steps whose objectives are computed together
 _CHUNK_ENTRIES = 2**17  # most entries in a chunk's (steps, R, ...) buffers: 1 MiB of floats
-_COLUMN_MAX_ROWS = 32  # per memory state: from this many (restart, view) rows, maxima run by column
 _MAP_BLOCK = 4096  # most maps, and tail subsets, per block: bounds the gathered (maps, M, X') terms
 ENUMERATION_CAP = 10**6  # most deterministic maps an exhaustive scan enumerates
 DEGENERACY_TOL = 1e-9  # most nostalgia of a map in the degeneracy report
@@ -155,10 +154,10 @@ def _run_fixed_points(
     results are dropped, and it leaves the stack before the next chunk.
     Chunks hold 1, 2, 4, ... steps up to _CHUNK_CAP, fewer near MAX_ITERATIONS
     and when the buffers would pass _CHUNK_ENTRIES, but always at least one
-    step of the running stack: one step of a large stack on a large table
-    (56 restarts at H = 4096) passes the budget on its own.  So a run that
-    stops early wastes few updates, and a long one computes its objectives a
-    few hundred at a time, in a bounded amount of memory.
+    step of the running stack, which `sweep_beta` keeps within the budget
+    wherever one beta's restarts fit in it.  So a run that stops early wastes
+    few updates, and a long one computes its objectives a few hundred at a
+    time, in memory bounded by the budget or by one step of the stack.
 
     Every update and every objective is computed as a loop run on that
     restart alone would compute it, one update and one objective per
@@ -173,6 +172,7 @@ def _run_fixed_points(
     cond_self = xlogx(cond).sum(axis=1)[:, None]  # sum_x p(x|h) ln p(x|h), in nats
     n_hist, n_future = hf.table.shape
     uniform = 1.0 / n_future
+    step_entries = _step_entries(hf, encs.shape[2])
     # the H and X' marginals do not depend on the encoder
     h_sum = xlogx(p_h).sum()
     x_sum = xlogx(hf.table.sum(axis=0)).sum()
@@ -201,13 +201,7 @@ def _run_fixed_points(
         np.subtract(cond_self, logits, out=logits)
         logits *= b3
         np.subtract(np.log(np.maximum(p_m, _LOG_FLOOR))[:, None, :], logits, out=logits)
-        if len(enc) * n_hist < _COLUMN_MAX_ROWS * m:
-            logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
-        else:  # numpy reduces a short last axis row by row: take the max column by column
-            top = logits[:, :, 0].copy()
-            for j in range(1, m):
-                np.maximum(top, logits[:, :, j], out=top)
-            logits -= top[:, :, None]
+        logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
         np.exp(logits, out=enc)
         enc /= np.add.reduce(enc, axis=2, keepdims=True)
 
@@ -220,7 +214,6 @@ def _run_fixed_points(
     converged = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=int)
     active = np.arange(n)
-    step_entries = n_hist * m + m * n_future + m  # one restart's p(m|h), p(m) and p(m, x')
     done_steps, chunk = 0, 1
     while active.size and done_steps < MAX_ITERATIONS:
         r = active.size
@@ -269,60 +262,78 @@ def _run_fixed_points(
     return encs, objectives, converged, iterations
 
 
+def _step_entries(hf: HistoryFutureJoint, m: int) -> int:
+    """Entries of one restart's p(m|h), p(m) and p(m, x') in a chunk's buffers, per step."""
+    n_hist, n_future = hf.table.shape
+    return n_hist * m + m * n_future + m
+
+
 def _seeded_starts(hf: HistoryFutureJoint, settings: OptimizerSettings) -> np.ndarray:
     """The RESTARTS starts that every beta draws from the optimizer seed."""
     rng = procmod._rng(settings.seed)
     return _initial_encoders(hf.num_histories, settings.memory_size, RESTARTS, rng)
 
 
-def _best_point(hf: HistoryFutureJoint, beta: float, run) -> FrontierPoint:
-    """The point of a run's restart with the lowest objective, ties within 1e-15 to the earliest."""
-    encs, objectives, converged, iterations = run
+def _best_restart(objectives: np.ndarray) -> int:
+    """The restart with the lowest objective, ties within 1e-15 to the earliest."""
     best = 0
     for r in range(1, len(objectives)):
         if objectives[r] < objectives[best] - 1e-15:
             best = r
+    return best
+
+
+def _best_point(hf: HistoryFutureJoint, beta: float, run) -> FrontierPoint:
+    """The point of a run's best restart (see `_best_restart`)."""
+    encs, objectives, converged, iterations = run
+    best = _best_restart(objectives)
     return _point_from_encoder(hf, encs[best], beta, bool(converged[best]), int(iterations[best]))
 
 
 def optimize_soft(
-    hf: HistoryFutureJoint,
-    beta: float,
-    settings: OptimizerSettings,
-    warm_starts: tuple = (),
+    hf: HistoryFutureJoint, beta: float, settings: OptimizerSettings
 ) -> FrontierPoint:
     """Best-of-restarts soft minimization of I(M;H) - beta I(M;X') at one beta.
 
-    The seeded restarts and the warm starts run as one stack; ties go to the
-    earliest restart."""
+    The seeded restarts run as one stack; ties go to the earliest restart."""
     if not beta >= 1.0:
         raise ValidationError(f"beta must be >= 1, got {beta}")
     encs = _seeded_starts(hf, settings)
-    if warm_starts:
-        encs = np.concatenate([encs, np.asarray(warm_starts, dtype=float)])
     return _best_point(hf, beta, _run_fixed_points(hf, encs, np.full(len(encs), beta)))
 
 
 def sweep_beta(hf: HistoryFutureJoint, settings: OptimizerSettings) -> list:
     """Frontier points over the beta schedule BETAS, warm-started in order.
 
-    The points are those of `optimize_soft` at each beta in turn, each past
-    the first given the point before it as its one warm start.  Every beta
-    draws the same seeded starts, and only the warm start depends on the
-    beta before it.  So all len(BETAS) * RESTARTS seeded restarts run as one
-    `_run_fixed_points` stack, each at its own beta: the schedule pays for
-    its slowest restart once, not once per beta.  The warm starts then run
-    one by one, in beta order, the warm start counting as restart RESTARTS
-    of its beta, and each beta keeps its best restart as `optimize_soft`
-    does.  A descent error names its beta and its restart within that beta;
-    one in the seeded stack, the earliest iteration across the whole
-    schedule first, is raised before any warm start runs.
+    Each point is the best of `optimize_soft`'s seeded restarts at its beta
+    and, past the first beta, one warm start from the point before it; ties
+    go to the earliest restart, the warm start counting as restart RESTARTS.
+    Every beta draws the same seeded starts, and only the warm start depends
+    on the beta before it.  So the seeded restarts of consecutive betas run
+    as one `_run_fixed_points` stack, each at its own beta, and the schedule
+    pays for a stack's slowest restart once, not once per beta.  A stack
+    holds as many betas as keep one step of it within _CHUNK_ENTRIES, at
+    least one: all len(BETAS) * RESTARTS restarts on small tables.  Restarts
+    do not depend on the others in their stack, so the points are the same
+    for any grouping.  Each beta keeps only its best seeded restart; the warm
+    starts then run one by one, in beta order, and one replaces that restart
+    only where the tie rule over all of them would pick it, being the last.
+    A descent error names its beta and its restart within that beta; the
+    stacks run in beta order before any warm start, and the first stack
+    that rises raises at its earliest iteration, whichever beta that is.
     """
-    starts = np.tile(_seeded_starts(hf, settings), (len(BETAS), 1, 1))
-    stacked = _run_fixed_points(hf, starts, np.repeat(BETAS, RESTARTS))
+    seeded = _seeded_starts(hf, settings)
+    group = max(1, _CHUNK_ENTRIES // (RESTARTS * _step_entries(hf, settings.memory_size)))
+    bests = []  # each beta's best seeded restart, as a one-restart run
+    for first in range(0, len(BETAS), group):
+        betas = BETAS[first : first + group]
+        starts = np.tile(seeded, (len(betas), 1, 1))
+        stacked = _run_fixed_points(hf, starts, np.repeat(betas, RESTARTS))
+        for i in range(0, len(starts), RESTARTS):
+            best = i + _best_restart(stacked[1][i : i + RESTARTS])
+            bests.append([a[[best]] for a in stacked])
     points = []
-    for i, beta in enumerate(BETAS):
-        run = [a[i * RESTARTS : (i + 1) * RESTARTS] for a in stacked]
+    for i, (beta, run) in enumerate(zip(BETAS, bests)):
         if points:
             warm = points[-1].strategy.assignment[None]
             warm = _run_fixed_points(hf, warm, BETAS[i : i + 1], first_restart=RESTARTS)

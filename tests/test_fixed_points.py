@@ -136,13 +136,15 @@ def assert_same_run(hf, starts, beta, first_restart=0):
 
 
 def per_beta_sweep(hf, opt):
-    """The sweep as a chain of one stack per beta: `optimize_soft` at each beta in turn,
-    warm-started by the point before."""
-    points, warm = [], ()
+    """The sweep as a chain of one stack per beta: the seeded restarts and, past the
+    first beta, the point before as one warm start, reduced to their best restart."""
+    points = []
     for beta in optmod.BETAS:
-        point = optmod.optimize_soft(hf, float(beta), opt, warm_starts=warm)
-        points.append(point)
-        warm = (point.strategy.assignment,)
+        encs = _initial_encoders(hf.num_histories, opt.memory_size, optmod.RESTARTS, _rng(opt.seed))
+        if points:
+            encs = np.concatenate([encs, points[-1].strategy.assignment[None]])
+        run = _run_fixed_points(hf, encs, np.full(len(encs), beta))
+        points.append(optmod._best_point(hf, float(beta), run))
     return points
 
 
@@ -156,8 +158,11 @@ def point_bytes(point):
     )
 
 
-def assert_sweep_matches(hf, opt, monkeypatch):
-    """sweep_beta equals the per-beta chain byte for byte, and each of its calls the one-step loop."""
+def assert_sweep_matches(hf, opt, monkeypatch, groups=(len(optmod.BETAS),)):
+    """sweep_beta equals the per-beta chain byte for byte, and each of its calls the one-step loop.
+
+    `groups` is the number of betas in each stack of seeded restarts, in beta order.
+    """
     want = [point_bytes(p) for p in per_beta_sweep(hf, opt)]
     calls = []
 
@@ -169,10 +174,12 @@ def assert_sweep_matches(hf, opt, monkeypatch):
         patch.setattr(optmod, "_run_fixed_points", checked)
         got = [point_bytes(p) for p in optmod.sweep_beta(hf, opt)]
     assert got == want
-    # one stack of every beta's seeded restarts, then the warm starts one by one
+    # stacks of consecutive betas' seeded restarts, then the warm starts one by one
     betas = optmod.BETAS.tolist()
-    stack = np.repeat(betas, optmod.RESTARTS).tolist()
-    assert calls == [(stack, 0)] + [([beta], optmod.RESTARTS) for beta in betas[1:]]
+    stacks = []
+    for first, size in zip(np.cumsum((0,) + groups), groups):
+        stacks.append((np.repeat(betas[first : first + size], optmod.RESTARTS).tolist(), 0))
+    assert calls == stacks + [([beta], optmod.RESTARTS) for beta in betas[1:]]
 
 
 def test_bundled_sweeps_match_the_one_step_loop(monkeypatch):
@@ -278,6 +285,36 @@ def test_buffers_stay_within_the_entry_budget(monkeypatch):
     assert max(chunks) <= optmod._CHUNK_ENTRIES
     assert max(chunks) > optmod._CHUNK_ENTRIES // 2  # the budget, not the schedule, set the size
     assert_same_run(hf, starts, 4.0)
+
+
+def test_large_views_split_the_sweep_by_beta_within_the_entry_budget(monkeypatch):
+    # H = 1500 views, X' = 4, M = 2: one step of all 7 * 8 seeded restarts holds
+    # 56 * 3010 entries, over the budget; stacks of 5 and 2 betas stay within it
+    rng = np.random.default_rng(21)
+    hf = HistoryFutureJoint(table=rng.dirichlet(np.ones(6000)).reshape(1500, 4), k=1, labeled=False)
+    opt = OptimizerSettings(memory_size=2, seed=21)
+    step = optmod._step_entries(hf, 2)
+    assert len(optmod.BETAS) * optmod.RESTARTS * step > optmod._CHUNK_ENTRIES
+    monkeypatch.setattr(optmod, "MAX_ITERATIONS", 300)  # past the 256-step chunks
+    assert_sweep_matches(hf, opt, monkeypatch, groups=(5, 2))
+
+    sizes = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(shape, *args, **kwargs):
+            sizes.append(int(np.prod(shape)))
+            return np.empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(optmod, "np", Recorder())
+    optmod.sweep_beta(hf, opt)
+    monkeypatch.undo()
+    chunks = [sum(sizes[i : i + 3]) for i in range(0, len(sizes), 3)]
+    assert len(sizes) % 3 == 0 and chunks[0] == 5 * optmod.RESTARTS * step  # one step of 40
+    assert max(chunks) <= optmod._CHUNK_ENTRIES
 
 
 def test_a_rise_after_a_stop_in_the_same_chunk_does_not_raise(monkeypatch):
