@@ -19,7 +19,8 @@ for name in ("case_a", "case_b_labeled"):
     for p in result.points:
         print(f"{p.beta:8.3f} {p.i_mem:8.4f} {p.i_pred:8.4f} {p.objective:10.4f}  {p.iterations}")
     ref = result.exhaustive_reference
-    print(f"exhaustive optimum at beta={ref.beta:g}: objective {ref.objective:.9f}")
+    ref_map = [int(v) for v in harden(ref.strategy.assignment)]
+    print(f"exhaustive optimum at beta={ref.beta:g}: objective {ref.objective:.9f}, map {ref_map}")
     best = result.points[-1]
     print(f"soft optimizer at beta={best.beta:g}:   objective {best.objective:.9f}")
     print(f"hardened best strategy: {strategy_summary(best.strategy, num_questions=len(scenario.labels))}")

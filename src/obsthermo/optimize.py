@@ -347,7 +347,16 @@ def _prefix_nostalgia(rows: np.ndarray) -> float:
     return float(xlogx(rows.sum(axis=0)).sum() - xlogx(rows).sum()) / _LN2
 
 
-def _scan_maps(hf: HistoryFutureJoint, m: int, max_nostalgia: float = np.inf):
+def _restricted_growth(labels) -> list:
+    """The labels renamed 0, 1, 2, ... in order of first use: the restricted
+    growth string of their relabelling class, and `labels` itself iff it is one."""
+    first_use = {}
+    return [first_use.setdefault(d, len(first_use)) for d in labels]
+
+
+def _scan_maps(
+    hf: HistoryFutureJoint, m: int, max_nostalgia: float = np.inf, rgs_only: bool = False
+):
     """(first map index, i_mem, i_pred) for blocks of every deterministic map h -> m.
 
     Maps are numbered mixed-radix with the last history fastest, the order of
@@ -372,6 +381,17 @@ def _scan_maps(hf: HistoryFutureJoint, m: int, max_nostalgia: float = np.inf):
     column sum, has derivative ln(S / p_dx') / ln 2 >= 0 in every entry, so
     it never falls as the tail histories are added to the prefix rows: every
     map of a skipped block has at least its prefix's nostalgia.
+
+    With `rgs_only`, only the blocks whose prefix is a restricted growth string
+    are yielded: prefix[0] = 0 and each prefix[i] <= max(prefix[:i]) + 1.  The
+    others are skipped before their rows are built, and a yielded block's
+    numbers are the same bits as without `rgs_only`.  Relabelling the memory
+    states permutes the rows of p(m, x') and moves neither i_mem nor i_pred,
+    and the map of a class that comes first in this order is its restricted
+    growth string (Knuth, TAOCP 4A, section 7.2.1.5), whose prefix is one.
+    So every relabelling class keeps a member in the scan, and the blocks
+    scanned number the partitions of the prefix's histories into at most m
+    parts: 5 of 125 at n_hist = 8, m = 5 and 8 of 16 at n_hist = 16, m = 2.
     """
     n_hist, x = hf.table.shape
     if n_hist < 1 or m < 1:
@@ -395,6 +415,8 @@ def _scan_maps(hf: HistoryFutureJoint, m: int, max_nostalgia: float = np.inf):
     sum_terms = np.empty(block * m)
     h_x = -xlogx(hf.table.sum(axis=0)).sum() / _LN2
     for i, prefix in enumerate(itertools.product(range(m), repeat=lead)):
+        if rgs_only and _restricted_growth(prefix) != list(prefix):
+            continue  # a relabelling of an earlier block's maps: see above
         rows[:, 0] = 0.0
         for h, d in enumerate(prefix):
             rows[d, 0] += hf.table[h]
@@ -428,16 +450,27 @@ def exhaustive_best(
     """Certified optimum over all deterministic maps history -> memory.
 
     With `beta`, the map that minimizes i_mem - beta * i_pred; without it, the
-    map with the largest i_pred.  Ties go to the earliest map in `_scan_maps`
-    order.  Raises SizeCapError when the maps number more than ENUMERATION_CAP.
+    map with the largest i_pred.  Raises SizeCapError when the maps number
+    more than ENUMERATION_CAP.
+
+    The names of the memory states carry nothing: relabelling a map moves
+    neither i_mem nor i_pred.  So the scan visits only the blocks whose prefix
+    is a restricted growth string (`_scan_maps` with `rgs_only`), which hold
+    every relabelling class's first map in `_scan_maps` order, and so the best
+    class.  Among the maps visited, ties within 1e-15 go to the earliest in
+    that order, and the winner is returned relabelled in order of first use:
+    the returned map is always a restricted growth string.  Where rounding
+    alone separates two relabellings of one map by more than 1e-15, the winner
+    can be a later relabelling in a visited block; it is reported in the same
+    canonical labels, and its point is computed from those.
     """
     best_score = best_index = None
-    for first, i_mem, i_pred in _scan_maps(hf, memory_size):
+    for first, i_mem, i_pred in _scan_maps(hf, memory_size, rgs_only=True):
         scores = -i_pred if beta is None else i_mem - beta * i_pred
         j = int(np.argmin(scores))
         if best_score is None or scores[j] < best_score - 1e-15:
             best_score, best_index = float(scores[j]), first + j
-    best_map = _map_at(best_index, hf.num_histories, memory_size)
+    best_map = _restricted_growth(_map_at(best_index, hf.num_histories, memory_size))
     return _point_from_encoder(hf, assignment_from_map(best_map, memory_size), beta, True, 0)
 
 

@@ -4,8 +4,10 @@
 time by broadcasting, as `optimize._scan_maps` did before it gathered terms
 from per-prefix subset tables.  Its prefixes are built one at a time rather
 than all at once, with the same additions, so that a block of one map with
-thousands of memory rows fits in memory.  It never skips a block, so the
-degeneracy report it feeds is the unpruned one.
+thousands of memory rows fits in memory.  It never skips a block for its
+nostalgia, so the degeneracy report it feeds is the unpruned one; asked for
+restricted growth prefixes only, as `exhaustive_best` asks, it skips the
+others by its own test of the prefix.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import obsthermo.optimize as optmod
 from obsthermo import bundled_scenario, degeneracy_report, exhaustive_best, history_future_joint
 from obsthermo.info import xlogx
 from obsthermo.optimize import HistoryFutureJoint
+from obsthermo.strategy import harden
 
 from conftest import scenario_chain
 
@@ -25,10 +28,18 @@ _LN2 = np.log(2.0)
 BUNDLED = ("case_a", "case_b_labeled", "case_b_unlabeled", "case_b_bestcase", "angle_sweep")
 
 
-def reference_scan(hf: HistoryFutureJoint, m: int, map_block: int = 4096, max_nostalgia=None):
+def is_restricted_growth(labels) -> bool:
+    """labels[0] = 0 and every label at most one above the largest before it."""
+    return all(d <= max(labels[:i], default=-1) + 1 for i, d in enumerate(labels))
+
+
+def reference_scan(
+    hf: HistoryFutureJoint, m: int, map_block: int = 4096, max_nostalgia=None, rgs_only=False
+):
     """(first map index, i_mem, i_pred) per block of m**r <= map_block maps.
 
-    `max_nostalgia` is accepted, as `_scan_maps` accepts it, and ignored.
+    `max_nostalgia` is accepted, as `_scan_maps` accepts it, and ignored.  With
+    `rgs_only`, a block is yielded only if its prefix is a restricted growth string.
     """
     n_hist, x = hf.table.shape
     total = m**n_hist
@@ -51,6 +62,8 @@ def reference_scan(hf: HistoryFutureJoint, m: int, map_block: int = 4096, max_no
         r += 1
     h_x = -xlogx(hf.table.sum(axis=0)).sum() / _LN2
     for i, prefix in enumerate(itertools.product(range(m), repeat=n_hist - r)):
+        if rgs_only and not is_restricted_growth(prefix):
+            continue
         p = np.zeros((1, m, x))
         for h, d in enumerate(prefix):
             p = p + term(h, d)
@@ -235,3 +248,69 @@ def test_full_support_scan_keeps_only_the_constant_prefixes(n_hist, m, x):
     assert lead >= 2
     constant = (m**lead - 1) // (m - 1)  # prefix (1, 1, ..., 1) in mixed radix m
     assert firsts == [c * constant * m**r for c in range(m)]
+
+
+def relabelling_tables():
+    """(hf, m) cases with zero rows, zero cells and cells of about 1e-13, M >= 2."""
+    rng = np.random.default_rng(22)
+    cases = []
+    for _ in range(30):
+        n_hist = int(rng.integers(2, 9))
+        x = int(rng.integers(2, 7))
+        m = int(rng.choice([m for m in range(2, 5) if m**n_hist <= 5_000]))
+        table = rng.dirichlet(np.full(n_hist * x, 0.5)).reshape(n_hist, x)
+        table[rng.random(table.shape) < 0.2] = 0.0
+        table[rng.random(table.shape) < 0.1] = 1e-13
+        if rng.random() < 0.5:
+            table[rng.integers(n_hist)] = 0.0
+        cases.append((table_hf(table / table.sum()), m))
+    return cases
+
+
+def score(beta, i_mem, i_pred):
+    return -i_pred if beta is None else i_mem - beta * i_pred
+
+
+@pytest.mark.parametrize("map_block", [8, 4096])  # small blocks: long prefixes, most skipped
+def test_exhaustive_best_is_the_canonical_optimum_over_every_map(monkeypatch, map_block):
+    scan = optmod._scan_maps
+    for hf, m in relabelling_tables():
+        _, mems, preds = streams(reference_scan, hf, m)
+        every_mem, every_pred = np.frombuffer(mems), np.frombuffer(preds)
+        for beta in (None, 1.0, 2.5, 8.0):
+            monkeypatch.setattr(optmod, "_MAP_BLOCK", map_block)
+            monkeypatch.setattr(optmod, "_scan_maps", scan)
+            best = exhaustive_best(hf, m, beta=beta)
+            chosen = harden(best.strategy.assignment).tolist()
+            case = (hf.table.shape, m, beta, map_block)
+            assert is_restricted_growth(chosen), case
+            floor = score(beta, every_mem, every_pred).min()
+            assert abs(score(beta, best.i_mem, best.i_pred) - floor) <= 1e-12, case
+            if map_block != 4096:
+                # two classes that tie exactly (an empty history placed in either) can
+                # swap here, as rounding among their relabellings decides which is first
+                continue
+            # the full scan of every map, as exhaustive_best ran before it skipped blocks
+            monkeypatch.setattr(optmod, "_scan_maps", lambda hf, m, rgs_only: reference_scan(hf, m))
+            full = exhaustive_best(hf, m, beta=beta)
+            assert chosen == harden(full.strategy.assignment).tolist(), case
+
+
+@pytest.mark.parametrize("n_hist, m, x, visited", [(8, 5, 8, 5), (16, 2, 4, 8)])
+def test_rgs_scan_visits_only_the_restricted_growth_prefixes(monkeypatch, n_hist, m, x, visited):
+    table = np.random.default_rng(n_hist * m).dirichlet(np.ones(n_hist * x)).reshape(n_hist, x)
+    hf = table_hf(table)
+    full, scanned = (
+        {first: (i_mem.tobytes(), i_pred.tobytes()) for first, i_mem, i_pred in scan}
+        for scan in (optmod._scan_maps(hf, m), optmod._scan_maps(hf, m, rgs_only=True))
+    )
+    r = tail_length(n_hist, m, optmod._MAP_BLOCK)
+    prefixes = itertools.product(range(m), repeat=n_hist - r)
+    expected = [i * m**r for i, p in enumerate(prefixes) if is_restricted_growth(p)]
+    assert list(scanned) == expected and len(expected) == visited
+    assert all(scanned[first] == full[first] for first in scanned)  # the same bits
+    maps = set()
+    for map_block in (1, 8, 4096):
+        monkeypatch.setattr(optmod, "_MAP_BLOCK", map_block)
+        maps.add(tuple(harden(exhaustive_best(hf, m, beta=8.0).strategy.assignment)))
+    assert len(maps) == 1
