@@ -91,11 +91,13 @@ def optimize(scenario: Scenario) -> OptimizeResult:
 
     When the deterministic maps number at most ENUMERATION_CAP, the result also
     holds the degeneracy report and the exhaustive reference at the largest
-    beta: two scans of the maps.  The first skips every block of maps whose
-    shared prefix already holds more nostalgia than DEGENERACY_TOL, and lists
-    every relabelling of each map it keeps.  The second visits only the blocks
-    whose prefix is a restricted growth string, since relabelling the memory
-    states moves neither i_mem nor i_pred, and returns its map so relabelled.
+    beta, from one scan of the maps.  The report scans none: it scores only
+    the maps constant on the groups of histories that share a heavy cell of
+    p(view, next pair), the only ones whose nostalgia can stay within
+    DEGENERACY_TOL, and lists every relabelling of each map it keeps.  The
+    scan, for the reference, visits only the blocks whose prefix is a
+    restricted growth string, since relabelling the memory states moves
+    neither i_mem nor i_pred, and only such maps compete.
     """
     settings = scenario.optimizer
     if settings is None:

@@ -11,6 +11,8 @@ from obsthermo import (
     bundled_scenario,
 )
 from obsthermo.chain import FUTURE_PAIR, pair_names
+from obsthermo.config import parse_scenario
+from obsthermo.optimize import history_future_joint
 from obsthermo.qubit import collapsed_states, outcome_table
 
 
@@ -115,3 +117,54 @@ def enumerate_deterministic(history_size: int, memory_size: int):
     scan's order: mixed radix, the newest history varying fastest."""
     for combo in itertools.product(range(memory_size), repeat=history_size):
         yield np.array(combo, dtype=int)
+
+
+# (questions K, window, view k, labeled view, memory size M) of the benchmark's
+# `exhaustive` workload: M^H from 59,049 to 390,625 maps
+EXHAUSTIVE_SHAPES = (
+    (4, 1, 1, True, 4),
+    (2, 3, 3, False, 4),
+    (2, 2, 2, True, 2),
+    (5, 1, 1, True, 3),
+    (4, 1, 1, True, 5),
+)
+
+
+def exhaustive_scenarios(seed: int) -> list:
+    """The five `exhaustive` benchmark scenarios of run seed `seed`: a fixed
+    geometry per shape, seen in a frame rotated by the seed (perfbench/workloads.py)."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    rotation = q * np.sign(np.diag(r))
+    if np.linalg.det(rotation) < 0:
+        rotation[:, 0] = -rotation[:, 0]
+    scenarios = []
+    for index, (k_questions, window, k, labeled, m) in enumerate(EXHAUSTIVE_SHAPES):
+        shape_rng = np.random.default_rng(index)
+        axes = shape_rng.normal(size=(k_questions, 3))
+        axes = (axes / np.linalg.norm(axes, axis=1, keepdims=True)) @ rotation.T
+        weights = shape_rng.dirichlet(np.full(k_questions, 4.0))
+        scenarios.append(
+            parse_scenario(
+                {
+                    "name": f"K{k_questions}_k{k}{'L' if labeled else 'U'}_M{m}",
+                    "questions": [
+                        {"label": f"Q{i}", "axis": [float(v) for v in axis]}
+                        for i, axis in enumerate(axes)
+                    ],
+                    "process": {"type": "iid", "weights": [float(v) for v in weights]},
+                    "window": window,
+                    "optimizer": {"memory_size": m, "seed": index, "history": {"k": k, "labeled": labeled}},
+                }
+            )
+        )
+    return scenarios
+
+
+def exhaustive_tables(seed: int) -> list:
+    """(p(view, next pair), memory size) of the five `exhaustive` scenarios of run seed `seed`."""
+    cases = []
+    for scenario in exhaustive_scenarios(seed):
+        opt = scenario.optimizer
+        hf = history_future_joint(scenario_chain(scenario), opt.history_k, opt.history_labeled)
+        cases.append((hf, opt.memory_size))
+    return cases

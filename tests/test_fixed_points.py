@@ -31,7 +31,7 @@ from obsthermo.info import xlogx
 from obsthermo.optimize import HistoryFutureJoint, _initial_encoders, _run_fixed_points
 from obsthermo.process import _rng
 
-from conftest import scenario_chain
+from conftest import exhaustive_scenarios, scenario_chain
 from test_optimize import batch_cases
 
 
@@ -210,7 +210,8 @@ def test_batch_cases_match_the_one_step_loop(case_b_unlabeled):
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 255, 256, 257, 777])
 def test_iteration_cap_inside_and_on_both_sides_of_a_chunk_edge(cap, case_b_unlabeled, monkeypatch):
-    # chunks of 1, 2, 4, ..., 256 steps end after 1, 3, 7, ..., 255, 511, 767 iterations
+    # chunks of 1, 2, 4, ..., 256 steps end after 1, 3, 7, ..., 255, 511, 767 iterations,
+    # or sooner at a predicted stop
     monkeypatch.setattr(optmod, "MAX_ITERATIONS", cap)
     capped = 0
     for hf, beta, starts, _ in batch_cases(case_b_unlabeled):
@@ -399,3 +400,80 @@ def test_rounding_at_large_beta_is_not_a_rise():
     hf = HistoryFutureJoint(table=rng.dirichlet(np.ones(4)).reshape(2, 2), k=1, labeled=False)
     _, _, converged, _ = assert_same_run(hf, _initial_encoders(2, 2, 4, rng), 1e4)
     assert converged.all()
+
+
+def doubling_steps(hf, starts, iterations, converged):
+    """The updates the loop runs in chunks of 1, 2, 4, ... _CHUNK_CAP steps, within
+    the entry budget and MAX_ITERATIONS, until every restart has stopped."""
+    stops = np.where(converged, iterations, optmod.MAX_ITERATIONS)
+    step_entries = optmod._step_entries(hf, starts.shape[2])
+    done, chunk = 0, 1
+    while (stops > done).any() and done < optmod.MAX_ITERATIONS:
+        budget = max(1, optmod._CHUNK_ENTRIES // (int((stops > done).sum()) * step_entries))
+        done += min(chunk, optmod.MAX_ITERATIONS - done, budget)
+        chunk = min(2 * chunk, optmod._CHUNK_CAP)
+    return done
+
+
+def updates_against_doubling(hf, starts, betas, monkeypatch):
+    """The updates the loop ran, read off its chunk buffers, and those of the doubling
+    chunks; the loop never runs more, nor fewer than its slowest restart needs."""
+    steps = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(shape, *args, **kwargs):
+            steps.append(shape[0])
+            return np.empty(shape, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optmod, "np", Recorder())
+        _, _, converged, iterations = _run_fixed_points(hf, starts, betas)
+    updates = sum(steps[::3])  # three buffers a chunk
+    doubling = doubling_steps(hf, starts, iterations, converged)
+    assert converged.all() and iterations.max() <= updates <= doubling
+    return updates, doubling
+
+
+def sweep_stack(scenario):
+    """The table, and the seeded restarts of every beta as `sweep_beta` stacks them."""
+    opt = scenario.optimizer
+    hf = history_future_joint(scenario_chain(scenario), opt.history_k, opt.history_labeled)
+    starts = _initial_encoders(hf.num_histories, opt.memory_size, optmod.RESTARTS, _rng(opt.seed))
+    stack = np.tile(starts, (len(optmod.BETAS), 1, 1))
+    assert len(stack) * optmod._step_entries(hf, opt.memory_size) <= optmod._CHUNK_ENTRIES
+    return hf, stack, np.repeat(optmod.BETAS, optmod.RESTARTS)
+
+
+def test_chunks_that_end_at_the_predicted_stop_move_no_bit(case_b_unlabeled, monkeypatch):
+    # the five `exhaustive` sweep stacks contract geometrically to their stops, and
+    # their last doubled chunk ran past the slowest one: 767 updates where K4_k1L_M5
+    # stops at 519
+    for scenario in exhaustive_scenarios(1):
+        hf, starts, betas = sweep_stack(scenario)
+        assert_same_run(hf, starts, betas)
+        updates, doubling = updates_against_doubling(hf, starts, betas, monkeypatch)
+        assert updates < doubling
+    # the critical beta = 4 stack of case_b_unlabeled converges sublinearly
+    hf, beta, starts, _ = batch_cases(case_b_unlabeled)[0]
+    assert_same_run(hf, starts, beta)
+    updates_against_doubling(hf, starts, np.full(len(starts), beta), monkeypatch)
+
+
+def test_bundled_sweep_stacks_run_no_more_updates_than_the_doubling_chunks(monkeypatch):
+    for name in BUNDLED:
+        updates_against_doubling(*sweep_stack(bundled_scenario(name)), monkeypatch)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, 1e-300])
+def test_a_stop_that_cannot_be_predicted_stays_silent(tolerance, monkeypatch):
+    # no stop at TOLERANCE <= 0, and log(TOLERANCE / d1) far below zero at 1e-300;
+    # both loops run under warnings as errors
+    monkeypatch.setattr(optmod, "TOLERANCE", tolerance)
+    monkeypatch.setattr(optmod, "MAX_ITERATIONS", 300)
+    rng = np.random.default_rng(4)
+    hf = HistoryFutureJoint(table=rng.dirichlet(np.ones(12)).reshape(3, 4), k=1, labeled=False)
+    assert_same_run(hf, _initial_encoders(3, 2, 4, rng), 2.5)

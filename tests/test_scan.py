@@ -4,17 +4,18 @@
 time by broadcasting, as `optimize._scan_maps` did before it gathered terms
 from per-prefix subset tables.  Its prefixes are built one at a time rather
 than all at once, with the same additions, so that a block of one map with
-thousands of memory rows fits in memory.  It never skips a block for its
-nostalgia, so the degeneracy report it feeds is the unpruned one; asked for
-restricted growth prefixes only, as `exhaustive_best` asks, it skips the
-others by its own test of the prefix.
+thousands of memory rows fits in memory.  Asked for restricted growth
+prefixes only, as `exhaustive_best` asks, it skips the others by its own
+test of the prefix.  `reference_report` is the degeneracy report of a scan of
+every map, which `degeneracy_report` gives from its closed-form candidates.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings as hsettings, strategies as st
 
 import obsthermo.optimize as optmod
 from obsthermo import bundled_scenario, degeneracy_report, exhaustive_best, history_future_joint
@@ -22,7 +23,7 @@ from obsthermo.info import xlogx
 from obsthermo.optimize import HistoryFutureJoint
 from obsthermo.strategy import harden
 
-from conftest import scenario_chain
+from conftest import enumerate_deterministic, exhaustive_tables, scenario_chain
 
 _LN2 = np.log(2.0)
 BUNDLED = ("case_a", "case_b_labeled", "case_b_unlabeled", "case_b_bestcase", "angle_sweep")
@@ -33,13 +34,10 @@ def is_restricted_growth(labels) -> bool:
     return all(d <= max(labels[:i], default=-1) + 1 for i, d in enumerate(labels))
 
 
-def reference_scan(
-    hf: HistoryFutureJoint, m: int, map_block: int = 4096, max_nostalgia=None, rgs_only=False
-):
+def reference_scan(hf: HistoryFutureJoint, m: int, map_block: int = 4096, rgs_only=False):
     """(first map index, i_mem, i_pred) per block of m**r <= map_block maps.
 
-    `max_nostalgia` is accepted, as `_scan_maps` accepts it, and ignored.  With
-    `rgs_only`, a block is yielded only if its prefix is a restricted growth string.
+    With `rgs_only`, a block is yielded only if its prefix is a restricted growth string.
     """
     n_hist, x = hf.table.shape
     total = m**n_hist
@@ -167,14 +165,9 @@ def test_scan_numbers_do_not_depend_on_the_block(monkeypatch, map_block):
 def results_with(scan, monkeypatch, hf, m, beta):
     monkeypatch.setattr(optmod, "_scan_maps", scan)
     best = [exhaustive_best(hf, m, beta=beta), exhaustive_best(hf, m)]
-    summary = [
+    return [
         (p.strategy.assignment.tobytes(), p.i_mem, p.i_pred, p.nostalgia, p.objective) for p in best
     ]
-    summary += [
-        (d.map_indices, d.i_mem, d.i_pred, d.nostalgia, d.observer_like)
-        for d in degeneracy_report(hf, m)
-    ]
-    return summary
 
 
 def test_exhaustive_best_and_degeneracy_report_match_reference(monkeypatch):
@@ -184,6 +177,7 @@ def test_exhaustive_best_and_degeneracy_report_match_reference(monkeypatch):
             ours = results_with(scan, monkeypatch, hf, m, beta)
             theirs = results_with(reference_scan, monkeypatch, hf, m, beta)
             assert ours == theirs
+        assert report_bits(hf, m) == reference_report(*reference_numbers(hf, m))
 
 
 def pruning_tables():
@@ -210,44 +204,102 @@ def report_bits(hf, m):
     ]
 
 
-@pytest.mark.parametrize("map_block", [64, 4096])  # small blocks: long prefixes, more skipped
+def reference_numbers(hf, m):
+    """(H, m, i_mem, i_pred) of every map, in scan order, from `reference_scan`."""
+    _, mems, preds = streams(reference_scan, hf, m)
+    return hf.num_histories, m, np.frombuffer(mems), np.frombuffer(preds)
+
+
+def reference_report(n_hist, m, i_mem, i_pred):
+    """`report_bits` of the maps a scan of every map keeps at the current DEGENERACY_TOL."""
+    nostalgia = i_mem - i_pred
+    return [
+        (
+            tuple(int(d) for d in np.unravel_index(j, (m,) * n_hist)),
+            float(i_mem[j]).hex(),
+            float(i_pred[j]).hex(),
+            max(0.0, float(nostalgia[j])).hex(),
+            bool(i_pred[j] > 1e-9),
+        )
+        for j in np.flatnonzero(nostalgia <= optmod.DEGENERACY_TOL)
+    ]
+
+
+@functools.cache
+def report_cases(benchmark: bool):
+    """(hf, m, reference numbers) of every test table, with zero rows, zero cells
+    and 1e-13 cells, and with `benchmark` the five `exhaustive` shapes at run seeds 1-5."""
+    cases = pruning_tables() + relabelling_tables() + random_tables() + bundled_cases()
+    for seed in range(1, 6) if benchmark else ():
+        cases += exhaustive_tables(seed)
+    return [(hf, m, reference_numbers(hf, m)) for hf, m in cases]
+
+
+@pytest.mark.parametrize("map_block", [64, 4096])  # small blocks: candidates split across blocks
 @pytest.mark.parametrize("tol", [1e-9, 0.0, 0.3])
 def test_pruned_degeneracy_report_equals_the_unpruned_one(monkeypatch, tol, map_block):
+    # the report scores only the maps constant on the components heavy cells join;
+    # it lists the maps, and the bits, of a scan of every map.  The benchmark shapes
+    # run at full blocks only: at tol 0.3 they hold 3.2 million candidates, which a
+    # _MAP_BLOCK of 64 scores in seconds, and below it at most 32, one block at either size
     monkeypatch.setattr(optmod, "DEGENERACY_TOL", tol)
     monkeypatch.setattr(optmod, "_MAP_BLOCK", map_block)
-    cases = pruning_tables() + bundled_cases()
-    pruned = [report_bits(hf, m) for hf, m in cases]
-    scan = optmod._scan_maps
-    monkeypatch.setattr(optmod, "_scan_maps", lambda hf, m, max_nostalgia: scan(hf, m))
-    assert pruned == [report_bits(hf, m) for hf, m in cases]
+    for hf, m, numbers in report_cases(benchmark=map_block == 4096):
+        assert report_bits(hf, m) == reference_report(*numbers), (hf.table.shape, m)
 
 
-_tables = st.integers(1, 5).flatmap(
-    lambda m: st.integers(1, 6).flatmap(
+def test_degeneracy_candidates_are_few_on_the_bundled_and_benchmark_tables():
+    tables = bundled_cases() + [case for seed in range(1, 6) for case in exhaustive_tables(seed)]
+    counts = [sum(map(len, optmod._degenerate_candidates(hf.table, m))) for hf, m in tables]
+    assert max(counts) <= 32 and len(counts) == 30
+
+
+_tables = st.integers(2, 5).flatmap(
+    lambda n_hist: st.integers(1, 4).flatmap(
         lambda x: st.lists(
-            st.sampled_from([0.0, 1e-13]) | st.floats(0.0, 1.0), min_size=2 * m * x, max_size=2 * m * x
-        ).map(lambda v: np.array(v).reshape(2, m, x))
+            st.sampled_from([0.0, 1e-13]) | st.floats(0.0, 1.0),
+            min_size=n_hist * x,
+            max_size=n_hist * x,
+        ).map(lambda v: np.array(v).reshape(n_hist, x))
     )
 )
 
 
-@given(_tables)
-def test_adding_histories_never_lowers_prefix_nostalgia(pair):
-    total = pair.sum()
-    a, b = pair / total if total > 0 else pair
-    assert optmod._prefix_nostalgia(a + b) >= optmod._prefix_nostalgia(a) - optmod._PRUNE_SLACK
+@hsettings(max_examples=200, deadline=None)
+@given(_tables, st.data())
+def test_splitting_two_cells_of_a_column_costs_twice_the_smaller(table, data):
+    # p(x') H(M | X' = x') >= 2 min(a, b) bits when cells a and b of column x' go to
+    # different memory states; the computed nostalgia honours it within _JOIN_SLACK
+    total = table.sum()
+    if total > 0:
+        table = table / total
+    n_hist, x = table.shape
+    m = data.draw(st.integers(2, 4))
+    labels = data.draw(st.lists(st.integers(0, m - 1), min_size=n_hist, max_size=n_hist))
+    p_mx = np.zeros((m, x))
+    for h, d in enumerate(labels):
+        p_mx[d] += table[h]
+    h_x = optmod._future_entropy(table_hf(table))
+    i_mem, i_pred = optmod._map_information(xlogx(p_mx.sum(axis=1))[None], xlogx(p_mx)[None], h_x)
+    nostalgia = float(i_mem[0] - i_pred[0])
+    split = [
+        min(table[g, c], table[h, c])
+        for g, h in itertools.combinations(range(n_hist), 2)
+        if labels[g] != labels[h]
+        for c in range(x)
+    ]
+    assert nostalgia >= 2 * max(split, default=0.0) - optmod._JOIN_SLACK
 
 
 @pytest.mark.parametrize("n_hist, m, x", [(8, 5, 8), (16, 2, 4), (10, 3, 4)])
-def test_full_support_scan_keeps_only_the_constant_prefixes(n_hist, m, x):
+def test_full_support_report_keeps_only_the_constant_maps(n_hist, m, x):
+    # every cell is heavy, so all histories join one component: m candidates, all kept
     table = np.random.default_rng(n_hist * m).dirichlet(np.ones(n_hist * x)).reshape(n_hist, x)
-    ceiling = optmod.DEGENERACY_TOL + optmod._PRUNE_SLACK
-    firsts = [first for first, _, _ in optmod._scan_maps(table_hf(table), m, max_nostalgia=ceiling)]
-    r = tail_length(n_hist, m, optmod._MAP_BLOCK)
-    lead = n_hist - r
-    assert lead >= 2
-    constant = (m**lead - 1) // (m - 1)  # prefix (1, 1, ..., 1) in mixed radix m
-    assert firsts == [c * constant * m**r for c in range(m)]
+    assert table.min() > optmod.DEGENERACY_TOL
+    constant = [(c,) * n_hist for c in range(m)]
+    candidates = np.concatenate(list(optmod._degenerate_candidates(table, m)))
+    assert [tuple(c) for c in candidates.tolist()] == constant
+    assert [d.map_indices for d in degeneracy_report(table_hf(table), m)] == constant
 
 
 def relabelling_tables():
@@ -271,29 +323,41 @@ def score(beta, i_mem, i_pred):
     return -i_pred if beta is None else i_mem - beta * i_pred
 
 
-@pytest.mark.parametrize("map_block", [8, 4096])  # small blocks: long prefixes, most skipped
+def restricted_growth_maps(n_hist, m):
+    """Every map in scan order, and which of them are restricted growth strings."""
+    maps = np.array(list(enumerate_deterministic(n_hist, m)))
+    top = np.maximum.accumulate(maps, axis=1)
+    before = np.concatenate([np.full((len(maps), 1), -1), top[:, :-1]], axis=1)
+    return maps, (maps <= before + 1).all(axis=1)
+
+
+@pytest.mark.parametrize("map_block", [8, 64, 4096])  # small blocks: long prefixes, most skipped
 def test_exhaustive_best_is_the_canonical_optimum_over_every_map(monkeypatch, map_block):
-    scan = optmod._scan_maps
-    for hf, m in relabelling_tables():
+    # only restricted growth strings compete, one per relabelling class, and the
+    # lowest score wins, exact ties to the earliest: so every block gives one map
+    monkeypatch.setattr(optmod, "_MAP_BLOCK", map_block)
+    for hf, m in relabelling_tables() + random_tables()[:20] + bundled_cases():
         _, mems, preds = streams(reference_scan, hf, m)
         every_mem, every_pred = np.frombuffer(mems), np.frombuffer(preds)
+        maps, growth = restricted_growth_maps(hf.num_histories, m)
         for beta in (None, 1.0, 2.5, 8.0):
-            monkeypatch.setattr(optmod, "_MAP_BLOCK", map_block)
-            monkeypatch.setattr(optmod, "_scan_maps", scan)
             best = exhaustive_best(hf, m, beta=beta)
             chosen = harden(best.strategy.assignment).tolist()
             case = (hf.table.shape, m, beta, map_block)
             assert is_restricted_growth(chosen), case
-            floor = score(beta, every_mem, every_pred).min()
-            assert abs(score(beta, best.i_mem, best.i_pred) - floor) <= 1e-12, case
-            if map_block != 4096:
-                # two classes that tie exactly (an empty history placed in either) can
-                # swap here, as rounding among their relabellings decides which is first
-                continue
-            # the full scan of every map, as exhaustive_best ran before it skipped blocks
-            monkeypatch.setattr(optmod, "_scan_maps", lambda hf, m, rgs_only: reference_scan(hf, m))
-            full = exhaustive_best(hf, m, beta=beta)
-            assert chosen == harden(full.strategy.assignment).tolist(), case
+            scores = score(beta, every_mem, every_pred)
+            assert abs(score(beta, best.i_mem, best.i_pred) - scores.min()) <= 1e-12, case
+            assert chosen == maps[np.argmin(np.where(growth, scores, np.inf))].tolist(), case
+
+
+def test_growth_need_masks_the_tails_that_break_a_restricted_growth_string():
+    for m, r in ((1, 3), (2, 4), (3, 3), (5, 2)):
+        need = optmod._growth_need(m, r)
+        tails = list(itertools.product(range(m), repeat=r))
+        for top in range(-1, m):
+            prefix = list(range(top + 1))  # a restricted growth prefix whose largest label is top
+            expected = [is_restricted_growth(prefix + list(t)) for t in tails]
+            assert (need <= top).tolist() == expected, (m, r, top)
 
 
 @pytest.mark.parametrize("n_hist, m, x, visited", [(8, 5, 8, 5), (16, 2, 4, 8)])
