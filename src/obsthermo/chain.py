@@ -344,19 +344,32 @@ def window_joint(chain: Chain, window: int) -> JointDistribution:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """An ordered record of (question label, answer) pairs and the seed that drew it."""
+    """An ordered record of (question label, answer) pairs and the seed that drew it.
 
-    steps: tuple
+    The record is kept as two read-only integer arrays of one entry per step:
+    `question_indices`, each step's question as an index into
+    `question_labels` (the chain's labels, in order), and `answer_values`,
+    its answer, +1 or -1.  `steps`, the same record as a tuple of
+    (label, answer) pairs of str and int, is built on first access and kept.
+    """
+
+    question_labels: tuple
+    question_indices: np.ndarray
+    answer_values: np.ndarray
     seed: int
 
     def __len__(self):
-        return len(self.steps)
+        return len(self.question_indices)
+
+    @cached_property
+    def steps(self) -> tuple:
+        return tuple(zip(self.labels(), self.answer_values.tolist()))
 
     def answers(self) -> np.ndarray:
-        return np.array([a for _, a in self.steps])
+        return self.answer_values.copy()
 
     def labels(self) -> list:
-        return [q for q, _ in self.steps]
+        return list(map(self.question_labels.__getitem__, self.question_indices.tolist()))
 
 
 def sample_trajectory(chain: Chain, length: int, seed: int) -> Trajectory:
@@ -366,15 +379,15 @@ def sample_trajectory(chain: Chain, length: int, seed: int) -> Trajectory:
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
     questions = chain.questions
-    labels = procmod.sample_questions(chain.process, length, seed)
-    label_to_idx = {q.label: i for i, q in enumerate(questions)}
-    q = np.fromiter(map(label_to_idx.__getitem__, labels), np.intp, length)[:, None]
+    q = procmod.sample_questions(chain.process, length, seed, as_indices=True)
     rng = procmod._rng(seed, offset=0x5EED)  # decouple answer draws from question draws
-    a = np.empty_like(q)
+    a = np.empty_like(q)  # 0 for +1, 1 for -1, then the answer itself
     step, state = answer_step(chain), np.full(1, 2 * len(questions))
     for t0, t1 in procmod.blocks(0, length, 1):
-        a[t0:t1] = step(state, q[t0:t1], rng.random((t1 - t0, 1)))
-        state = 2 * q[t1 - 1] + a[t1 - 1]
-    answers = (1 - 2 * a[:, 0]).tolist()
-    return Trajectory(tuple(zip(map(str, labels), answers)), seed)
-
+        a[t0:t1] = step(state, q[t0:t1, None], rng.random((t1 - t0, 1)))[:, 0]
+        state = 2 * q[t1 - 1 : t1] + a[t1 - 1 : t1]
+    a *= -2
+    a += 1
+    q.flags.writeable = False
+    a.flags.writeable = False
+    return Trajectory(tuple(x.label for x in questions), q, a, seed)

@@ -11,12 +11,15 @@ unlabeled.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import workflows
 from .chain import Chain, sample_trajectory
@@ -30,6 +33,7 @@ EXIT_NONCONVERGENCE = 2
 EXIT_VERIFY_FAIL = 3
 
 _bit = {+1: "1", -1: "0"}.__getitem__  # answer -> bit
+_ROWS_PER_WRITE = 2**13  # trajectory CSV rows joined into one write
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,7 +44,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="obsthermo",
         description="Qubit question/answer chains, observer memories, dissipation bounds.",
@@ -67,12 +73,17 @@ def _out_dir(args, scenario) -> Path:
     return Path(args.out or scenario.output or "out")
 
 
-def _write_lines(path: Path, lines) -> None:
-    """Write each line and an LF, UTF-8; `lines` may be a generator."""
+def _write_chunks(path: Path, chunks) -> None:
+    """Write each chunk of text as it is, UTF-8; `chunks` may be a generator."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def _write_lines(path: Path, lines) -> None:
+    """Write each line and an LF, UTF-8; `lines` may be a generator."""
+    _write_chunks(path, (line + "\n" for line in lines))
 
 
 def _g9(x) -> str:
@@ -125,6 +136,25 @@ def _kernel_lines(strategy, labels):
     views = view_alphabet(labels, strategy.k, strategy.labeled)
     for view, row in zip(views, strategy.assignment, strict=True):
         yield ",".join([_view_symbol(view, strategy.labeled), *map(_g9, row)])
+
+
+def _trajectory_chunks(traj):
+    """The trajectory CSV: its header, then `t,question,answer` rows, _ROWS_PER_WRITE per chunk.
+
+    Row t is str(t) and the cell `,label,bit` plus LF of its chain state
+    2q + (0 if a == +1 else 1), looked up in a table of the 2K cells.
+    """
+    cells = np.array(
+        [f",{label},{bit}\n" for label in traj.question_labels for bit in "10"], dtype=object
+    )
+    yield "t,question,answer\n"
+    for t0 in range(0, len(traj), _ROWS_PER_WRITE):
+        t1 = min(t0 + _ROWS_PER_WRITE, len(traj))
+        states = 2 * traj.question_indices[t0:t1] + (traj.answer_values[t0:t1] < 0)
+        pieces = [None] * (2 * (t1 - t0))
+        pieces[::2] = map(str, range(t0 + 1, t1 + 1))
+        pieces[1::2] = cells.take(states).tolist()
+        yield "".join(pieces)
 
 
 def _cmd_analyze(args) -> int:
@@ -193,8 +223,7 @@ def _cmd_sample(args) -> int:
     chain = Chain(scenario.questions, scenario.process, scenario.initial_state)
     traj = sample_trajectory(chain, args.length, seed)
     path = out / f"{scenario.name}_trajectory.csv"
-    rows = (f"{t},{q},{_bit(a)}" for t, (q, a) in enumerate(traj.steps, start=1))
-    _write_lines(path, itertools.chain(["t,question,answer"], rows))
+    _write_chunks(path, _trajectory_chunks(traj))
     print(f"wrote {path}")
     return EXIT_OK
 

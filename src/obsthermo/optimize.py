@@ -58,7 +58,12 @@ class OptimizerSettings:
 
 @dataclass(frozen=True, eq=False)
 class HistoryFutureJoint:
-    """The p(history view, next pair) table of a chain, as a 2-D array."""
+    """The p(history view, next pair) table of a chain, as a 2-D array.
+
+    `fixed_point_terms`, what every `_run_fixed_points` call on the table
+    reads and no encoder moves, is computed on first access and kept, so the
+    calls of one beta sweep share it.
+    """
 
     table: np.ndarray
     k: int
@@ -78,6 +83,17 @@ class HistoryFutureJoint:
         cond = self.table / safe[:, None]
         cond[p_h == 0] = 1.0 / self.table.shape[1]
         return cond
+
+    @functools.cached_property
+    def fixed_point_terms(self) -> tuple:
+        """(p(h), p(x'|h), (H, 1) column of sum_x p ln p over each p(x'|h) row,
+        sum of p ln p over p(h), sum of p ln p over p(x')), the arrays read-only."""
+        p_h = self.history_marginal()
+        cond = self.future_conditionals()
+        cond_self = xlogx(cond).sum(axis=1)[:, None]  # in nats
+        for a in (p_h, cond, cond_self):
+            a.flags.writeable = False
+        return p_h, cond, cond_self, xlogx(p_h).sum(), xlogx(self.table.sum(axis=0)).sum()
 
 
 def history_future_joint(chain: chainmod.Chain, k: int, labeled: bool) -> HistoryFutureJoint:
@@ -176,15 +192,10 @@ def _run_fixed_points(
     iteration a descent error names, depend neither on the chunks nor on the
     other restarts in the stack, nor on their betas.
     """
-    p_h = hf.history_marginal()
-    cond = hf.future_conditionals()
-    cond_self = xlogx(cond).sum(axis=1)[:, None]  # sum_x p(x|h) ln p(x|h), in nats
+    p_h, cond, cond_self, h_sum, x_sum = hf.fixed_point_terms
     n_hist, n_future = hf.table.shape
     uniform = 1.0 / n_future
     step_entries = _step_entries(hf, encs.shape[2])
-    # the H and X' marginals do not depend on the encoder
-    h_sum = xlogx(p_h).sum()
-    x_sum = xlogx(hf.table.sum(axis=0)).sum()
 
     def objectives_of(e: np.ndarray, p_m: np.ndarray, p_mx: np.ndarray, b: np.ndarray):
         """The objective of each encoder in the stack, given its p(m), p(m, x') and beta."""

@@ -182,9 +182,10 @@ def question_step(process: QuestionProcess):
     return markov
 
 
-def sample_questions(process: QuestionProcess, length: int, seed: int) -> list:
-    """Draw a reproducible question-label sequence of the given length: the
-    labels of `question_step` on one path, fed from one Philox stream."""
+def sample_questions(process: QuestionProcess, length: int, seed: int, *, as_indices: bool = False):
+    """Draw a reproducible question sequence of the given length: the labels
+    of `question_step` on one path, fed from one Philox stream, as a list, or
+    with `as_indices` their indices into `process.labels` as an intp array."""
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
     rng = _rng(seed)
@@ -193,4 +194,6 @@ def sample_questions(process: QuestionProcess, length: int, seed: int) -> list:
     for t0, t1 in blocks(0, length, 1):
         idx[t0:t1] = step(prev, rng.random((t1 - t0, 1)), t0)[:, 0]
         prev = idx[t1 - 1 : t1]
+    if as_indices:
+        return idx
     return np.array(process.labels, dtype=object)[idx].tolist()

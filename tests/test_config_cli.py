@@ -439,3 +439,28 @@ def test_cli_optimizer_constants_are_not_config_keys(tmp_path, capsys, key, valu
     assert cli_main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: scenario.optimizer: unknown keys ['{key}']")
+
+
+def test_consecutive_main_calls_share_no_parsed_state(capsys, monkeypatch):
+    import obsthermo.cli as climod
+
+    seen = []
+    for name in ("_cmd_sample", "_cmd_optimize"):
+        monkeypatch.setattr(climod, name, lambda args: seen.append(vars(args).copy()) or 0)
+    cfg = bundled_scenario_path("case_a")
+    assert cli_main(["sample", "--config", cfg, "--length", "5", "--seed", "9"]) == 0
+    assert cli_main(["sample", "--config", cfg, "--length", "6"]) == 0
+    assert cli_main(["optimize", "--config", cfg, "--seed", "4", "--out", "o"]) == 0
+    assert cli_main(["optimize", "--config", cfg]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sample", "--config", cfg, "--length", "x", "--seed", "2"])
+    assert exc.value.code == 1
+    assert cli_main(["sample", "--config", cfg, "--length", "7"]) == 0
+    assert [(a["command"], a.get("length"), a["seed"], a["out"]) for a in seen] == [
+        ("sample", 5, 9, None),
+        ("sample", 6, None, None),
+        ("optimize", None, 4, "o"),
+        ("optimize", None, None, None),
+        ("sample", 7, None, None),
+    ]
+    assert climod._build_parser() is climod._build_parser()  # built once per process
