@@ -23,9 +23,7 @@ from .strategy import KernelStrategy, assignment_from_map
 _LN2 = np.log(2.0)
 _DESCENT_SLACK = 1e-12  # per unit of beta: the objective's rounding grows with beta * i_pred
 _LOG_FLOOR = 1e-300  # decoder entries floored inside logs; rows renormalized each iteration
-_CHUNK_CAP = 256  # most fixed-point steps whose objectives are computed together
-_CHUNK_ENTRIES = 2**17  # most entries in a chunk's (steps, R, ...) buffers: 1 MiB of floats
-_STOP_MARGIN = 2  # steps a chunk runs past the predicted stop: see _predicted_steps
+_CHUNK_ENTRIES = 2**17  # most entries in one step of a sweep_beta stack: 1 MiB of floats
 _MAP_BLOCK = 4096  # most maps, and tail subsets, per block: bounds the gathered (maps, M, X') terms
 ENUMERATION_CAP = 10**6  # most deterministic maps an exhaustive scan enumerates
 DEGENERACY_TOL = 1e-9  # most nostalgia of a map in the degeneracy report
@@ -33,7 +31,7 @@ _JOIN_SLACK = 1e-10  # bits above DEGENERACY_TOL before two cells join histories
 BETAS = np.geomspace(1.0, 8.0, 7)  # 1 (degenerate) to 8, twice the largest bundled critical beta
 RESTARTS = 8  # seeded starts per beta: one near-uniform, the rest near random hard maps
 TOLERANCE = 1e-9  # a restart stops once its objective moves by at most this much
-MAX_ITERATIONS = 10_000  # a restart still moving after this many updates reports converged=False
+MAX_ITERATIONS = 10_000  # map evaluations after which a restart still moving is unconverged
 
 
 @dataclass(frozen=True)
@@ -150,62 +148,51 @@ def _initial_encoders(n_hist: int, m: int, restarts: int, rng: np.random.Generat
 def _run_fixed_points(
     hf: HistoryFutureJoint, encs: np.ndarray, betas: np.ndarray, first_restart: int = 0
 ) -> tuple:
-    """Alternating minimization from an (R, H, M) stack of starts, all in one loop.
+    """Alternating minimization from an (R, H, M) stack of starts, in SQUAREM cycles.
 
     `betas` holds each restart's beta.  Returns per-restart arrays (encoders,
-    objectives, converged, iterations).  Updates per iteration: p(m) <-
-    sum_h p(h) p(m|h); p(x'|m) <- induced decoder; p(m|h) propto
-    p(m) exp(-beta KL(p(x'|h) || p(x'|m))).  A restart stops at its first
-    iteration with |delta objective| <= TOLERANCE, keeping that iteration's
-    encoder, objective and count, or unconverged after MAX_ITERATIONS.  Its
-    objective I(M;H) - beta I(M;X') is checked to be non-increasing, within
-    rounding of _DESCENT_SLACK * beta, at every iteration up to and including
-    its stop.  A rise raises OptimizerError naming the earliest iteration, then
-    the first restart in the stack; the restart is named by its beta and its
-    place among the stack's restarts of that beta, counted from `first_restart`.
+    objectives, converged, iterations).  One map evaluation is the update
+    p(m) <- sum_h p(h) p(m|h); p(x'|m) <- induced decoder; p(m|h) propto
+    p(m) exp(-beta KL(p(x'|h) || p(x'|m))), whose fixed points are the
+    stationary encoders.  Near the critical beta it contracts only
+    algebraically, so each cycle takes an SqS3 step (Varadhan & Roland,
+    Scand. J. Stat. 35, 2008) from the restart's encoder x: two updates,
+    x1 and x2; r = x1 - x and v = x2 - 2 x1 + x; alpha = min(-|r| / |v|, -1)
+    (-1 where v = 0); the point x - 2 alpha r + alpha**2 v, its rows clipped
+    at 0 and renormalized; and one update x3 of that point.  The cycle ends at
+    x3 where its objective I(M;H) - beta I(M;X') does not rise above x's,
+    else at x2.  `iterations` and MAX_ITERATIONS count map evaluations, three
+    a cycle, and a cycle cut by MAX_ITERATIONS ends at its last update.
 
-    The update never reads the objective, so the loop runs in chunks: the
-    running restarts take a chunk's updates one after another, storing each
-    step's p(m|h), p(m) and p(m, x') in (steps, R, ...) buffers, and then all
-    the chunk's objectives are computed as one (steps * R) stack.  A restart
-    that stops inside a chunk still takes the chunk's later updates; their
-    results are dropped, and it leaves the stack before the next chunk.
-    Chunks hold 1, 2, 4, ... steps up to _CHUNK_CAP, fewer near MAX_ITERATIONS
-    and when the buffers would pass _CHUNK_ENTRIES, but always at least one
-    step of the running stack, which `sweep_beta` keeps within the budget
-    wherever one beta's restarts fit in it.  After a chunk of two steps or
-    more, where every running restart's last move is smaller than the one
-    before it and still above TOLERANCE, the next chunk also ends at the
-    stop their geometric contraction predicts, plus _STOP_MARGIN steps
-    (`_predicted_steps`), if that comes first.  So a run that stops early
-    wastes few updates, the last chunk of a long one ends near its slowest
-    restart's stop rather than up to _CHUNK_CAP - 1 updates past it, and
-    objectives are computed a few hundred at a time, in memory bounded by
-    the budget or by one step of the stack.  A prediction that falls short
-    costs one more chunk, never a number.
+    A restart stops at its first update, x1 or x2, that moves the objective
+    by at most TOLERANCE, keeping that update's encoder, objective and count,
+    or unconverged after MAX_ITERATIONS.  x1 against x, x2 against x1 and the
+    cycle's end against x are checked not to rise by more than the rounding
+    of _DESCENT_SLACK * beta, up to and including the stop.  A rise raises
+    OptimizerError naming the map evaluation, the earliest one, then the
+    first restart in the stack; the restart is named by its beta and its
+    place among the stack's restarts of that beta, counted from
+    `first_restart`.  A restart that stops at x1 still takes the cycle's
+    later steps, which are dropped.
 
-    Every update and every objective is computed as a loop run on that
-    restart alone would compute it, one update and one objective per
-    iteration: the same operations on the same operands, stacked only along
-    the leading axis of C-contiguous arrays, and each restart's beta enters
-    as the same IEEE multiply a scalar beta would.  So the numbers, and the
-    iteration a descent error names, depend neither on the chunks nor on the
-    other restarts in the stack, nor on their betas.
+    Every step of every restart is computed as the cycle run on that restart
+    alone would compute it: the same operations on the same operands,
+    stacked only along the leading axis of C-contiguous arrays, with each
+    restart's beta and alpha entering as the same IEEE multiply a scalar
+    would.  So the numbers, and the evaluation a descent error names, depend
+    neither on the other restarts in the stack nor on their betas.
     """
     p_h, cond, cond_self, h_sum, x_sum = hf.fixed_point_terms
     n_hist, n_future = hf.table.shape
     uniform = 1.0 / n_future
-    step_entries = _step_entries(hf, encs.shape[2])
 
-    def objectives_of(e: np.ndarray, p_m: np.ndarray, p_mx: np.ndarray, b: np.ndarray):
-        """The objective of each encoder in the stack, given its p(m), p(m, x') and beta."""
+    def information(e: np.ndarray, p_m: np.ndarray, p_mx: np.ndarray) -> tuple:
+        """(i_mem, i_pred) of each encoder in the stack, given its p(m) and p(m, x')."""
         m_sum = xlogx(p_m).sum(axis=1)
         i_mem = (xlogx(p_h[:, None] * e).reshape(len(e), -1).sum(axis=1) - h_sum - m_sum) / _LN2
         i_pred = (xlogx(p_mx).reshape(len(e), -1).sum(axis=1) - m_sum - x_sum) / _LN2
         # max(0, .) as `x if x > 0 else 0.0`, so -0.0 and nan clamp to +0.0
-        i_mem = np.where(i_mem > 0.0, i_mem, 0.0)
-        i_pred = np.where(i_pred > 0.0, i_pred, 0.0)
-        return i_mem - b * i_pred
+        return np.where(i_mem > 0.0, i_mem, 0.0), np.where(i_pred > 0.0, i_pred, 0.0)
 
     def update(p_m: np.ndarray, p_mx: np.ndarray, enc: np.ndarray, b3: np.ndarray) -> None:
         """Write the next encoder of each restart into `enc`; `b3` holds its beta as (R, 1, 1)."""
@@ -225,85 +212,84 @@ def _run_fixed_points(
         np.exp(logits, out=enc)
         enc /= np.add.reduce(enc, axis=2, keepdims=True)
 
+    def extrapolate(x: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """The SqS3 point of each restart, its rows clipped at 0 and renormalized."""
+        rv = np.empty((2, *x.shape))  # r and v, whose norms are taken together
+        r, v = np.subtract(x1, x, out=rv[0]), np.subtract(x2, x1, out=rv[1])
+        v -= r  # x2 - 2 x1 + x
+        norm_r, norm_v = np.sqrt(np.add.reduce(np.square(rv).reshape(2, len(x), -1), axis=2))
+        ratio = np.divide(norm_r, norm_v, out=np.zeros(len(x)), where=norm_v > 0.0)
+        alpha = np.minimum(-ratio, -1.0)[:, None, None]
+        # x - 2 alpha r + alpha**2 v, no product larger than alpha |r|: alpha v is at most |r|
+        point = x - alpha * (2.0 * r - alpha * v)
+        np.maximum(point, 0.0, out=point)
+        point /= np.add.reduce(point, axis=2, keepdims=True)
+        return point
+
     encs = np.array(encs, dtype=float)
     betas = np.asarray(betas, dtype=float)
     n, _, m = encs.shape
-    p_m = p_h @ encs
-    p_mx = encs.transpose(0, 2, 1) @ hf.table
-    objectives = objectives_of(encs, p_m, p_mx, betas)
+    p_m, p_mx = p_h @ encs, encs.transpose(0, 2, 1) @ hf.table
+    i_mem, i_pred = information(encs, p_m, p_mx)
+    objectives = i_mem - betas * i_pred
     converged = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=int)
     active = np.arange(n)
-    done_steps, chunk, predicted = 0, 1, np.inf
+    x, f, b = encs, objectives, betas  # the running restarts' encoders, objectives and betas
+    done_steps = 0
     while active.size and done_steps < MAX_ITERATIONS:
-        r = active.size
-        b = betas[active]
-        b3 = b[:, None, None]
-        budget = max(1, _CHUNK_ENTRIES // (r * step_entries))
-        steps = int(min(chunk, MAX_ITERATIONS - done_steps, budget, predicted))
+        r, rows = active.size, np.arange(active.size)
+        steps = min(3, MAX_ITERATIONS - done_steps)  # x1, x2 and x3, or the updates left
         enc_buf = np.empty((steps, r, n_hist, m))
         pm_buf = np.empty((steps, r, m))
         pmx_buf = np.empty((steps, r, m, n_future))
         for s in range(steps):
-            update(p_m, p_mx, enc_buf[s], b3)
+            if s == 2:
+                point = extrapolate(x, enc_buf[0], enc_buf[1])
+                p_m, p_mx = p_h @ point, point.transpose(0, 2, 1) @ hf.table
+            update(p_m, p_mx, enc_buf[s], b[:, None, None])
             p_m = np.matmul(p_h, enc_buf[s], out=pm_buf[s])
             p_mx = np.matmul(enc_buf[s].transpose(0, 2, 1), hf.table, out=pmx_buf[s])
-        obj = objectives_of(
-            enc_buf.reshape(-1, n_hist, m),
-            pm_buf.reshape(-1, m),
-            pmx_buf.reshape(-1, m, n_future),
-            np.tile(b, steps),
-        ).reshape(steps, r)
-        before = np.concatenate([objectives[active][None], obj[:-1]])  # each step's previous
-        moved = np.abs(before - obj)
-        done = moved <= TOLERANCE
+        i_mem, i_pred = information(
+            enc_buf.reshape(-1, n_hist, m), pm_buf.reshape(-1, m), pmx_buf.reshape(-1, m, n_future)
+        )
+        obj = i_mem.reshape(steps, r) - b * i_pred.reshape(steps, r)
+        # the step each restart's cycle ends at: x3, or x2 where x3 rises above x
+        end = np.where(obj[2] > f, 1, 2) if steps == 3 else np.full(r, steps - 1)
+        # each step's objective and the one it follows: x1 and the cycle's end follow x
+        after = np.array([*obj[:2], obj[end, rows]][:steps])
+        before = np.array([f, obj[0], f][:steps])
+        done = abs(after[:2] - before[:2]) <= TOLERANCE
         stopped = done.any(axis=0)
         stop = np.where(stopped, done.argmax(axis=0), steps - 1)  # each restart's last step
-        ran = np.arange(steps)[:, None] <= stop
-        rising = np.argwhere((obj > before + _DESCENT_SLACK * b) & ran)
-        if rising.size:
-            s, j = rising[0]  # the earliest iteration, then the first restart
+        rising = after > before + _DESCENT_SLACK * b
+        if rising.any():  # a step after the restart's stop does not count
+            rising &= np.arange(steps)[:, None] <= stop
+        if rising.any():
+            s, j = divmod(int(rising.argmax()), r)  # earliest evaluation, then first restart
             at = active[j]
             restart = first_restart + int(np.count_nonzero(betas[:at] == betas[at]))
             raise OptimizerError(
                 f"beta {float(betas[at])!r}, restart {restart}: objective increased from "
-                f"{float(before[s, j])!r} to {float(obj[s, j])!r} at iteration "
+                f"{float(before[s, j])!r} to {float(after[s, j])!r} at map evaluation "
                 f"{done_steps + s + 1}; monotone descent violated"
             )
-        rows = np.arange(r)
-        encs[active] = enc_buf[stop, rows]
-        objectives[active] = obj[stop, rows]
-        iterations[active] = done_steps + stop + 1
-        converged[active[stopped]] = True
+        end = np.where(stopped, stop, end)
+        x, f = enc_buf[end, rows], obj[end, rows]
+        p_m, p_mx = pm_buf[end, rows], pmx_buf[end, rows]
+        if stopped.any():
+            at = active[stopped]
+            encs[at], objectives[at], converged[at] = x[stopped], f[stopped], True
+            iterations[at] = done_steps + stop[stopped] + 1
+            keep = ~stopped
+            active, x, f, b, p_m, p_mx = (a[keep] for a in (active, x, f, b, p_m, p_mx))
         done_steps += steps
-        chunk = min(2 * chunk, _CHUNK_CAP)
-        keep = ~stopped
-        active = active[keep]
-        p_m, p_mx = p_m[keep], p_mx[keep]
-        predicted = _predicted_steps(moved[-2:, keep]) if steps >= 2 else np.inf
+    encs[active], objectives[active], iterations[active] = x, f, done_steps
     return encs, objectives, converged, iterations
 
 
-def _predicted_steps(moved: np.ndarray) -> float:
-    """Steps until the slowest running restart stops, if each contracts geometrically.
-
-    `moved` holds each running restart's last two |delta objective|, d0 and
-    d1, as a (2, R) array.  Where every one falls, TOLERANCE < d1 < d0, a
-    restart moving by d1 * (d1 / d0)**n after n more steps stops once
-    n >= log(TOLERANCE / d1) / log(d1 / d0): the result is the largest such
-    n, rounded up, plus _STOP_MARGIN steps.  Otherwise, and when
-    TOLERANCE <= 0 (no stop to predict), it is inf.  Both logs then take
-    arguments in (0, 1), so the prediction stays silent under warnings as
-    errors.
-    """
-    d0, d1 = moved
-    if not (d1.size and TOLERANCE > 0.0 and np.all((TOLERANCE < d1) & (d1 < d0))):
-        return np.inf
-    return float(np.ceil(np.max(np.log(TOLERANCE / d1) / np.log(d1 / d0)))) + _STOP_MARGIN
-
-
 def _step_entries(hf: HistoryFutureJoint, m: int) -> int:
-    """Entries of one restart's p(m|h), p(m) and p(m, x') in a chunk's buffers, per step."""
+    """Entries of one restart's p(m|h), p(m) and p(m, x') per map evaluation."""
     n_hist, n_future = hf.table.shape
     return n_hist * m + m * n_future + m
 
@@ -351,16 +337,19 @@ def sweep_beta(hf: HistoryFutureJoint, settings: OptimizerSettings) -> list:
     Every beta draws the same seeded starts, and only the warm start depends
     on the beta before it.  So the seeded restarts of consecutive betas run
     as one `_run_fixed_points` stack, each at its own beta, and the schedule
-    pays for a stack's slowest restart once, not once per beta.  A stack
-    holds as many betas as keep one step of it within _CHUNK_ENTRIES, at
-    least one: all len(BETAS) * RESTARTS restarts on small tables.  Restarts
-    do not depend on the others in their stack, so the points are the same
-    for any grouping.  Each beta keeps only its best seeded restart; the warm
+    pays for a stack's slowest restart once, not once per beta: at the
+    critical beta the SQUAREM cycles of `_run_fixed_points` bring it from
+    thousands of map evaluations to a few hundred.  A stack holds as many
+    betas as keep one map evaluation of it within _CHUNK_ENTRIES, at least
+    one: all len(BETAS) * RESTARTS restarts on small tables.  Restarts do
+    not depend on the others in their stack, so the points are the same for
+    any grouping.  Each beta keeps only its best seeded restart; the warm
     starts then run one by one, in beta order, and one replaces that restart
     only where the tie rule over all of them would pick it, being the last.
-    A descent error names its beta and its restart within that beta; the
-    stacks run in beta order before any warm start, and the first stack
-    that rises raises at its earliest iteration, whichever beta that is.
+    A point's `iterations` counts its restart's map evaluations.  A descent
+    error names its beta and its restart within that beta; the stacks run in
+    beta order before any warm start, and the first stack that rises raises
+    at its earliest map evaluation, whichever beta that is.
     """
     seeded = _seeded_starts(hf, settings)
     group = max(1, _CHUNK_ENTRIES // (RESTARTS * _step_entries(hf, settings.memory_size)))

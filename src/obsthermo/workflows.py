@@ -89,6 +89,10 @@ class OptimizeResult:
 def optimize(scenario: Scenario) -> OptimizeResult:
     """Sweep beta over BETAS with the scenario's optimizer settings.
 
+    Each beta's restarts run in SQUAREM cycles, two updates and one
+    extrapolated update each (`optimize._run_fixed_points`), and each
+    point's `iterations` counts the map evaluations of its restart.
+
     When the deterministic maps number at most ENUMERATION_CAP, the result also
     holds the degeneracy report and the exhaustive reference at the largest
     beta, from one scan of the maps.  The report scans none: it scores only

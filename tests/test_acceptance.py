@@ -32,10 +32,10 @@ from obsthermo import (
     predictive_cap_check,
     window_joint,
 )
-from obsthermo.optimize import OptimizerSettings
+from obsthermo.optimize import TOLERANCE, OptimizerSettings, sweep_beta
 from obsthermo.workflows import optimize, scenario_window
 
-from conftest import scenario_chain, two_questions_at_angle
+from conftest import exhaustive_scenarios, scenario_chain, two_questions_at_angle
 
 # 1 - Hb(1/4), the unlabeled-record predictive information for orthogonal questions
 IPRED_UNLABELED = 1.0 - (0.25 * math.log2(4.0) + 0.75 * math.log2(4.0 / 3.0))
@@ -187,6 +187,22 @@ def test_every_soft_row_is_within_criterion_11_of_the_deterministic_optimum_at_i
             reference = exhaustive_best(hf, settings.memory_size, beta=point.beta)
             gap = point.objective - reference.objective
             assert gap <= 1e-6, f"{name} at beta {point.beta}: soft row {gap} above"
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [*(bundled_scenario(name) for name in BUNDLED_SCENARIOS), *exhaustive_scenarios(1)],
+    ids=lambda scenario: scenario.name,
+)
+def test_every_soft_row_is_within_tolerance_of_the_deterministic_optimum_at_its_beta(scenario):
+    # the bundled five and the benchmark's five `exhaustive` shapes, at the stopping
+    # rule's TOLERANCE: every row converges, and none loses to the best hard map by more
+    settings = scenario.optimizer
+    hf = history_future_joint(scenario_chain(scenario), settings.history_k, settings.history_labeled)
+    for point in sweep_beta(hf, settings):
+        reference = exhaustive_best(hf, settings.memory_size, beta=point.beta)
+        gap = point.objective - reference.objective
+        assert point.converged and gap <= TOLERANCE, f"at beta {point.beta}: soft row {gap} above"
 
 
 def test_criterion_12_monte_carlo_consistency():
