@@ -83,11 +83,13 @@ def answer_step(chain: "Chain"):
     `prev` holds the chain state of each of R paths before the block, 2K for
     a fresh start from the chain's `initial`; `q` and `u` are the block's
     (b, R) questions and uniforms.  An answer is +1 when u < P(+1).  The first
-    is a direct lookup, the later ones {+,-} -> {+,-} maps of the answer before.
+    is a direct lookup, the later ones {+,-} -> {+,-} maps of the answer before,
+    built as the images of + and of - apart and composed by
+    `process.iterate_maps` in closed form: each map repeats, flips or fixes
+    the answer.
     """
     k = len(chain.questions)
-    born = chain.born[:, :, 0].ravel()
-    rows = np.array([[0], [k]])  # born[2 q_prev + a_prev, q] for a_prev = 0, 1
+    born = chain.born[:, :, 0].ravel()  # P(+1) of question q from state s at s * k + q
 
     def step(prev, q, u):
         at = prev * k
@@ -95,8 +97,13 @@ def answer_step(chain: "Chain"):
         first = u[0] >= born.take(at)
         if len(q) == 1:
             return first[None]
-        maps = u[1:, None] >= born.take(2 * k * q[:-1, None] + q[1:, None] + rows)
-        return procmod.iterate_maps(first, maps)
+        maps = np.empty((2, len(q) - 1, q.shape[1]), dtype=bool)  # the images of 0 and 1
+        at = 2 * k * q[:-1]
+        at += q[1:]
+        np.greater_equal(u[1:], born.take(at), out=maps[0])
+        at += k
+        np.greater_equal(u[1:], born.take(at), out=maps[1])
+        return procmod.iterate_maps(first, maps.transpose(1, 0, 2))
 
     return step
 

@@ -138,23 +138,50 @@ def _kernel_lines(strategy, labels):
         yield ",".join([_view_symbol(view, strategy.labeled), *map(_g9, row)])
 
 
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """(10^4,) uint32 words whose bytes are the four ASCII digits of 0000 to 9999."""
+    digits = np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+    return (digits % 10 + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
+
+
 def _trajectory_chunks(traj):
     """The trajectory CSV: its header, then `t,question,answer` rows, _ROWS_PER_WRITE per chunk.
 
-    Row t is str(t) and the cell `,label,bit` plus LF of its chain state
-    2q + (0 if a == +1 else 1), looked up in a table of the 2K cells.
+    A block of rows is built as bytes, with no Python object per row.  A row
+    is its number t as an even count of 4-digit groups, uint32 words of
+    `_digit_words`, then the UTF-8 cell `,label,bit` plus LF of its chain
+    state 2q + (0 if a == +1 else 1), uint64 words gathered from the 2K cells
+    padded to whole words.  One boolean mask drops the leading zeros of t and
+    the padding of each cell.
     """
-    cells = np.array(
-        [f",{label},{bit}\n" for label in traj.question_labels for bit in "10"], dtype=object
-    )
+    cells = [f",{label},{bit}\n".encode() for label in traj.question_labels for bit in "10"]
+    width = -(-max(map(len, cells)) // 8)  # uint64 words per cell
+    padded = np.zeros((2, len(cells), 8 * width), dtype=np.uint8)  # each cell's bytes, its mask
+    for i, cell in enumerate(cells):
+        padded[0, i, : len(cell)] = list(cell)
+        padded[1, i, : len(cell)] = 1
+    cell_words, cell_kept = padded.view(np.uint64)
+    groups = 2 * -(-len(str(len(traj))) // 8)  # 4-digit groups per row number, two a word
+    digits_kept = np.arange(4 * groups) >= 4 * groups - np.arange(4 * groups + 1)[:, None]
+    digits_kept = digits_kept.view(np.uint64)  # row d keeps the last d digits
     yield "t,question,answer\n"
     for t0 in range(0, len(traj), _ROWS_PER_WRITE):
         t1 = min(t0 + _ROWS_PER_WRITE, len(traj))
+        t = np.arange(t0 + 1, t1 + 1)
         states = 2 * traj.question_indices[t0:t1] + (traj.answer_values[t0:t1] < 0)
-        pieces = [None] * (2 * (t1 - t0))
-        pieces[::2] = map(str, range(t0 + 1, t1 + 1))
-        pieces[1::2] = cells.take(states).tolist()
-        yield "".join(pieces)
+        words = np.empty((t1 - t0, groups // 2 + width), dtype=np.uint64)
+        kept = np.empty_like(words)
+        digits = words.view(np.uint32)
+        for g in range(groups):  # the most significant group first
+            digits[:, g] = _digit_words().take(t // 10 ** (4 * (groups - 1 - g)) % 10**4)
+        words[:, groups // 2 :] = cell_words.take(states, axis=0)
+        kept[:, groups // 2 :] = cell_kept.take(states, axis=0)
+        row = 0  # t rises by one a row, so its digit count changes only at powers of 10
+        for d in range(len(str(t0 + 1)), len(str(t1)) + 1):
+            kept[row : 10**d - t0 - 1, : groups // 2] = digits_kept[d]
+            row = 10**d - t0 - 1
+        yield words.view(np.uint8)[kept.view(bool)].tobytes().decode()
 
 
 def _cmd_analyze(args) -> int:

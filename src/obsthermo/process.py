@@ -138,13 +138,28 @@ def blocks(start: int, stop: int, paths: int) -> list:
 def iterate_maps(start: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """The (b, R) orbit of `start` under maps[i, x, r], path r's image of x at step i + 1.
 
-    A Hillis-Steele prefix scan (Hillis & Steele, CACM 29, 1986) composes the
-    b - 1 maps in ceil(log2 b) rounds of one flat gather each.
+    Two or more maps on two states compose in closed form.  Such a map either
+    resets the orbit (f(0) = f(1)) or XORs it with f(0), so an orbit entry is
+    the value after the last reset XOR the flips since: one XOR scan, one
+    running max of the reset positions and one gather.  Otherwise a
+    Hillis-Steele prefix scan (Hillis & Steele, CACM 29, 1986) composes the
+    b - 1 maps in ceil(log2 b) rounds of one flat gather each, so one map is
+    one lookup.  Both give the same intp orbit.
     """
     if not len(maps):
         return start[None]
     steps, size, paths = maps.shape
-    maps = maps.astype(np.intp)
+    if size == 2 and steps > 1:
+        # row 0 is 0, then the start and each step's reset value or flip, XOR-scanned
+        xors = np.empty((steps + 2, paths), dtype=np.intp)
+        xors[0], xors[1], xors[2:] = 0, start, maps[:, 0]
+        np.bitwise_xor.accumulate(xors, axis=0, out=xors)
+        # last reset at or before each orbit entry (entry 0 is one), as a flat index into xors
+        last = np.arange((steps + 1) * paths).reshape(steps + 1, paths)
+        last[1:] *= maps[:, 0] == maps[:, 1]
+        np.maximum.accumulate(last, axis=0, out=last)
+        return xors[1:] ^ xors.take(last)
+    maps = maps.astype(np.intp, order="C")
     at = np.arange(steps)[:, None, None] * (size * paths) + np.arange(paths)  # maps[i, 0, r]
     shift = 1
     while shift < steps:
@@ -161,7 +176,8 @@ def question_step(process: QuestionProcess):
     uniforms; `t0` is the block's first time index.  A draw counts the
     normalized cumulative weights c with u >= c, so a question of weight zero
     is never drawn.  Periodic reads the sequence and no uniform.  Markov draws
-    the first step at `prev`, then composes the maps of the rest.
+    the first step at `prev`, then composes the K -> K maps of the rest with
+    `iterate_maps`: in closed form at K = 2, by its prefix scan at K >= 3.
     """
     if isinstance(process, PeriodicProcess):
         seq = np.array([process.labels.index(s) for s in process.sequence])[:, None]
@@ -173,11 +189,11 @@ def question_step(process: QuestionProcess):
 
     def markov(prev, u, t0):
         first = np.zeros(u.shape[1], dtype=np.intp)
-        maps = np.zeros((len(u) - 1, k, u.shape[1]), dtype=np.intp)
+        maps = np.zeros((k, len(u) - 1, u.shape[1]), dtype=np.intp)  # the image of each question
         for col in cols:
             first += u[0] >= col[prev]
-            maps += u[1:, None] >= col[:k, None]
-        return iterate_maps(first, maps)
+            maps += u[1:] >= col[:k, None, None]
+        return iterate_maps(first, maps.transpose(1, 0, 2))
 
     return markov
 

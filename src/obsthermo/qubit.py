@@ -22,6 +22,9 @@ _EIGEN_ROUNDING = 4 * np.finfo(float).eps  # |r.n| of n against itself stays wit
 
 #: Measurement outcomes, canonical order.  `cli` writes them as 1 / 0.
 ANSWERS = (+1, -1)
+#: Characters no question label may hold: CSV's field separator, quote and line
+#: ends, and the separators of a view symbol.
+LABEL_SEPARATORS = ',"\r\n|:'
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,9 @@ class Question:
     """A labeled binary question: a projective measurement along a unit axis.
 
     The axis is auto-normalized if its norm is within 1e-6 of 1 (the config
-    interface tolerance) and rejected otherwise.
+    interface tolerance) and rejected otherwise.  A label holds none of
+    LABEL_SEPARATORS, so that it is one CSV field and one part of a view
+    symbol such as `Qz:1|Qx:0`.
     """
 
     label: str
@@ -90,6 +95,11 @@ class Question:
     def __post_init__(self):
         if not self.label or not isinstance(self.label, str):
             raise ValidationError(f"question label must be a non-empty string, got {self.label!r}")
+        if any(c in self.label for c in LABEL_SEPARATORS):
+            raise ValidationError(
+                f"question label {self.label!r} holds one of {LABEL_SEPARATORS!r}: "
+                "CSV and view symbols separate fields with them"
+            )
         axis = _unit_axis(self.axis, tol=AXIS_CONFIG_TOL)
         axis.flags.writeable = False
         object.__setattr__(self, "axis", axis)

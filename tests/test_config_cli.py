@@ -464,3 +464,21 @@ def test_consecutive_main_calls_share_no_parsed_state(capsys, monkeypatch):
         ("sample", 7, None, None),
     ]
     assert climod._build_parser() is climod._build_parser()  # built once per process
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n", "|", ":"], ids=repr)
+@pytest.mark.parametrize("command", ["analyze", "sample"])
+def test_cli_a_label_that_would_break_the_csv_files_exits_1_writing_nothing(
+    tmp_path, capsys, command, char
+):
+    # each output names questions by label: `1,Q,z,1` under `t,question,answer`
+    # would have four fields, and `Q:z:1` would not split back into label and bit
+    cfg = _two_question_config()
+    cfg["questions"][1]["label"] = f"Q{char}x"
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    extra = ["--length", "5"] if command == "sample" else []
+    assert cli_main([command, "--config", str(path), "--out", str(out), *extra]) == 1
+    assert capsys.readouterr().err.startswith("invalid input: scenario.questions[1]: question")
+    assert not out.exists()

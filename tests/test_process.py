@@ -15,7 +15,7 @@ from obsthermo.bound import evaluate
 from obsthermo.chain import window_joint
 from obsthermo.joint import JointDistribution
 from obsthermo.optimize import HistoryFutureJoint, OptimizerSettings, optimize_soft
-from obsthermo.process import _rng, question_law
+from obsthermo.process import _rng, iterate_maps, question_law
 from obsthermo.qubit import born_probability
 from obsthermo.strategy import KernelStrategy, NothingStrategy, apply_strategy
 
@@ -163,3 +163,39 @@ def test_derived_keys_wrap_at_the_philox_key_range():
     assert np.array_equal(_rng(2**128 - 1, offset=offset).random(4), _rng(offset - 1).random(4))
     plain = np.random.Generator(np.random.Philox(key=7 + offset))
     assert np.array_equal(_rng(7, offset=offset).random(4), plain.random(4))
+
+
+def scan_orbit(start, maps):
+    """The orbit under {0,1} maps by the prefix scan: the maps on three states, 2 -> 2,
+    after an identity step, so that even one map is composed by the scan."""
+    steps, _, paths = maps.shape
+    wide = np.full((steps + 1, 3, paths), 2, dtype=np.intp)
+    wide[0, :2] = np.arange(2)[:, None]
+    wide[1:, :2] = maps
+    return iterate_maps(start, wide)[1:]
+
+
+#: Stacks of maps on {0, 1}: maps[i, x, r] is path r's image of x at step i + 1.
+MAP_STACKS = {
+    "random": lambda rng, shape: rng.integers(0, 2, shape),
+    "constant": lambda rng, shape: rng.integers(0, 2, (shape[0], 1, shape[2])).repeat(2, axis=1),
+    "identity": lambda rng, shape: np.broadcast_to(np.arange(2)[:, None], shape).copy(),
+    "swap": lambda rng, shape: np.broadcast_to(np.arange(2)[::-1, None], shape).copy(),
+}
+
+
+@pytest.mark.parametrize("paths", [1, 157, 1563])
+@pytest.mark.parametrize("length", [1, 2, 3, 13, 2048])
+@pytest.mark.parametrize("stack", sorted(MAP_STACKS))
+def test_two_state_orbits_equal_the_scan(stack, length, paths):
+    rng = np.random.default_rng([length, paths, sorted(MAP_STACKS).index(stack)])
+    maps = MAP_STACKS[stack](rng, (length - 1, 2, paths))
+    start = rng.integers(0, 2, paths)
+    want = scan_orbit(start, maps)
+    assert want.shape == (length, paths) and want.dtype == np.intp
+    # as the samplers pass them: bool answer maps and intp question maps, images of 0 and 1 apart
+    for dtype in (bool, np.intp):
+        apart = maps.transpose(1, 0, 2).astype(dtype).transpose(1, 0, 2)
+        for stack_in in (maps.astype(dtype), apart):
+            got = iterate_maps(start.astype(dtype), stack_in)
+            assert (length == 1 or got.dtype == np.intp) and np.array_equal(got, want)

@@ -144,3 +144,9 @@ def test_question_auto_normalizes_within_config_tolerance():
     assert np.linalg.norm(q.axis) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValidationError):
         Question(label="Q", axis=np.array([0.0, 0.0, 1.01]))
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n", "|", ":"], ids=repr)
+def test_a_label_with_a_csv_or_view_separator_is_rejected(char):
+    with pytest.raises(ValidationError, match="label"):
+        Question(label=f"Q{char}z", axis=Z)

@@ -32,6 +32,16 @@ SCHEDULES = {
         "initial": [0.0, 0.5, 0.5],
     },
     "periodic": {"type": "periodic", "sequence": ["Qz", "Qx", "Qx", "Qy"]},
+    "unequal_labels": {"type": "iid", "weights": [0.1, 0.2, 0.3, 0.4]},
+}
+#: Labels of unequal length, one non-ASCII and one whose cell spans two 8-byte words.
+QUESTIONS_OF = {
+    "unequal_labels": [
+        {"label": "Q0", "axis": [0.0, 0.0, 1.0]},
+        {"label": "Q60", "axis": [0.8, 0.0, 0.6]},
+        {"label": "Q\u03b8", "axis": [0.0, 1.0, 0.0]},
+        {"label": "Q_tilted_\u03b8", "axis": [0.6, 0.0, 0.8]},
+    ],
 }
 
 
@@ -39,7 +49,10 @@ def around(block: int) -> list:
     return [1, 2, block - 1, block, block + 1, 3 * block + 7]
 
 
-LENGTHS = sorted(set(around(cli._ROWS_PER_WRITE) + around(procmod._BLOCK_ENTRIES)))
+#: Around both blocks, and where row numbers reach a fifth digit, past one 4-digit group.
+LENGTHS = sorted(
+    set(around(cli._ROWS_PER_WRITE) + around(procmod._BLOCK_ENTRIES) + [9_999, 10_000, 10_001])
+)
 
 
 def reference_csv(steps) -> bytes:
@@ -53,7 +66,7 @@ def reference_csv(steps) -> bytes:
 def test_trajectory_csv_matches_the_per_row_writer(tmp_path, schedule, length):
     config = {
         "name": schedule,
-        "questions": QUESTIONS,
+        "questions": QUESTIONS_OF.get(schedule, QUESTIONS),
         "process": SCHEDULES[schedule],
         "initial_state": [0.6, 0.0, 0.8],
         "window": 1,
