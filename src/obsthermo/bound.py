@@ -34,7 +34,7 @@ class InfoReport:
 def evaluate(
     joint_with_memory: JointDistribution, temperature_kelvin: float | None = None
 ) -> InfoReport:
-    """InfoReport for a joint over (m, history block, q+1, a+1)."""
+    """InfoReport for a joint over (m, history block, q+1, a+1), one marginal per information."""
     names = set(joint_with_memory.names)
     needed = {MEMORY_VAR, *chainmod.FUTURE_PAIR}
     missing = needed - names

@@ -1,8 +1,8 @@
 """Command-line entry point, and the one module that writes files.
 
 Subcommands: analyze, optimize, sample, verify.  Exit codes: 0 success,
-1 usage, validation or size-cap error, 2 optimizer non-convergence or failure,
-3 verification failure.  All outputs are deterministic for a fixed config and seed.
+1 usage, validation, size-cap or output-write error, 2 optimizer non-convergence
+or failure, 3 verification failure.  All outputs are deterministic for a fixed config and seed.
 
 Every output is UTF-8 with LF line ends; numbers carry 9 significant digits
 (the `.9g` string in CSV, its float in JSON); answers +1/-1 are written 1/0;
@@ -293,6 +293,9 @@ def main(argv=None) -> int:
     except OptimizerError as exc:
         print(f"optimizer failed: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except OSError as exc:  # load_scenario reports a config it cannot read as invalid input
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -1,10 +1,15 @@
 """Exact Shannon quantities, in bits, on joint tables.
 
-Log base 2 throughout; conversion to physical units happens only in the
-dissipation bound.  Tiny negatives from floating-point cancellation (>= -1e-10)
-are clamped to 0; anything more negative indicates a broken table and raises.
-This is the package's only place that evaluates p ln p.
+One formula, `_information`, gives I(row; column) of a 2-D table: a named
+I(A;B) is that of the marginal over A and B laid out as (A, B) configurations,
+and I(A;B|C) = I(A; C,B) - I(A; C) reads one marginal over A, C and B.  Log
+base 2 throughout; conversion to physical units happens only in the dissipation
+bound.  Tiny negatives from floating-point cancellation (>= -1e-10) are clamped
+to 0; anything more negative indicates a broken table and raises.  This is the
+package's only place that evaluates p ln p.
 """
+
+import math
 
 import numpy as np
 
@@ -30,16 +35,15 @@ def _clamp(value: float, what: str) -> float:
     return max(0.0, float(value))
 
 
-def _check_subsets(joint, *groups):
+def _check_subsets(*groups):
     seen = set()
     for group in groups:
         names = tuple(group)
         if not names:
             raise ValidationError("variable subsets must be non-empty")
-        joint.axes(names)  # raises on unknown variables
-        overlap = seen & set(names)
-        if overlap:
-            raise ValidationError(f"variable subsets must be disjoint; {sorted(overlap)} repeated")
+        repeated = {n for i, n in enumerate(names) if n in seen or n in names[:i]}
+        if repeated:
+            raise ValidationError(f"variable subsets must be disjoint; {sorted(repeated)} repeated")
         seen |= set(names)
 
 
@@ -47,30 +51,29 @@ def _entropy_of_table(table: np.ndarray) -> float:
     return float(-xlogx(table).sum() / _LN2)
 
 
-def mutual_information_table(table: np.ndarray):
-    """I(row; column) in bits of a 2-D joint table, clamped at 0.
+def _information(table: np.ndarray) -> float:
+    """I(row; column) in bits of a 2-D joint table, unclamped: the one information formula."""
+    mi = xlogx(table).sum() - xlogx(table.sum(axis=1)).sum() - xlogx(table.sum(axis=0)).sum()
+    return float(mi / _LN2)
 
-    A stack of tables, shaped (..., rows, columns), gives the array of their
-    values, each computed as the 2-D table alone would be.
-    """
-    px = table.sum(axis=-1)
-    py = table.sum(axis=-2)
-    mi = (
-        xlogx(table).sum(axis=(-2, -1)) - xlogx(px).sum(axis=-1) - xlogx(py).sum(axis=-1)
-    ) / _LN2
-    if table.ndim == 2:
-        return max(0.0, float(mi))
-    return np.maximum(mi, 0.0)
+
+def mutual_information_table(table: np.ndarray) -> float:
+    """I(row; column) in bits of a 2-D joint table, clamped at 0."""
+    return max(0.0, _information(table))
+
+
+def _grouped(joint: jointmod.JointDistribution, *groups) -> np.ndarray:
+    """The marginal over the groups' variables, one axis per group over its configurations."""
+    names = sum(groups, ())
+    marginal = joint.marginal(names)
+    table = marginal.table.transpose(marginal.axes(names))
+    return table.reshape([math.prod(len(marginal.alphabet(n)) for n in g) for g in groups])
 
 
 def encoder_information(table: np.ndarray, encoder: np.ndarray) -> tuple:
-    """(I(M; view), I(M; next)) in bits of a p(view, next) table read through p(m | view).
-
-    i_mem is the information of p(view) p(m | view), i_pred that of
-    encoder^T @ table.  A stack of tables, shaped (..., views, nexts), gives
-    arrays of values, each computed as the 2-D table alone would be.
-    """
-    i_mem = mutual_information_table(table.sum(axis=-1)[..., None] * encoder)
+    """(I(M; view), I(M; next)) in bits of a p(view, next) table read through p(m | view):
+    the informations of p(view) p(m | view) and of encoder^T @ table."""
+    i_mem = mutual_information_table(table.sum(axis=1)[:, None] * encoder)
     i_pred = mutual_information_table(encoder.T @ table)
     return i_mem, i_pred
 
@@ -91,27 +94,22 @@ def pointwise_information(table: np.ndarray, encoder: np.ndarray) -> np.ndarray:
 
 def entropy(joint: jointmod.JointDistribution, names) -> float:
     """Shannon entropy H(names) in bits, with 0 log 0 = 0."""
-    _check_subsets(joint, names)
+    _check_subsets(names)
     return _clamp(_entropy_of_table(joint.marginal(names).table), "entropy")
 
 
 def mutual_information(joint: jointmod.JointDistribution, names_a, names_b) -> float:
-    """I(A;B) = H(A) + H(B) - H(A,B) in bits, clamped at 0 within 1e-10."""
-    _check_subsets(joint, names_a, names_b)
-    h_a = _entropy_of_table(joint.marginal(names_a).table)
-    h_b = _entropy_of_table(joint.marginal(names_b).table)
-    h_ab = _entropy_of_table(joint.marginal(tuple(names_a) + tuple(names_b)).table)
-    return _clamp(h_a + h_b - h_ab, "mutual information")
+    """I(A;B) in bits of the marginal over A and B as an (A, B) table, clamped at 0 within 1e-10."""
+    _check_subsets(names_a, names_b)
+    table = _grouped(joint, tuple(names_a), tuple(names_b))
+    return _clamp(_information(table), "mutual information")
 
 
 def conditional_mutual_information(
     joint: jointmod.JointDistribution, names_a, names_b, names_c
 ) -> float:
-    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C), clamped at 0 within 1e-10."""
-    _check_subsets(joint, names_a, names_b, names_c)
-    a, b, c = tuple(names_a), tuple(names_b), tuple(names_c)
-    h_ac = _entropy_of_table(joint.marginal(a + c).table)
-    h_bc = _entropy_of_table(joint.marginal(b + c).table)
-    h_abc = _entropy_of_table(joint.marginal(a + b + c).table)
-    h_c = _entropy_of_table(joint.marginal(c).table)
-    return _clamp(h_ac + h_bc - h_abc - h_c, "conditional mutual information")
+    """I(A;B|C) = I(A; C,B) - I(A; C) of the marginal over A, C and B, clamped at 0 within 1e-10."""
+    _check_subsets(names_a, names_b, names_c)
+    table = _grouped(joint, tuple(names_a), tuple(names_c), tuple(names_b))
+    i_acb = _information(table.reshape(len(table), -1))
+    return _clamp(i_acb - _information(table.sum(axis=2)), "conditional mutual information")

@@ -60,17 +60,17 @@ class JointDistribution:
         return self.alphabets[self.axis(name)]
 
     def marginal(self, names) -> "JointDistribution":
-        """Sum out every variable not in `names` (kept in this joint's order)."""
+        """Sum out the variables not in `names` (kept in this joint's order); none: return self."""
         keep = set(self.axes(names))
         if not keep:
             raise ValidationError("marginal needs at least one variable")
-        drop = tuple(i for i in range(self.num_vars) if i not in keep)
-        table = self.table.sum(axis=drop) if drop else self.table
+        if len(keep) == self.num_vars:
+            return self
         kept = sorted(keep)
         return JointDistribution(
             names=tuple(self.names[i] for i in kept),
             alphabets=tuple(self.alphabets[i] for i in kept),
-            table=table,
+            table=self.table.sum(axis=tuple(i for i in range(self.num_vars) if i not in keep)),
         )
 
 

@@ -415,8 +415,9 @@ def _future_entropy(hf: HistoryFutureJoint) -> float:
     return -xlogx(hf.table.sum(axis=0)).sum() / _LN2
 
 
-def _scan_maps(hf: HistoryFutureJoint, m: int, rgs_only: bool = False):
-    """(first map index, i_mem, i_pred) for blocks of every deterministic map h -> m.
+def _scan_maps(hf: HistoryFutureJoint, m: int):
+    """(first map index, i_mem, i_pred) for the blocks of deterministic maps h -> m
+    whose prefix is a restricted growth string.
 
     Maps are numbered mixed-radix with the last history fastest, the order of
     `itertools.product(range(m), repeat=n_hist)`.  A block holds the m**r maps
@@ -432,16 +433,15 @@ def _scan_maps(hf: HistoryFutureJoint, m: int, rgs_only: bool = False):
     terms are reduced on the same C-ordered (maps, m, x') and (maps, m) shapes
     (`_map_information`).  So they depend neither on r nor on _MAP_BLOCK.
 
-    With `rgs_only`, only the blocks whose prefix is a restricted growth string
-    are yielded: prefix[0] = 0 and each prefix[i] <= max(prefix[:i]) + 1.  The
-    others are skipped before their rows are built, and a yielded block's
-    numbers are the same bits as without `rgs_only`.  Relabelling the memory
-    states permutes the rows of p(m, x') and moves neither i_mem nor i_pred,
-    and the map of a class that comes first in this order is its restricted
-    growth string (Knuth, TAOCP 4A, section 7.2.1.5), whose prefix is one.
-    So every relabelling class keeps a member in the scan, and the blocks
-    scanned number the partitions of the prefix's histories into at most m
-    parts: 5 of 125 at n_hist = 8, m = 5 and 8 of 16 at n_hist = 16, m = 2.
+    A restricted growth string has prefix[0] = 0 and each prefix[i] <=
+    max(prefix[:i]) + 1; the other blocks are skipped before their rows are
+    built.  Relabelling the memory states permutes the rows of p(m, x') and
+    moves neither i_mem nor i_pred, and the map of a class that comes first in
+    this order is its restricted growth string (Knuth, TAOCP 4A, section
+    7.2.1.5), whose prefix is one.  So every relabelling class keeps a member
+    in the scan, and the blocks scanned number the partitions of the prefix's
+    histories into at most m parts: 5 of 125 at n_hist = 8, m = 5 and 8 of 16
+    at n_hist = 16, m = 2.
     """
     n_hist, x = hf.table.shape
     _check_map_count(n_hist, m)
@@ -456,7 +456,7 @@ def _scan_maps(hf: HistoryFutureJoint, m: int, rgs_only: bool = False):
     sum_terms = np.empty(block * m)
     h_x = _future_entropy(hf)
     for i, prefix in enumerate(itertools.product(range(m), repeat=lead)):
-        if rgs_only and _restricted_growth(prefix) != list(prefix):
+        if _restricted_growth(prefix) != list(prefix):
             continue  # a relabelling of an earlier block's maps: see above
         rows[:, 0] = 0.0
         for h, d in enumerate(prefix):
@@ -512,9 +512,8 @@ def exhaustive_best(
     The names of the memory states carry nothing: relabelling a map moves
     neither i_mem nor i_pred.  So only restricted growth strings compete, one
     map per relabelling class: the scan visits only the blocks whose prefix is
-    one (`_scan_maps` with `rgs_only`), and masks the tails of each block that
-    do not continue its prefix as one (`_growth_need`, against the prefix's
-    largest label).  The winner is the lowest score over them all, exact ties
+    one (`_scan_maps`), and masks the tails of each block that do not continue
+    its prefix as one (`_growth_need`, against the prefix's largest label).  The winner is the lowest score over them all, exact ties
     going to the earliest map in `_scan_maps` order.  The maps that compete
     and their numbers depend neither on the block nor on the labels, so
     neither does the winner, which is always a restricted growth string.
@@ -523,7 +522,7 @@ def exhaustive_best(
     r = _tail_length(n_hist, m)
     need = _growth_need(m, r)
     best_score = best_index = None
-    for first, i_mem, i_pred in _scan_maps(hf, m, rgs_only=True):
+    for first, i_mem, i_pred in _scan_maps(hf, m):
         scores = -i_pred if beta is None else i_mem - beta * i_pred
         top = max(_map_at(first, n_hist, m)[: n_hist - r], default=-1)
         scores = np.where(need <= top, scores, np.inf)

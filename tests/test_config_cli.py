@@ -10,6 +10,7 @@ from obsthermo import (
     analyze,
     bundled_scenario,
     bundled_scenario_path,
+    load_scenario,
     parse_scenario,
     verify,
 )
@@ -482,3 +483,60 @@ def test_cli_a_label_that_would_break_the_csv_files_exits_1_writing_nothing(
     assert cli_main([command, "--config", str(path), "--out", str(out), *extra]) == 1
     assert capsys.readouterr().err.startswith("invalid input: scenario.questions[1]: question")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,extra", [("analyze", []), ("sample", ["--length", "5"])])
+def test_cli_an_output_below_a_regular_file_exits_1_with_one_line(tmp_path, capsys, command, extra):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    cfg = bundled_scenario_path("case_a")
+    assert cli_main([command, "--config", cfg, "--out", str(blocker / "out"), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_a_kernel_strategy_read_from_a_config_reports_its_frontier_point(tmp_path, name):
+    scenario = load_scenario(bundled_scenario_path(name))
+    point = next(p for p in optimize(scenario).points if p.beta == 8.0)
+    with open(bundled_scenario_path(name), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["strategy"] = {
+        "type": "kernel",
+        "assignment": point.strategy.assignment.tolist(),
+        "k": point.strategy.k,
+        "labeled": point.strategy.labeled,
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = analyze(load_scenario(path)).report
+    assert abs(report.i_mem - point.i_mem) <= 1e-12
+    assert abs(report.i_pred - point.i_pred) <= 1e-12
+
+
+def test_a_nothing_strategy_read_from_a_config_keeps_no_information(tmp_path):
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(_two_question_config(window=2, strategy={"type": "nothing"})))
+    assert cli_main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "mini_report.json").read_text())
+    for key in ("i_mem", "i_pred", "nostalgia", "memory_capacity_bits"):
+        assert report[key] == 0.0
+
+
+def test_cli_analyze_of_a_periodic_chain_notes_the_cesaro_average(tmp_path, capsys):
+    # Qz and Qx alternate from +z: the last labeled pair is uniform over 4 states (2 bits),
+    # and it names the next question, whose answer is a fair coin (1 bit of 2)
+    cfg = _two_question_config(
+        initial_state=[0.0, 0.0, 1.0],
+        window=2,
+        strategy={"type": "window", "k": 1, "labeled": True},
+    )
+    cfg["process"] = {"type": "markov", "transition": [[0, 1], [1, 0]], "initial": [1, 0]}
+    path = tmp_path / "alternating.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "note: periodic chain, long run is the Cesaro average" in capsys.readouterr().err
+    report = json.loads((tmp_path / "mini_report.json").read_text())
+    assert abs(report["i_mem"] - 2.0) <= 1e-12
+    assert abs(report["i_pred"] - 1.0) <= 1e-12

@@ -11,17 +11,23 @@ from hypothesis import given, strategies as st
 from obsthermo import (
     JointDistribution,
     ValidationError,
+    apply_strategy,
     conditional_mutual_information,
     entropy,
+    evaluate,
     max_abs_deviation,
     mutual_information,
+    window_joint,
 )
+from obsthermo.chain import FUTURE_PAIR
 from obsthermo.info import (
     encoder_information,
     mutual_information_table,
     pointwise_information,
     xlogx,
 )
+
+from conftest import scenario_chain
 
 # entropy of {3/8, 3/8, 1/8, 1/8}: 3 - (3/4) log2 3
 H_CASE_B_PAIR = 3.0 - 0.75 * math.log2(3.0)
@@ -134,6 +140,8 @@ def test_overlapping_subsets_rejected():
     j = pair_table(0.25, 0.25, 0.25, 0.25)
     with pytest.raises(ValidationError):
         mutual_information(j, ["x"], ["x"])
+    with pytest.raises(ValidationError, match=r"\['x'\] repeated"):  # within one subset
+        mutual_information(j, ["x", "x"], ["y"])
     with pytest.raises(ValidationError):
         entropy(j, ["z"])
 
@@ -186,24 +194,35 @@ def test_mutual_information_table_matches_named_joint(joint):
     )
 
 
-def test_mutual_information_table_of_a_stack_equals_each_table():
-    rng = np.random.default_rng(11)
-    for shape in ((1, 1), (2, 3), (16, 4), (5, 1)):
-        stack = rng.dirichlet(np.ones(shape[0] * shape[1]), size=(3, 4)).reshape((3, 4) + shape)
-        values = mutual_information_table(stack)
-        assert values.shape == (3, 4)
-        for i in range(3):
-            for j in range(4):
-                assert values[i, j] == mutual_information_table(stack[i, j])  # bitwise
-        for m in (1, 2, 3):
-            encoder = rng.dirichlet(np.ones(m), size=shape[0])
-            i_mem, i_pred = encoder_information(stack, encoder)
-            assert i_mem.shape == i_pred.shape == (3, 4)
-            for i in range(3):
-                for j in range(4):
-                    alone = encoder_information(stack[i, j], encoder)
-                    assert (i_mem[i, j], i_pred[i, j]) == alone  # bitwise
-    assert isinstance(mutual_information_table(np.full((2, 2), 0.25)), float)
+def test_a_named_information_is_the_table_information_of_one_marginal(monkeypatch, case_b_labeled):
+    window = window_joint(scenario_chain(case_b_labeled), case_b_labeled.window)
+    applied = apply_strategy(case_b_labeled.strategy, window)
+    history = [n for n in window.names if n not in FUTURE_PAIR]
+    calls = []
+    marginal = JointDistribution.marginal
+
+    def counted(joint, names):
+        calls.append(names)
+        return marginal(joint, names)
+
+    monkeypatch.setattr(JointDistribution, "marginal", counted)
+    evaluate(applied)
+    assert len(calls) == 2
+    calls.clear()
+    i_pred = mutual_information(applied, ["m"], FUTURE_PAIR)
+    assert len(calls) == 1
+    calls.clear()
+    conditional_mutual_information(applied, ["m"], FUTURE_PAIR, history)
+    assert len(calls) == 1
+    # the (m, next pair) marginal laid out as (m, q+1 a+1): the same bits as the table formula
+    table = marginal(applied, ["m", *FUTURE_PAIR]).table
+    assert i_pred == mutual_information_table(table.reshape(len(table), -1))
+    # rows and columns in another order than the joint's: the layout follows the named groups
+    table = marginal(applied, ["m", "q0", "a+1"]).table.transpose(2, 1, 0)
+    assert mutual_information(applied, ["a+1"], ["q0", "m"]) == mutual_information_table(
+        table.reshape(2, -1)
+    )
+    assert marginal(applied, applied.names) is applied  # every variable: the joint itself
 
 
 def test_pointwise_information_averages_to_i_pred():

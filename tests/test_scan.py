@@ -5,9 +5,10 @@ time by broadcasting, as `optimize._scan_maps` did before it gathered terms
 from per-prefix subset tables.  Its prefixes are built one at a time rather
 than all at once, with the same additions, so that a block of one map with
 thousands of memory rows fits in memory.  Asked for restricted growth
-prefixes only, as `exhaustive_best` asks, it skips the others by its own
-test of the prefix.  `reference_report` is the degeneracy report of a scan of
-every map, which `degeneracy_report` gives from its closed-form candidates.
+prefixes only (`rgs_scan`), the blocks that `_scan_maps` scans, it skips the
+others by its own test of the prefix.  `reference_report` is the degeneracy
+report of a scan of every map, which `degeneracy_report` gives from its
+closed-form candidates.
 """
 
 import functools
@@ -75,6 +76,9 @@ def reference_scan(hf: HistoryFutureJoint, m: int, map_block: int = 4096, rgs_on
         yield i * m**r, i_mem, i_pred
 
 
+rgs_scan = functools.partial(reference_scan, rgs_only=True)
+
+
 def streams(scan, hf, m):
     """Block starts and the concatenated i_mem and i_pred bytes of a scan."""
     firsts, mems, preds = [], [], []
@@ -117,7 +121,7 @@ def bundled_cases():
 
 def test_scan_matches_reference_on_random_tables():
     for hf, m in random_tables():
-        assert streams(optmod._scan_maps, hf, m) == streams(reference_scan, hf, m), (
+        assert streams(optmod._scan_maps, hf, m) == streams(rgs_scan, hf, m), (
             hf.table.shape,
             m,
         )
@@ -125,7 +129,7 @@ def test_scan_matches_reference_on_random_tables():
 
 def test_scan_matches_reference_on_bundled_tables():
     for hf, m in bundled_cases():
-        assert streams(optmod._scan_maps, hf, m) == streams(reference_scan, hf, m)
+        assert streams(optmod._scan_maps, hf, m) == streams(rgs_scan, hf, m)
 
 
 @pytest.mark.parametrize(
@@ -140,7 +144,7 @@ def test_scan_matches_reference_on_bundled_tables():
 def test_scan_matches_reference_at_the_edges(n_hist, m, x):
     table = np.random.default_rng(n_hist * m).dirichlet(np.ones(n_hist * x)).reshape(n_hist, x)
     hf = table_hf(table)
-    assert streams(optmod._scan_maps, hf, m) == streams(reference_scan, hf, m)
+    assert streams(optmod._scan_maps, hf, m) == streams(rgs_scan, hf, m)
 
 
 def tail_length(n_hist, m, map_block):
@@ -156,10 +160,13 @@ def test_scan_numbers_do_not_depend_on_the_block(monkeypatch, map_block):
     monkeypatch.setattr(optmod, "_MAP_BLOCK", map_block)
     for hf, m in random_tables()[:12] + bundled_cases():
         firsts, mems, preds = streams(optmod._scan_maps, hf, m)
-        _, ref_mems, ref_preds = streams(reference_scan, hf, m)
+        # a block's prefix decides whether its maps are scanned: the reference takes the same blocks
+        _, ref_mems, ref_preds = streams(functools.partial(rgs_scan, map_block=map_block), hf, m)
         assert (mems, preds) == (ref_mems, ref_preds)
         n_hist = hf.num_histories
-        assert firsts == list(range(0, m**n_hist, m ** tail_length(n_hist, m, map_block)))
+        r = tail_length(n_hist, m, map_block)
+        prefixes = itertools.product(range(m), repeat=n_hist - r)
+        assert firsts == [i * m**r for i, p in enumerate(prefixes) if is_restricted_growth(p)]
 
 
 def results_with(scan, monkeypatch, hf, m, beta):
@@ -175,7 +182,7 @@ def test_exhaustive_best_and_degeneracy_report_match_reference(monkeypatch):
     for hf, m in bundled_cases() + random_tables()[:10]:
         for beta in (1.0, 2.5, 8.0):
             ours = results_with(scan, monkeypatch, hf, m, beta)
-            theirs = results_with(reference_scan, monkeypatch, hf, m, beta)
+            theirs = results_with(rgs_scan, monkeypatch, hf, m, beta)
             assert ours == theirs
         assert report_bits(hf, m) == reference_report(*reference_numbers(hf, m))
 
@@ -366,7 +373,7 @@ def test_rgs_scan_visits_only_the_restricted_growth_prefixes(monkeypatch, n_hist
     hf = table_hf(table)
     full, scanned = (
         {first: (i_mem.tobytes(), i_pred.tobytes()) for first, i_mem, i_pred in scan}
-        for scan in (optmod._scan_maps(hf, m), optmod._scan_maps(hf, m, rgs_only=True))
+        for scan in (reference_scan(hf, m), optmod._scan_maps(hf, m))
     )
     r = tail_length(n_hist, m, optmod._MAP_BLOCK)
     prefixes = itertools.product(range(m), repeat=n_hist - r)
