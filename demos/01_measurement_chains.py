@@ -17,7 +17,7 @@ from obsthermo import (
     sample_trajectory,
     window_joint,
 )
-from obsthermo.chain import state_symbols
+from obsthermo.strategy import view_alphabet
 
 qz = Question(label="Qz", axis=np.array([0.0, 0.0, 1.0]))
 qx = Question(label="Qx", axis=np.array([1.0, 0.0, 0.0]))
@@ -37,7 +37,7 @@ print(f"asking Qz next:  P(+1) = {born_probability(state, qz.axis)} (coin flip)"
 print("\n== the induced chain ==")
 process = IIDProcess(labels=("Qz", "Qx"), weights=np.array([0.5, 0.5]))
 chain = Chain((qz, qx), process, MIXED_STATE)  # the schedule, its questions and the start
-print("states:", state_symbols((qz, qx)))
+print("states:", [v[0] for v in view_alphabet(process.labels, 1, labeled=True)])
 print(np.array_str(chain.matrix, precision=3))
 
 long_run = chain.long_run

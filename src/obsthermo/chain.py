@@ -62,11 +62,6 @@ def check_process_labels(questions, process: procmod.QuestionProcess) -> tuple:
     return questions
 
 
-def state_symbols(questions) -> list:
-    """Chain states in index order: [(label0, +1), (label0, -1), (label1, +1), ...]."""
-    return [(q.label, a) for q in questions for a in ANSWERS]
-
-
 def step_law(law: np.ndarray, born: np.ndarray) -> np.ndarray:
     """(n, 2K) law of the next chain state from n qubit states: the one-step law.
 
@@ -372,9 +367,6 @@ class Trajectory:
     def steps(self) -> tuple:
         return tuple(zip(self.labels(), self.answer_values.tolist()))
 
-    def answers(self) -> np.ndarray:
-        return self.answer_values.copy()
-
     def labels(self) -> list:
         return list(map(self.question_labels.__getitem__, self.question_indices.tolist()))
 
@@ -386,7 +378,7 @@ def sample_trajectory(chain: Chain, length: int, seed: int) -> Trajectory:
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
     questions = chain.questions
-    q = procmod.sample_questions(chain.process, length, seed, as_indices=True)
+    q = procmod.sample_questions(chain.process, length, seed)
     rng = procmod._rng(seed, offset=0x5EED)  # decouple answer draws from question draws
     a = np.empty_like(q)  # 0 for +1, 1 for -1, then the answer itself
     step, state = answer_step(chain), np.full(1, 2 * len(questions))

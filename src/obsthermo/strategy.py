@@ -184,48 +184,38 @@ def harden(assignment: np.ndarray) -> np.ndarray:
     return np.argmax(np.asarray(assignment), axis=1)
 
 
-def _window_map_on_view(k_view: int, labeled_view: bool, j: int, labeled_j: bool, num_questions: int):
-    """Deterministic map from a (k_view, labeled_view) history view onto the
-    window-j record, used for equivalence reporting."""
-    if j > k_view or (labeled_j and not labeled_view):
-        return None
-    symbols = view_alphabet([str(i) for i in range(num_questions)], k_view, labeled_view)
-    out = []
-    for sym in symbols:
-        tail = sym[-j:]
-        if labeled_view and not labeled_j:
-            tail = tuple(a for _, a in tail)
-        out.append(tail)
-    uniq = {s: i for i, s in enumerate(sorted(set(out), key=out.index))}
-    return np.array([uniq[s] for s in out])
-
-
 def _same_partition(f: np.ndarray, g: np.ndarray) -> bool:
-    return all(
-        (f[i] == f[j]) == (g[i] == g[j]) for i in range(len(f)) for j in range(i + 1, len(f))
-    )
+    """Whether two maps on one set of views group them alike: each is a function
+    of the other when there are as many distinct (f, g) pairs as values of either."""
+    pairs = len(np.unique(f * (g.max() + 1) + g))
+    return pairs == len(np.unique(f)) == len(np.unique(g))
 
 
 def strategy_summary(strategy: Strategy, num_questions: int) -> str:
     """Stable one-line description: variant, sizes, and for kernels the hardened
-    argmax cells (ties reported lexicographically, e.g. '0|1')."""
+    argmax cells (ties reported lexicographically, e.g. '0|1').
+
+    A kernel on a k-pair view whose argmax map groups the views as the window
+    record of their last j pairs does, for some j <= k, is reported as that
+    record instead: the smallest j, unlabeled before labeled.  Its rows must
+    match the view, as in `view_encoder`.
+    """
     if isinstance(strategy, NothingStrategy):
         return "nothing (M=1)"
     if isinstance(strategy, WindowStrategy):
         kind = "labeled" if strategy.labeled else "unlabeled"
         m = (2 * num_questions if strategy.labeled else 2) ** strategy.k
         return f"window k={strategy.k} {kind} (M={m})"
-    # kernel: report hardened cells, or a window equivalence when one exists
     arr = strategy.assignment
     m = strategy.memory_size
     hard = harden(arr)
     if strategy.k is not None:
-        for j in range(1, strategy.k + 1):
-            for labeled_j in (False, True):
-                cand = _window_map_on_view(
-                    strategy.k, strategy.labeled, j, labeled_j, num_questions
-                )
-                if cand is not None and _same_partition(hard, cand):
+        k, labeled, _, _ = view_encoder(strategy, range(num_questions), strategy.k)
+        pairs = np.indices((num_questions if labeled else 1, 2) * k).reshape(2 * k, -1)
+        for j in range(1, k + 1):
+            for labeled_j in (False, True) if labeled else (False,):
+                record = view_index(pairs[2 * (k - j) :], num_questions, labeled_j)
+                if _same_partition(hard, record):
                     kind = "labeled" if labeled_j else "unlabeled"
                     return f"kernel M={m} ≍ window k={j} {kind}"
     cells = []

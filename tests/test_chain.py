@@ -321,13 +321,13 @@ def test_unlabeled_view_table_past_the_window_cap_sums_to_the_shorter_view():
 def test_trajectory_case_a_eigenstate_start_constant():
     questions, proc = single_question()
     traj = sample_trajectory(Chain(questions, proc, BlochVector(0, 0, 1)), 5, seed=7)
-    assert list(traj.answers()) == [1, 1, 1, 1, 1]
+    assert list(traj.answer_values) == [1, 1, 1, 1, 1]
 
 
 def test_trajectory_case_b_repeat_rate():
     questions, proc = case_b_questions()
     traj = sample_trajectory(Chain(questions, proc, MIXED_STATE), 10**6, seed=123)
-    a = traj.answers()
+    a = traj.answer_values
     repeat = (a[1:] == a[:-1]).mean()
     assert abs(repeat - 0.75) < 0.002  # 1/2 * 1 + 1/2 * 1/2
 
@@ -366,8 +366,8 @@ def test_periodic_single_question_matches_degenerate_iid():
     # within a trajectory the answer repeats, so the law only shows across
     # trajectories: the first answer is a fair coin under both schedules
     n = 2000
-    f1 = np.mean([sample_trajectory(periodic, 2, seed=s).answers()[0] == 1 for s in range(n)])
-    f2 = np.mean([sample_trajectory(degenerate, 2, seed=s).answers()[0] == 1 for s in range(n)])
+    f1 = np.mean([sample_trajectory(periodic, 2, seed=s).answer_values[0] == 1 for s in range(n)])
+    f2 = np.mean([sample_trajectory(degenerate, 2, seed=s).answer_values[0] == 1 for s in range(n)])
     assert abs(f1 - 0.5) < 0.04 and abs(f2 - 0.5) < 0.04
 
 

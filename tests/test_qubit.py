@@ -139,6 +139,12 @@ def test_purity_predicate():
     assert not BlochVector(0, 0, 0.5).is_pure
 
 
+def test_question_repr_shows_label_and_axis_to_six_digits():
+    assert repr(Question("Qz", Z)) == "Question('Qz', axis=[0,0,1])"
+    diagonal = Question("Qd", np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
+    assert repr(diagonal) == "Question('Qd', axis=[0.707107,0.707107,0])"
+
+
 def test_question_auto_normalizes_within_config_tolerance():
     q = Question(label="Q", axis=np.array([0.0, 0.0, 1.0 + 5e-7]))
     assert np.linalg.norm(q.axis) == pytest.approx(1.0, abs=1e-15)

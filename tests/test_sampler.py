@@ -100,7 +100,9 @@ def test_sampler_matches_the_per_step_reference(name, length):
     questions = questions_of(process)
     seed = 7 * length + 1
     initial = BlochVector(0.6, 0.0, 0.8)
-    assert sample_questions(process, length, seed) == reference_questions(process, length, seed)
+    idx = sample_questions(process, length, seed)
+    assert idx.dtype == np.intp
+    assert np.asarray(process.labels)[idx].tolist() == reference_questions(process, length, seed)
     got = sample_trajectory(Chain(questions, process, initial), length, seed).steps
     assert got == reference_trajectory(questions, process, initial, length, seed)
 

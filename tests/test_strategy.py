@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from obsthermo import (
+    BUNDLED_SCENARIOS,
     BlochVector,
     KernelStrategy,
     MIXED_STATE,
@@ -33,7 +35,7 @@ import obsthermo.optimize as optmod
 from obsthermo.chain import FUTURE_PAIR
 from obsthermo.joint import JointDistribution
 from obsthermo.optimize import HistoryFutureJoint, history_future_joint
-from obsthermo.strategy import assignment_from_map, harden
+from obsthermo.strategy import assignment_from_map, harden, view_alphabet, view_index
 
 from conftest import (
     case_b_questions,
@@ -332,6 +334,131 @@ def test_summary_kernel_equivalent_to_last_answer_map():
     assignment = assignment_from_map(np.array([0, 1, 0, 1]), 2)
     s = KernelStrategy(assignment=assignment, k=1, labeled=True)
     assert strategy_summary(s, num_questions=2) == "kernel M=2 ≍ window k=1 unlabeled"
+
+
+def test_summary_rejects_a_kernel_whose_rows_do_not_fit_its_view():
+    # 4 rows fit a labeled k=1 view of two questions only: 6 views at K = 3, 2 at K = 1
+    s = KernelStrategy(assignment=assignment_from_map(np.array([0, 1, 0, 1]), 2), k=1, labeled=True)
+    for num_questions, views in ((3, 6), (1, 2)):
+        with pytest.raises(ValidationError, match=f"has 4 rows but .* has {views} configurations"):
+            strategy_summary(s, num_questions)
+
+
+def test_summary_of_a_deep_last_pair_kernel_names_the_record():
+    # a labeled k=6 view of two questions has 4^6 = 4,096 views; the map keeps the last pair
+    pairs = np.indices((2, 2) * 6)[-2:]
+    last_pair = view_index(pairs, 2, labeled=True).ravel()
+    s = KernelStrategy(assignment=assignment_from_map(last_pair, 4), k=6, labeled=True)
+    assert strategy_summary(s, num_questions=2) == "kernel M=4 ≍ window k=1 labeled"
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_window_map_on_view(k_view, labeled_view, j, labeled_j, num_questions):
+    """Deterministic map from a (k_view, labeled_view) history view onto the
+    window-j record, built from the view's symbols."""
+    if j > k_view or (labeled_j and not labeled_view):
+        return None
+    symbols = view_alphabet([str(i) for i in range(num_questions)], k_view, labeled_view)
+    out = []
+    for sym in symbols:
+        tail = sym[-j:]
+        if labeled_view and not labeled_j:
+            tail = tuple(a for _, a in tail)
+        out.append(tail)
+    uniq = {s: i for i, s in enumerate(sorted(set(out), key=out.index))}
+    return np.array([uniq[s] for s in out])
+
+
+def _reference_same_partition(f, g) -> bool:
+    return all(
+        (f[i] == f[j]) == (g[i] == g[j]) for i in range(len(f)) for j in range(i + 1, len(f))
+    )
+
+
+def reference_summary(strategy, num_questions: int) -> str:
+    """`strategy_summary` by symbol tuples and a comparison of every pair of views."""
+    if isinstance(strategy, NothingStrategy):
+        return "nothing (M=1)"
+    if isinstance(strategy, WindowStrategy):
+        kind = "labeled" if strategy.labeled else "unlabeled"
+        m = (2 * num_questions if strategy.labeled else 2) ** strategy.k
+        return f"window k={strategy.k} {kind} (M={m})"
+    arr = strategy.assignment
+    m = strategy.memory_size
+    hard = harden(arr).tolist()
+    if strategy.k is not None:
+        for j in range(1, strategy.k + 1):
+            for labeled_j in (False, True):
+                cand = _reference_window_map_on_view(
+                    strategy.k, strategy.labeled, j, labeled_j, num_questions
+                )
+                if cand is not None and _reference_same_partition(hard, cand.tolist()):
+                    kind = "labeled" if labeled_j else "unlabeled"
+                    return f"kernel M={m} ≍ window k={j} {kind}"
+    cells = []
+    for row in arr:
+        top = np.flatnonzero(np.abs(row - row.max()) < 1e-12)
+        cells.append("|".join(str(int(i)) for i in top))
+    return f"kernel M={m} map=[{','.join(cells)}]"
+
+
+#: (K, k, labeled) of views of at most 256 configurations: labeled ones of K <= 3
+#: questions, K = 1 up to k = 4, and unlabeled ones, alike for every K
+SUMMARY_VIEWS = [(K, k, True) for K in (1, 2, 3) for k in range(1, 5) if (2 * K) ** k <= 256]
+SUMMARY_VIEWS += [(2, k, False) for k in range(1, 9)]
+
+
+def _seeded_kernels(K, k, labeled, rng):
+    """Random maps, relabelled and merged window records of every j, and soft mixtures."""
+    views = (2 * K if labeled else 2) ** k
+    maps = [rng.integers(0, m, views) for m in (1, 2, 3, 4)]
+    for j in range(1, k + 1):
+        for labeled_j in (False, True) if labeled else (False,):
+            record = _reference_window_map_on_view(k, labeled, j, labeled_j, K)
+            size = record.max() + 1
+            relabelled = rng.permutation(size)[record]
+            maps.append(relabelled)
+            if size > 1:
+                maps.append(np.minimum(relabelled, size - 2))  # two cells merged
+    for hard in maps:
+        memory = int(hard.max()) + 1 + int(rng.integers(0, 2))
+        one_hot = assignment_from_map(hard, memory)
+        yield KernelStrategy(assignment=one_hot, k=k, labeled=labeled)
+        soft = 0.5 * one_hot + 0.5 * rng.dirichlet(np.ones(memory), size=views)
+        yield KernelStrategy(assignment=soft / soft.sum(axis=1, keepdims=True), k=k, labeled=labeled)
+        tied = one_hot.copy()
+        tied[::3] = 1 / memory  # every third row ties all cells
+        yield KernelStrategy(assignment=tied, k=k, labeled=labeled)
+
+
+def test_summary_matches_the_symbol_reference_on_windows_and_seeded_kernels():
+    rng = np.random.default_rng(20261021)
+    cases = [(NothingStrategy(), K) for K in (1, 2, 3)]
+    cases += [
+        (WindowStrategy(k=k, labeled=labeled), K)
+        for K in (1, 2, 3)
+        for k in (1, 2, 3)
+        for labeled in (True, False)
+    ]
+    for K, k, labeled in SUMMARY_VIEWS:
+        cases += [(s, K) for s in _seeded_kernels(K, k, labeled, rng)]
+    cases.append((KernelStrategy(assignment=np.full((16, 2), 0.5), k=None, labeled=True), 2))
+    windows = 0
+    for strategy, K in cases:
+        summary = strategy_summary(strategy, K)
+        assert summary == reference_summary(strategy, K), (strategy, K)
+        windows += "≍ window" in summary
+    assert windows >= len(SUMMARY_VIEWS)  # every view names some record
+
+
+def test_summary_matches_the_symbol_reference_on_the_bundled_frontiers():
+    for name in BUNDLED_SCENARIOS:
+        scenario = bundled_scenario(name)
+        result = workflows.optimize(scenario)
+        strategies = [p.strategy for p in result.points] + [result.exhaustive_reference.strategy]
+        for strategy in strategies:
+            K = len(scenario.labels)
+            assert strategy_summary(strategy, K) == reference_summary(strategy, K), name
 
 
 def test_summary_kernel_ties_reported():

@@ -85,7 +85,7 @@ def test_trajectory_csv_matches_the_per_row_writer(tmp_path, schedule, length):
     assert [(type(q), type(a)) for q, a in traj.steps] == [(str, int)] * length
     assert traj.steps == old
     assert traj.labels() == [q for q, _ in old]
-    answers = traj.answers()
+    answers = traj.answer_values
     assert answers.dtype == np.array([a for _, a in old]).dtype and answers.tolist() == [a for _, a in old]
     assert (tmp_path / "out" / f"{schedule}_trajectory.csv").read_bytes() == reference_csv(old)
 
