@@ -8,7 +8,7 @@ enumeration.
 """
 
 from obsthermo import bundled_scenario
-from obsthermo.strategy import harden, strategy_summary
+from obsthermo.strategy import KernelStrategy, assignment_from_map, harden, strategy_summary
 from obsthermo.workflows import optimize
 
 for name in ("case_a", "case_b_labeled"):
@@ -23,8 +23,14 @@ for name in ("case_a", "case_b_labeled"):
     print(f"exhaustive optimum at beta={ref.beta:g}: objective {ref.objective:.9f}, map {ref_map}")
     best = result.points[-1]
     print(f"soft optimizer at beta={best.beta:g}:   objective {best.objective:.9f}")
-    print(f"hardened best strategy: {strategy_summary(best.strategy, num_questions=len(scenario.labels))}")
-    print(f"argmax cells: {[int(v) for v in harden(best.strategy.assignment)]}")
+    cells = harden(best.strategy.assignment)
+    hardened = KernelStrategy(
+        assignment_from_map(cells, best.strategy.memory_size),
+        k=best.strategy.k,
+        labeled=best.strategy.labeled,
+    )
+    print(f"hardened best strategy: {strategy_summary(hardened, num_questions=len(scenario.labels))}")
+    print(f"argmax cells: {[int(v) for v in cells]}")
     zero_cost = result.degeneracy
     observers = sum(d.observer_like for d in zero_cost)
     print(

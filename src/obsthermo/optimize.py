@@ -134,6 +134,18 @@ def _point_from_encoder(
     )
 
 
+def lift_point(hf: HistoryFutureJoint, point: FrontierPoint) -> FrontierPoint:
+    """A point found on the last-pair table of a labeled view, rescored on the view `hf`.
+
+    The last pair is the least significant digit of `strategy.view_index`, so
+    view v takes row v % 2K of the point's encoder; views of zero mass too.
+    `converged` and `iterations` are the point's.
+    """
+    core = point.strategy.assignment
+    enc = core[np.arange(hf.num_histories) % len(core)]
+    return _point_from_encoder(hf, enc, point.beta, point.converged, point.iterations)
+
+
 def _initial_encoders(n_hist: int, m: int, restarts: int, rng: np.random.Generator) -> np.ndarray:
     """(restarts, H, M) stack of starts.  Restart 0 is near-uniform (anchors the
     beta=1 degeneracy at objective 0); the rest are Dirichlet perturbations of
@@ -343,16 +355,34 @@ def sweep_beta(hf: HistoryFutureJoint, settings: OptimizerSettings) -> list:
     betas as keep one map evaluation of it within _CHUNK_ENTRIES, at least
     one: all len(BETAS) * RESTARTS restarts on small tables.  Restarts do
     not depend on the others in their stack, so the points are the same for
-    any grouping.  Each beta keeps only its best seeded restart; the warm
-    starts then run one by one, in beta order, and one replaces that restart
-    only where the tie rule over all of them would pick it, being the last.
-    A point's `iterations` counts its restart's map evaluations.  A descent
-    error names its beta and its restart within that beta; the stacks run in
-    beta order before any warm start, and the first stack that rises raises
-    at its earliest map evaluation, whichever beta that is.
+    any grouping.  Each beta keeps only its best seeded restart, and its warm
+    start replaces that restart only where the tie rule over all of them
+    would pick it, being the last.
+
+    The warm starts of all betas past the first run first as stacks that
+    guess the seeded best wins at every beta: beta 1 starts from the first
+    point and each later beta from the seeded best of the beta before it, as
+    many betas a stack as keep one map evaluation of it within
+    _CHUNK_ENTRIES.  Then the points are taken in beta order.  Where the
+    seeded best won at the beta before, the guess was that beta's warm start;
+    where the warm start won, the beta's warm start runs again on its own
+    from that point.  Restarts do not depend on the others in their stack,
+    so each point is the point of the warm starts run one by one, byte for
+    byte.  A point's `iterations` counts its restart's map evaluations.
+
+    A descent error names its beta and its restart within that beta.  The
+    seeded stacks run in beta order before any warm start, and the first
+    stack that rises raises at its earliest map evaluation, whichever beta
+    that is.  Where a stack of guesses rises, every warm start runs on its
+    own from the point before it, in beta order, so the warm start that
+    raises is the first in beta order to rise.
+
+    `workflows.optimize` sweeps a labeled view of k >= 2 pairs on its
+    last-pair table (k = 1), since p(x' | view) depends on the last pair only.
     """
     seeded = _seeded_starts(hf, settings)
-    group = max(1, _CHUNK_ENTRIES // (RESTARTS * _step_entries(hf, settings.memory_size)))
+    step = _step_entries(hf, settings.memory_size)
+    group = max(1, _CHUNK_ENTRIES // (RESTARTS * step))
     bests = []  # each beta's best seeded restart, as a one-restart run
     for first in range(0, len(BETAS), group):
         betas = BETAS[first : first + group]
@@ -361,13 +391,30 @@ def sweep_beta(hf: HistoryFutureJoint, settings: OptimizerSettings) -> list:
         for i in range(0, len(starts), RESTARTS):
             best = i + _best_restart(stacked[1][i : i + RESTARTS])
             bests.append([a[[best]] for a in stacked])
-    points = []
-    for i, (beta, run) in enumerate(zip(BETAS, bests)):
-        if points:
-            warm = points[-1].strategy.assignment[None]
-            warm = _run_fixed_points(hf, warm, BETAS[i : i + 1], first_restart=RESTARTS)
-            run = [np.concatenate(pair) for pair in zip(run, warm)]
-        points.append(_best_point(hf, float(beta), run))
+    points = [_best_point(hf, float(BETAS[0]), bests[0])]
+    starts = [points[0].strategy.assignment] + [run[0][0] for run in bests[1:-1]]
+    starts = np.stack(starts)[: len(BETAS) - 1]  # none on a one-beta schedule
+    group = max(1, _CHUNK_ENTRIES // step)
+    try:
+        stacks = [
+            _run_fixed_points(
+                hf, starts[i : i + group], BETAS[1 + i : 1 + i + group], first_restart=RESTARTS
+            )
+            for i in range(0, len(starts), group)
+        ]
+        guesses = [np.concatenate(a) for a in zip(*stacks)]
+    except OptimizerError:
+        guesses = None  # every warm start on its own: the first in beta order to rise raises
+    warm_won = False
+    for i in range(1, len(BETAS)):
+        if guesses is None or warm_won:
+            start = points[-1].strategy.assignment[None]
+            warm = _run_fixed_points(hf, start, BETAS[i : i + 1], first_restart=RESTARTS)
+        else:
+            warm = [a[[i - 1]] for a in guesses]
+        run = [np.concatenate(pair) for pair in zip(bests[i], warm)]
+        points.append(_best_point(hf, float(BETAS[i]), run))
+        warm_won = _best_restart(run[1]) == 1
     return points
 
 
@@ -416,8 +463,9 @@ def _future_entropy(hf: HistoryFutureJoint) -> float:
 
 
 def _scan_maps(hf: HistoryFutureJoint, m: int):
-    """(first map index, i_mem, i_pred) for the blocks of deterministic maps h -> m
-    whose prefix is a restricted growth string.
+    """(map indices, i_mem, i_pred) for the blocks of deterministic maps h -> m
+    whose prefix is a restricted growth string, each block's restricted growth
+    strings only.
 
     Maps are numbered mixed-radix with the last history fastest, the order of
     `itertools.product(range(m), repeat=n_hist)`.  A block holds the m**r maps
@@ -426,34 +474,38 @@ def _scan_maps(hf: HistoryFutureJoint, m: int):
     sends to d, a subset of the last r.  So each block builds rows[d, s] for all
     2**r subsets s by doubling, rows[:, 2**j:2**(j+1)] = rows[:, :2**j] + tail
     history j; takes p ln p of these m * 2**r rows and of their sums once; and
-    gathers each map's m terms at the fixed flat index d * 2**r + mask_d(map).
+    gathers each scored map's m terms at the fixed flat index d * 2**r + mask_d(map).
 
     The numbers equal those of summing every map's table on its own, bit for
     bit: each row adds its histories to +0.0 in history order, and the gathered
     terms are reduced on the same C-ordered (maps, m, x') and (maps, m) shapes
     (`_map_information`).  So they depend neither on r nor on _MAP_BLOCK.
 
-    A restricted growth string has prefix[0] = 0 and each prefix[i] <=
-    max(prefix[:i]) + 1; the other blocks are skipped before their rows are
-    built.  Relabelling the memory states permutes the rows of p(m, x') and
-    moves neither i_mem nor i_pred, and the map of a class that comes first in
-    this order is its restricted growth string (Knuth, TAOCP 4A, section
-    7.2.1.5), whose prefix is one.  So every relabelling class keeps a member
-    in the scan, and the blocks scanned number the partitions of the prefix's
-    histories into at most m parts: 5 of 125 at n_hist = 8, m = 5 and 8 of 16
-    at n_hist = 16, m = 2.
+    A restricted growth string has labels[0] = 0 and each labels[i] <=
+    max(labels[:i]) + 1.  Relabelling the memory states permutes the rows of
+    p(m, x') and moves neither i_mem nor i_pred, and the map of a class that
+    comes first in this order is its restricted growth string (Knuth, TAOCP
+    4A, section 7.2.1.5).  So the scan scores one map per relabelling class:
+    it skips a block whose prefix is not one before its rows are built, and
+    of the others scores the tails that continue the prefix as one
+    (`_growth_need`), which depend only on the prefix's largest label `top`.
+    The blocks scanned number the partitions of the prefix's histories into
+    at most m parts, 5 of 125 at n_hist = 8, m = 5, and the maps scored the
+    partitions of all histories, 3,845 of 390,625 there.
     """
     n_hist, x = hf.table.shape
     _check_map_count(n_hist, m)
     r = _tail_length(n_hist, m)
-    lead, block = n_hist - r, m**r
+    lead = n_hist - r
     index = np.arange(m)[None] << r  # (maps in a block, m) flat rows d * 2**r + mask_d
     for j in range(r):  # tail history j sets bit j of the mask of the row it maps to
         index = (index[:, None] + (np.eye(m, dtype=index.dtype) << j)).reshape(-1, m)
-    index = index.ravel()
+    need = _growth_need(m, r)
+    tails = [np.flatnonzero(need <= top) for top in range(-1, m)]  # by top + 1
+    gathers = [index[t].ravel() for t in tails]
     rows = np.empty((m, 1 << r, x))
-    terms = np.empty((block * m, x))
-    sum_terms = np.empty(block * m)
+    terms = np.empty((len(index) * m, x))
+    sum_terms = np.empty(len(index) * m)
     h_x = _future_entropy(hf)
     for i, prefix in enumerate(itertools.product(range(m), repeat=lead)):
         if _restricted_growth(prefix) != list(prefix):
@@ -463,13 +515,14 @@ def _scan_maps(hf: HistoryFutureJoint, m: int):
             rows[d, 0] += hf.table[h]
         for j in range(r):
             np.add(rows[:, : 1 << j], hf.table[lead + j], out=rows[:, 1 << j : 2 << j])
+        top = max(prefix, default=-1)
+        gather = gathers[top + 1]
+        out, sum_out = terms[: gather.size], sum_terms[: gather.size]
         # every index is in range: "clip" only skips the copy that "raise" makes of `out`
-        np.take(xlogx(rows).reshape(-1, x), index, axis=0, out=terms, mode="clip")
-        np.take(xlogx(rows.sum(axis=2)), index, out=sum_terms, mode="clip")
-        i_mem, i_pred = _map_information(
-            sum_terms.reshape(block, m), terms.reshape(block, m, x), h_x
-        )
-        yield i * block, i_mem, i_pred
+        np.take(xlogx(rows).reshape(-1, x), gather, axis=0, out=out, mode="clip")
+        np.take(xlogx(rows.sum(axis=2)), gather, out=sum_out, mode="clip")
+        i_mem, i_pred = _map_information(sum_out.reshape(-1, m), out.reshape(-1, m, x), h_x)
+        yield i * len(index) + tails[top + 1], i_mem, i_pred
 
 
 def _map_at(index: int, n_hist: int, m: int) -> np.ndarray:
@@ -484,7 +537,8 @@ def _map_at(index: int, n_hist: int, m: int) -> np.ndarray:
 def _growth_need(m: int, r: int) -> np.ndarray:
     """For each of the m**r tails of a `_scan_maps` block, in block order, the
     least largest label of a restricted growth prefix that the tail continues
-    as one; -1 where the tail is one on its own.
+    as one; -1 where the tail is one on its own.  The maps a block scores are
+    the tails whose need is at most its prefix's largest label.
 
     Tail digit j is allowed when it is at most max(prefix max, digits before j) + 1,
     so it needs a prefix max of at least digit j - 1 only where it passes the
@@ -511,24 +565,23 @@ def exhaustive_best(
 
     The names of the memory states carry nothing: relabelling a map moves
     neither i_mem nor i_pred.  So only restricted growth strings compete, one
-    map per relabelling class: the scan visits only the blocks whose prefix is
-    one (`_scan_maps`), and masks the tails of each block that do not continue
-    its prefix as one (`_growth_need`, against the prefix's largest label).  The winner is the lowest score over them all, exact ties
-    going to the earliest map in `_scan_maps` order.  The maps that compete
-    and their numbers depend neither on the block nor on the labels, so
-    neither does the winner, which is always a restricted growth string.
+    map per relabelling class, and `_scan_maps` scores just those.  The
+    winner is the lowest score over them all, exact ties going to the
+    earliest map in `_scan_maps` order.  The maps that compete and their
+    numbers depend neither on the block nor on the labels, so neither does
+    the winner, which is always a restricted growth string.
+
+    `workflows.optimize` searches a labeled view of k >= 2 pairs on its
+    last-pair table and lifts the winner: a map constant on the views that
+    share a last pair reaches the optimum of the full table (see there).
     """
     n_hist, m = hf.num_histories, memory_size
-    r = _tail_length(n_hist, m)
-    need = _growth_need(m, r)
     best_score = best_index = None
-    for first, i_mem, i_pred in _scan_maps(hf, m):
+    for maps, i_mem, i_pred in _scan_maps(hf, m):
         scores = -i_pred if beta is None else i_mem - beta * i_pred
-        top = max(_map_at(first, n_hist, m)[: n_hist - r], default=-1)
-        scores = np.where(need <= top, scores, np.inf)
         j = int(np.argmin(scores))
         if best_score is None or scores[j] < best_score:
-            best_score, best_index = scores[j], first + j
+            best_score, best_index = scores[j], int(maps[j])
     best_map = _map_at(best_index, n_hist, m)
     return _point_from_encoder(hf, assignment_from_map(best_map, m), beta, True, 0)
 

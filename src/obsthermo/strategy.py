@@ -55,6 +55,8 @@ class KernelStrategy:
     labeled: bool = True
 
     def __post_init__(self):
+        if self.k is not None and self.k < 1:
+            raise ValidationError(f"kernel strategy needs k >= 1 or None, got {self.k}")
         arr = np.asarray(self.assignment, dtype=float)
         if arr.ndim != 2 or min(arr.shape) < 1:
             raise ValidationError(f"kernel assignment must be (H, M) with H, M >= 1, got {arr.shape}")
@@ -195,10 +197,11 @@ def strategy_summary(strategy: Strategy, num_questions: int) -> str:
     """Stable one-line description: variant, sizes, and for kernels the hardened
     argmax cells (ties reported lexicographically, e.g. '0|1').
 
-    A kernel on a k-pair view whose argmax map groups the views as the window
+    A one-hot kernel on a k-pair view whose map groups the views as the window
     record of their last j pairs does, for some j <= k, is reported as that
-    record instead: the smallest j, unlabeled before labeled.  Its rows must
-    match the view, as in `view_encoder`.
+    record instead: the smallest j, unlabeled before labeled.  A soft kernel
+    holds less than its argmax map, so it is reported by its cells.  Its rows
+    must match the view, as in `view_encoder`.
     """
     if isinstance(strategy, NothingStrategy):
         return "nothing (M=1)"
@@ -211,13 +214,14 @@ def strategy_summary(strategy: Strategy, num_questions: int) -> str:
     hard = harden(arr)
     if strategy.k is not None:
         k, labeled, _, _ = view_encoder(strategy, range(num_questions), strategy.k)
-        pairs = np.indices((num_questions if labeled else 1, 2) * k).reshape(2 * k, -1)
-        for j in range(1, k + 1):
-            for labeled_j in (False, True) if labeled else (False,):
-                record = view_index(pairs[2 * (k - j) :], num_questions, labeled_j)
-                if _same_partition(hard, record):
-                    kind = "labeled" if labeled_j else "unlabeled"
-                    return f"kernel M={m} ≍ window k={j} {kind}"
+        if ((arr == 0.0) | (arr == 1.0)).all():  # one-hot: see above
+            pairs = np.indices((num_questions if labeled else 1, 2) * k).reshape(2 * k, -1)
+            for j in range(1, k + 1):
+                for labeled_j in (False, True) if labeled else (False,):
+                    record = view_index(pairs[2 * (k - j) :], num_questions, labeled_j)
+                    if _same_partition(hard, record):
+                        kind = "labeled" if labeled_j else "unlabeled"
+                        return f"kernel M={m} ≍ window k={j} {kind}"
     cells = []
     for row in arr:
         top = np.flatnonzero(np.abs(row - row.max()) < 1e-12)

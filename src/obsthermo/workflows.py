@@ -5,7 +5,7 @@ them directly.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import bound as boundmod
 from . import chain as chainmod
@@ -21,6 +21,7 @@ from .optimize import (
     degeneracy_report,
     exhaustive_best,
     history_future_joint,
+    lift_point,
     sweep_beta,
 )
 from .strategy import MEMORY_VAR, apply_strategy, view_encoder
@@ -93,15 +94,29 @@ def optimize(scenario: Scenario) -> OptimizeResult:
     extrapolated update each (`optimize._run_fixed_points`), and each
     point's `iterations` counts the map evaluations of its restart.
 
-    When the deterministic maps number at most ENUMERATION_CAP, the result also
-    holds the degeneracy report and the exhaustive reference at the largest
-    beta, from one scan of the maps.  The report scans none: it scores only
-    the maps constant on the groups of histories that share a heavy cell of
-    p(view, next pair), the only ones whose nostalgia can stay within
-    DEGENERACY_TOL, and lists every relabelling of each map it keeps.  The
-    scan, for the reference, visits only the blocks whose prefix is a
-    restricted growth string, since relabelling the memory states moves
-    neither i_mem nor i_pred, and only such maps compete.
+    A labeled view of k >= 2 pairs is optimized on its last-pair table, the
+    k = 1 view `core`, and each point is lifted back (`optimize.lift_point`):
+    every view takes the row of its last pair, zero-mass views too, and is
+    rescored on the view's table.  The next pair's law given the view is the
+    chain's kernel at the view's last pair, and the long run is invariant,
+    so summing p(view, x') over the older pairs gives the k = 1 table.  The
+    views that share a last pair share p(x' | view), and the class-constant
+    encoders and maps reach the optimum of the full table: averaging an
+    encoder's rows within a class keeps p(m, x') and cannot raise I(M; view),
+    which is convex in the encoder; and the objective of a map is concave in
+    the mass of one class that each memory state takes, so its minimum is at
+    a vertex, where the class goes to one state.  Unlabeled views and k = 1
+    are optimized on their own table.
+
+    When the deterministic maps of the view number at most ENUMERATION_CAP,
+    the result also holds the degeneracy report, over the view's maps, and
+    the exhaustive reference at the largest beta.  The report scans none: it
+    scores only the maps constant on the groups of histories that share a
+    heavy cell of p(view, next pair), the only ones whose nostalgia can stay
+    within DEGENERACY_TOL, and lists every relabelling of each map it keeps.
+    The scan, for the reference, scores only restricted growth strings, since
+    relabelling the memory states moves neither i_mem nor i_pred, and only
+    such maps compete.
     """
     settings = scenario.optimizer
     if settings is None:
@@ -113,14 +128,19 @@ def optimize(scenario: Scenario) -> OptimizeResult:
         )
     chain = chainmod.Chain(scenario.questions, scenario.process, scenario.initial_state)
     hf = history_future_joint(chain, k, settings.history_labeled)
-    points = tuple(sweep_beta(hf, settings))
+    if settings.history_labeled and k > 1:
+        core = history_future_joint(chain, 1, True)
+        lift = partial(lift_point, hf)
+    else:
+        core, lift = hf, lambda point: point
+    points = tuple(map(lift, sweep_beta(core, settings)))
     best = min(points, key=lambda p: p.objective)
     try:
         degeneracy = tuple(degeneracy_report(hf, settings.memory_size))
     except SizeCapError:  # more maps than the scan enumerates
         degeneracy = reference = None
     else:
-        reference = exhaustive_best(hf, settings.memory_size, beta=float(BETAS[-1]))
+        reference = lift(exhaustive_best(core, settings.memory_size, beta=float(BETAS[-1])))
     return OptimizeResult(
         points=points, best=best, degeneracy=degeneracy, exhaustive_reference=reference
     )

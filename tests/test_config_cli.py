@@ -256,6 +256,13 @@ def test_cli_malformed_values_exit_1_naming_the_field(tmp_path, capsys, override
             "scenario.process.sequence",
             id="number-in-sequence",
         ),
+        pytest.param(
+            "analyze",
+            {"strategy": {"type": "kernel", "assignment": [[1.0], [1.0]], "k": 0}},
+            [],
+            "scenario.strategy: kernel strategy needs k >= 1 or None, got 0",
+            id="kernel-k-0",
+        ),
     ],
 )
 def test_cli_non_strings_and_negative_seeds_exit_1(tmp_path, capsys, command, overrides, args, field):

@@ -164,17 +164,29 @@ def assert_same_run(hf, starts, beta, first_restart=0):
     return got
 
 
-def per_beta_sweep(hf, opt):
+def per_beta_sweep(hf, opt, warm_wins=None):
     """The sweep as a chain of one stack per beta: the seeded restarts and, past the
-    first beta, the point before as one warm start, reduced to their best restart."""
+    first beta, the point before as one warm start, reduced to their best restart.
+
+    `warm_wins`, a list, receives for each beta whether its warm start won."""
     points = []
     for beta in optmod.BETAS:
         encs = _initial_encoders(hf.num_histories, opt.memory_size, optmod.RESTARTS, _rng(opt.seed))
         if points:
             encs = np.concatenate([encs, points[-1].strategy.assignment[None]])
         run = _run_fixed_points(hf, encs, np.full(len(encs), beta))
+        if warm_wins is not None:
+            warm_wins.append(optmod._best_restart(run[1]) == optmod.RESTARTS)
         points.append(optmod._best_point(hf, float(beta), run))
     return points
+
+
+def warm_calls(warm_wins, per_stack):
+    """The betas of each warm-start call of `sweep_beta`: stacks of up to `per_stack`
+    guesses for betas 1 on, then one call for each beta after one whose warm start won."""
+    betas = optmod.BETAS.tolist()
+    calls = [betas[i : i + per_stack] for i in range(1, len(betas), per_stack)]
+    return calls + [[betas[i]] for i in range(2, len(betas)) if warm_wins[i - 1]]
 
 
 def point_bytes(point):
@@ -192,7 +204,8 @@ def assert_sweep_matches(hf, opt, monkeypatch, groups=(len(optmod.BETAS),)):
 
     `groups` is the number of betas in each stack of seeded restarts, in beta order.
     """
-    want = [point_bytes(p) for p in per_beta_sweep(hf, opt)]
+    warm_wins = []
+    want = [point_bytes(p) for p in per_beta_sweep(hf, opt, warm_wins)]
     calls = []
 
     def checked(hf, encs, betas, first_restart=0):
@@ -203,12 +216,15 @@ def assert_sweep_matches(hf, opt, monkeypatch, groups=(len(optmod.BETAS),)):
         patch.setattr(optmod, "_run_fixed_points", checked)
         got = [point_bytes(p) for p in optmod.sweep_beta(hf, opt)]
     assert got == want
-    # stacks of consecutive betas' seeded restarts, then the warm starts one by one
+    # stacks of consecutive betas' seeded restarts, then the warm starts
     betas = optmod.BETAS.tolist()
     stacks = []
     for first, size in zip(np.cumsum((0,) + groups), groups):
         stacks.append((np.repeat(betas[first : first + size], optmod.RESTARTS).tolist(), 0))
-    assert calls == stacks + [([beta], optmod.RESTARTS) for beta in betas[1:]]
+    per_stack = max(1, optmod._CHUNK_ENTRIES // optmod._step_entries(hf, opt.memory_size))
+    warm = warm_calls(warm_wins, per_stack)
+    assert calls == stacks + [(w, optmod.RESTARTS) for w in warm]
+    return warm
 
 
 def test_bundled_sweeps_match_the_one_step_loop(monkeypatch):
@@ -440,3 +456,54 @@ def test_a_restart_that_never_stops_stays_silent(tolerance, monkeypatch):
     _, _, converged, iterations = assert_same_run(hf, _initial_encoders(3, 2, 4, rng), 2.5)
     assert converged.tolist() == [tolerance >= 0.0] * 4
     assert (iterations[~converged] == 300).all()
+
+
+def test_a_warm_start_after_a_warm_win_runs_again_from_the_point_before_it(monkeypatch):
+    # on the seed-1 `exhaustive` shapes the warm start wins at betas before the last
+    # on K5_k1L_M3 (three times) and K4_k1L_M5 (twice): the guess for the beta after
+    # each is dropped, and that beta's warm start runs on its own
+    singles = {}
+    for scenario in exhaustive_scenarios(1):
+        opt = scenario.optimizer
+        hf = history_future_joint(scenario_chain(scenario), opt.history_k, opt.history_labeled)
+        if hf.labeled and hf.k > 1:
+            hf = history_future_joint(scenario_chain(scenario), 1, True)  # what optimize sweeps
+        calls = assert_sweep_matches(hf, opt, monkeypatch)
+        singles[scenario.name] = sum(len(betas) == 1 for betas in calls)
+    assert singles["K5_k1L_M3"] == 3 and singles["K4_k1L_M5"] == 2, singles
+
+
+def test_a_rise_in_a_warm_start_raises_the_one_by_one_error(monkeypatch):
+    # a slack of -TOLERANCE per beta in the warm starts' calls only.  On case_a the stack
+    # of six guesses raises at beta 2, its earliest map evaluation; the sweep then runs its
+    # warm starts one at a time, so beta sqrt(2), the first in beta order to rise, raises,
+    # as the chain of warm starts does
+    scenario = bundled_scenario("case_a")
+    opt = scenario.optimizer
+    hf = history_future_joint(scenario_chain(scenario), opt.history_k, opt.history_labeled)
+    first = per_beta_sweep(hf, opt)[0].strategy.assignment[None]
+    betas = optmod.BETAS.tolist()
+    calls = []
+    run = optmod._run_fixed_points
+
+    def rising_warm_starts(hf, encs, betas, first_restart=0):
+        with monkeypatch.context() as patch:
+            if first_restart == optmod.RESTARTS:
+                patch.setattr(optmod, "_DESCENT_SLACK", -optmod.TOLERANCE)
+            try:
+                return run(hf, encs, betas, first_restart)
+            except OptimizerError as error:
+                calls.append((betas.tolist(), str(error)))
+                raise
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optmod, "_DESCENT_SLACK", -optmod.TOLERANCE)
+        want = assert_same_run(hf, first, betas[1:2], optmod.RESTARTS)
+    assert want.startswith(f"beta {betas[1]!r}, restart 8: ")
+    monkeypatch.setattr(optmod, "_run_fixed_points", rising_warm_starts)
+    with pytest.raises(OptimizerError) as raised:
+        optmod.sweep_beta(hf, opt)
+    assert str(raised.value) == want
+    (stack_betas, stack_text), alone = calls
+    assert stack_betas == betas[1:] and stack_text.startswith("beta 2.0, restart 8: ")
+    assert alone == (betas[1:2], want)

@@ -5,10 +5,11 @@ time by broadcasting, as `optimize._scan_maps` did before it gathered terms
 from per-prefix subset tables.  Its prefixes are built one at a time rather
 than all at once, with the same additions, so that a block of one map with
 thousands of memory rows fits in memory.  Asked for restricted growth
-prefixes only (`rgs_scan`), the blocks that `_scan_maps` scans, it skips the
-others by its own test of the prefix.  `reference_report` is the degeneracy
-report of a scan of every map, which `degeneracy_report` gives from its
-closed-form candidates.
+strings only (`rgs_scan`), the maps that `_scan_maps` scores, it skips the
+blocks whose prefix is not one and keeps of each other block the maps that
+are one, each by its own test of the labels.  `reference_report` is the
+degeneracy report of a scan of every map, which `degeneracy_report` gives
+from its closed-form candidates.
 """
 
 import functools
@@ -36,9 +37,10 @@ def is_restricted_growth(labels) -> bool:
 
 
 def reference_scan(hf: HistoryFutureJoint, m: int, map_block: int = 4096, rgs_only=False):
-    """(first map index, i_mem, i_pred) per block of m**r <= map_block maps.
+    """(map indices, i_mem, i_pred) per block of m**r <= map_block maps.
 
-    With `rgs_only`, a block is yielded only if its prefix is a restricted growth string.
+    With `rgs_only`, a block is yielded only if its prefix is a restricted growth
+    string, and only its maps that are one.
     """
     n_hist, x = hf.table.shape
     total = m**n_hist
@@ -73,20 +75,25 @@ def reference_scan(hf: HistoryFutureJoint, m: int, map_block: int = 4096, rgs_on
         h_mx = -xlogx(p_mx).sum(axis=(1, 2)) / _LN2
         i_pred = i_mem + h_x - h_mx
         i_pred = np.where(i_pred > 0.0, i_pred, 0.0)
-        yield i * m**r, i_mem, i_pred
+        maps = i * m**r + np.arange(m**r)
+        if rgs_only:
+            tails = itertools.product(range(m), repeat=r)
+            keep = np.array([is_restricted_growth(prefix + t) for t in tails])
+            maps, i_mem, i_pred = maps[keep], i_mem[keep], i_pred[keep]
+        yield maps, i_mem, i_pred
 
 
 rgs_scan = functools.partial(reference_scan, rgs_only=True)
 
 
 def streams(scan, hf, m):
-    """Block starts and the concatenated i_mem and i_pred bytes of a scan."""
-    firsts, mems, preds = [], [], []
-    for first, i_mem, i_pred in scan(hf, m):
-        firsts.append(first)
+    """The maps of each block and the concatenated i_mem and i_pred bytes of a scan."""
+    maps, mems, preds = [], [], []
+    for block, i_mem, i_pred in scan(hf, m):
+        maps.append(block.tolist())
         mems.append(i_mem)
         preds.append(i_pred)
-    return firsts, np.concatenate(mems).tobytes(), np.concatenate(preds).tobytes()
+    return maps, np.concatenate(mems).tobytes(), np.concatenate(preds).tobytes()
 
 
 def table_hf(table: np.ndarray) -> HistoryFutureJoint:
@@ -159,14 +166,17 @@ def tail_length(n_hist, m, map_block):
 def test_scan_numbers_do_not_depend_on_the_block(monkeypatch, map_block):
     monkeypatch.setattr(optmod, "_MAP_BLOCK", map_block)
     for hf, m in random_tables()[:12] + bundled_cases():
-        firsts, mems, preds = streams(optmod._scan_maps, hf, m)
-        # a block's prefix decides whether its maps are scanned: the reference takes the same blocks
+        blocks, mems, preds = streams(optmod._scan_maps, hf, m)
+        # the maps scored are the restricted growth strings, whichever blocks hold them
         _, ref_mems, ref_preds = streams(functools.partial(rgs_scan, map_block=map_block), hf, m)
         assert (mems, preds) == (ref_mems, ref_preds)
         n_hist = hf.num_histories
+        _, growth = restricted_growth_maps(n_hist, m)
+        assert sum(blocks, []) == np.flatnonzero(growth).tolist()
         r = tail_length(n_hist, m, map_block)
         prefixes = itertools.product(range(m), repeat=n_hist - r)
-        assert firsts == [i * m**r for i, p in enumerate(prefixes) if is_restricted_growth(p)]
+        firsts = [i * m**r for i, p in enumerate(prefixes) if is_restricted_growth(p)]
+        assert [b[0] for b in blocks] == firsts
 
 
 def results_with(scan, monkeypatch, hf, m, beta):
@@ -372,14 +382,17 @@ def test_rgs_scan_visits_only_the_restricted_growth_prefixes(monkeypatch, n_hist
     table = np.random.default_rng(n_hist * m).dirichlet(np.ones(n_hist * x)).reshape(n_hist, x)
     hf = table_hf(table)
     full, scanned = (
-        {first: (i_mem.tobytes(), i_pred.tobytes()) for first, i_mem, i_pred in scan}
+        {maps[0]: (maps, i_mem, i_pred) for maps, i_mem, i_pred in scan}
         for scan in (reference_scan(hf, m), optmod._scan_maps(hf, m))
     )
     r = tail_length(n_hist, m, optmod._MAP_BLOCK)
     prefixes = itertools.product(range(m), repeat=n_hist - r)
     expected = [i * m**r for i, p in enumerate(prefixes) if is_restricted_growth(p)]
     assert list(scanned) == expected and len(expected) == visited
-    assert all(scanned[first] == full[first] for first in scanned)  # the same bits
+    for first, (maps, i_mem, i_pred) in scanned.items():  # the same bits as the full block's
+        tails = maps - first
+        assert i_mem.tobytes() == full[first][1][tails].tobytes()
+        assert i_pred.tobytes() == full[first][2][tails].tobytes()
     maps = set()
     for map_block in (1, 8, 4096):
         monkeypatch.setattr(optmod, "_MAP_BLOCK", map_block)

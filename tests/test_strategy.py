@@ -240,10 +240,15 @@ def test_k_window_routes_match_the_full_window(name, monkeypatch):
     monkeypatch.setattr(optmod, "RESTARTS", 1)
     for k, labeled in AGREEMENT_VIEWS:
         settings = OptimizerSettings(memory_size=2, history_k=k, history_labeled=labeled)
+        built.clear()
         workflows.optimize(dataclasses.replace(base, optimizer=settings))
-        expected = grouped_view_table(full, k, labeled)
-        assert built[-1].table.shape == expected.shape
-        assert np.max(np.abs(built[-1].table - expected)) <= 1e-12
+        # the view's table, and a labeled view of k >= 2 pairs also its last-pair table
+        views = [(k, labeled)] + [(1, True)] * (labeled and k > 1)
+        assert [(hf.k, hf.labeled) for hf in built] == views
+        for hf, (j, labeled_j) in zip(built, views):
+            expected = grouped_view_table(full, j, labeled_j)
+            assert hf.table.shape == expected.shape
+            assert np.max(np.abs(hf.table - expected)) <= 1e-12
 
 
 def test_analyze_beyond_the_entry_cap_reports_its_view():
@@ -297,6 +302,15 @@ def test_kernel_assignment_needs_rows_and_columns(shape):
         KernelStrategy(assignment=np.zeros(shape))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_a_kernel_view_of_fewer_than_one_pair_is_rejected_when_built(k):
+    with pytest.raises(ValidationError, match=f"kernel strategy needs k >= 1 or None, got {k}"):
+        KernelStrategy(assignment=np.ones((1, 1)), k=k)
+    with pytest.raises(ValidationError, match=f"window strategy needs k >= 1, got {k}"):
+        WindowStrategy(k=k)
+    assert KernelStrategy(assignment=np.ones((1, 1)), k=None).k is None
+
+
 def test_kernel_rows_must_be_stochastic():
     with pytest.raises(ValidationError):
         KernelStrategy(assignment=np.array([[0.5, 0.6], [0.5, 0.5]]))
@@ -334,6 +348,18 @@ def test_summary_kernel_equivalent_to_last_answer_map():
     assignment = assignment_from_map(np.array([0, 1, 0, 1]), 2)
     s = KernelStrategy(assignment=assignment, k=1, labeled=True)
     assert strategy_summary(s, num_questions=2) == "kernel M=2 ≍ window k=1 unlabeled"
+
+
+def test_summary_names_a_record_only_for_one_hot_kernels():
+    # a soft kernel holds less than its argmax map: case_a's beta = 1 frontier kernel
+    # keeps about 0.0017 bits, not the 1 bit of the last-answer record
+    noisy = KernelStrategy(assignment=np.array([[0.9, 0.1], [0.1, 0.9]]), k=1, labeled=False)
+    assert strategy_summary(noisy, num_questions=2) == "kernel M=2 map=[0,1]"
+    hard = KernelStrategy(assignment=assignment_from_map([0, 1], 2), k=1, labeled=False)
+    assert strategy_summary(hard, num_questions=2) == "kernel M=2 ≍ window k=1 unlabeled"
+    point = workflows.optimize(bundled_scenario("case_a")).points[0]
+    assert point.beta == 1.0 and point.i_mem < 0.01
+    assert "≍" not in strategy_summary(point.strategy, num_questions=1)
 
 
 def test_summary_rejects_a_kernel_whose_rows_do_not_fit_its_view():
@@ -386,7 +412,8 @@ def reference_summary(strategy, num_questions: int) -> str:
     arr = strategy.assignment
     m = strategy.memory_size
     hard = harden(arr).tolist()
-    if strategy.k is not None:
+    one_hot = all(v in (0.0, 1.0) for v in arr.ravel().tolist())
+    if strategy.k is not None and one_hot:
         for j in range(1, strategy.k + 1):
             for labeled_j in (False, True):
                 cand = _reference_window_map_on_view(
